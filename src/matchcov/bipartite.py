@@ -1,5 +1,5 @@
-"""Bipartite matching covered graphs: P-sets, removability certificates,
-tightness by shore balance, and barrier contractions.
+"""Bipartite matching covered graphs: P-sets and removability
+certificates.
 
 Everything here fixes the bipartition (A, B) as the two color classes with
 vertex 0 in A; inputs must be connected bipartite matching covered graphs.
@@ -11,15 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .covered import is_matching_covered, removable_edges
-from .errors import (
-    BarrierTrivialError,
-    BoundExceededError,
-    NotABarrierError,
-    NotBipartiteMCError,
-)
-from .cuts import edge_cut, is_barrier
-from .multigraph import Multigraph, bits, mask_of
+from .covered import is_matching_covered
+from .errors import BoundExceededError, NotBipartiteMCError
+from .multigraph import Multigraph, mask_of
 
 _PSET_MAX_N = int(os.environ.get("MATCHCOV_MAX_PSET_N", "14"))
 
@@ -161,90 +155,3 @@ def is_removable_bipartite(g: Multigraph, e: int) -> tuple[bool, Optional[Remova
         if cert is not None:
             cert = RemovabilityCertificate(cert.a1, cert.b1)
     return False, cert
-
-
-def is_tight_bipartite(g: Multigraph, x) -> bool:
-    """Shore balance test: |X cap A| and |X cap B| differ by one and every
-    boundary edge touches the majority side of X."""
-    a, b = bipartition(g)
-    x = frozenset(x)
-    if not x or len(x) >= g.n:
-        return False
-    xa, xb = len(x & a), len(x & b)
-    if abs(xa - xb) != 1:
-        return False
-    major = (x & a) if xa > xb else (x & b)
-    for e in edge_cut(g, x).boundary:
-        u, v = g.endpoints(e)
-        inside = u if u in x else v
-        if inside not in major:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class BarrierContraction:
-    graph: Multigraph
-    barrier_vertices: frozenset[int]  # ids in the contracted graph
-    component_map: dict[int, frozenset[int]]  # contracted id -> original vertices
-
-
-def barrier_contraction(g: Multigraph, barrier) -> BarrierContraction:
-    """Contract every nontrivial odd component of G - B to one vertex.
-
-    The result is bipartite with B as one class when B is a barrier of a
-    matching covered graph. Vertex order: B ascending, then trivial
-    components ascending, then contracted components by least original
-    vertex.
-    """
-    b = frozenset(barrier)
-    if len(b) < 2:
-        raise BarrierTrivialError("barrier contraction needs |B| >= 2")
-    if not is_barrier(g, b):
-        raise NotABarrierError(f"{sorted(b)} is not a barrier")
-    within = g.full_mask & ~mask_of(b)
-    comps = g.component_masks(within)
-    if any(c.bit_count() % 2 == 0 for c in comps):
-        raise NotABarrierError("even component outside the barrier")
-    singles = []
-    big = []
-    for c in comps:
-        if c.bit_count() == 1:
-            singles.append(c.bit_length() - 1)
-        else:
-            big.append(sorted(bits(c)))
-    big.sort(key=lambda vs: vs[0])
-    order = sorted(b) + sorted(singles)
-    remap = {v: i for i, v in enumerate(order)}
-    comp_of = {}
-    for idx, vs in enumerate(big):
-        for v in vs:
-            comp_of[v] = len(order) + idx
-    total = len(order) + len(big)
-    edges = []
-    for (u, v) in g.edges:
-        nu = remap.get(u, comp_of.get(u))
-        nv = remap.get(v, comp_of.get(v))
-        if nu == nv:
-            continue
-        edges.append((nu, nv))
-    h = Multigraph(total, edges)
-    if not h.is_bipartite():
-        raise NotABarrierError("contraction is not bipartite; input was not a barrier of a matching covered graph")
-    component_map = {remap[v]: frozenset([v]) for v in order}
-    for idx, vs in enumerate(big):
-        component_map[len(order) + idx] = frozenset(vs)
-    return BarrierContraction(h, frozenset(remap[v] for v in sorted(b)), component_map)
-
-
-def w_set(bc: BarrierContraction) -> frozenset[int]:
-    """Non-barrier vertices of the contraction incident to removable edges."""
-    h = bc.graph
-    rem = removable_edges(h)
-    out = set()
-    for e in rem:
-        u, v = h.endpoints(e)
-        for w in (u, v):
-            if w not in bc.barrier_vertices:
-                out.add(w)
-    return frozenset(out)

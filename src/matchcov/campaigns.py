@@ -1,10 +1,23 @@
 """Exhaustive verification campaigns over small matching covered graphs.
 
-Each campaign enumerates a bounded graph family, evaluates one structural
-claim on every member, and returns a report dict with a stable field order
-so that identical parameters reproduce identical bytes (wall clock aside).
-An empty counterexample list means the claim survived the sweep; campaigns
-never decide claims analytically when an enumeration can check them.
+Every campaign has one shape. `population(ctx)` yields the graphs of a
+bounded family, `claim(g, ctx)` decides one structural claim on one graph,
+and `fold(rows, ctx)` turns the verdicts into the report summary. A full
+run (`run_campaign`) feeds the claim its own population; `run_corpus`
+feeds the same claim graphs from a file. Either way one runner maps the
+claim, in `jobs` worker processes when asked, and the report keeps a
+stable field order so that identical parameters reproduce identical bytes
+(wall clock aside). An empty counterexample list means the claim survived
+the sweep; campaigns never decide claims analytically when an enumeration
+can check them.
+
+A claim returns a falsy value when g is outside the claim's hypotheses
+(corpus mode counts such graphs as skipped), otherwise a pair
+(facts, problems): facts for the fold, and one dict of counterexample
+fields per way the claim failed on g. `ctx` starts as the run's parameters;
+populations leave their own counts in it for the fold, and folds add
+per-graph verdict rows (`ctx["verdicts"]`) and counterexamples that belong
+to no single graph (`ctx["counterexamples"]`).
 """
 from __future__ import annotations
 
@@ -13,7 +26,9 @@ import json
 import os
 import random
 import time
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from collections import deque
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
 from .canon import canonical_form
@@ -35,6 +50,7 @@ from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph
 from .wheels import (
+    SpliceNode,
     WheelSpec,
     boundary_classes,
     check_odd_wheel_splice,
@@ -58,8 +74,8 @@ VERDICT_CAP = 2000
 
 _CORPUS_MAX_N = int(os.environ.get("MATCHCOV_MAX_CORPUS_N", "10"))
 
-
-# -- report plumbing ---------------------------------------------------------
+# Graphs handed to a worker pool at a time.
+_POOL_CHUNK = 20000
 
 
 def _counterexample(g: Multigraph, **fields) -> dict:
@@ -68,98 +84,52 @@ def _counterexample(g: Multigraph, **fields) -> dict:
     return rec
 
 
-def _finish(
-    campaign: str,
-    parameters: dict,
-    graphs_checked: int,
-    counterexamples: list[dict],
-    summary: dict,
-    verdicts: Optional[list[dict]],
-    started: float,
-) -> dict:
-    counterexamples = sorted(counterexamples, key=lambda r: r["mg"])
-    body = dict(summary)
-    body["status"] = "pass" if not counterexamples else "fail"
-    report = {
-        "schema": SCHEMA_VERSION,
-        "campaign": campaign,
-        "parameters": parameters,
-        "graphs_checked": graphs_checked,
-        "summary": body,
-        "counterexamples": counterexamples,
-    }
-    if verdicts is not None:
-        if len(verdicts) <= VERDICT_CAP:
-            report["verdicts"] = verdicts
-        else:
-            report["verdicts_omitted"] = len(verdicts)
-    report["wall_clock_seconds"] = round(time.monotonic() - started, 3)
-    return report
-
-
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2)
 
 
-# -- worker-pool plumbing ----------------------------------------------------
-#
-# Workers take (n, edges) payloads and rebuild the graph: Multigraph caches
-# are per-instance, so nothing useful would survive pickling anyway.
+# -- shared populations and helpers ------------------------------------------
 
 
-def _payload(g: Multigraph) -> tuple[int, tuple]:
-    return (g.n, g.edges)
-
-
-def _rebuild(payload: tuple[int, tuple]) -> Multigraph:
-    return Multigraph(payload[0], payload[1])
-
-
-def _pmap(worker: Callable, payloads: Sequence, jobs: Optional[int]) -> list:
-    payloads = list(payloads)
-    jobs = jobs or 1
-    if jobs > 1 and len(payloads) >= 4 * jobs:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(payloads) // (8 * jobs))
-        with ctx.Pool(processes=jobs) as pool:
-            return pool.map(worker, payloads, chunksize=chunk)
-    return [worker(p) for p in payloads]
-
-
-def _stream_pmap(
-    worker: Callable, payloads: Iterable, jobs: Optional[int], chunk: int = 20000
-) -> Iterator[tuple]:
-    """(payload, verdict) pairs in input order, bounded memory."""
-    buf: list = []
-    for p in payloads:
-        buf.append(p)
-        if len(buf) >= chunk:
-            yield from zip(buf, _pmap(worker, buf, jobs))
-            buf = []
-    if buf:
-        yield from zip(buf, _pmap(worker, buf, jobs))
-
-
-# -- shared populations ------------------------------------------------------
-
-
-def _simple_bricks(max_n: int) -> Iterator[Multigraph]:
+def _simple_bricks(max_n: int, min_n: int = 4) -> Iterator[Multigraph]:
     # Bricks are 3-connected, so the degree floor loses nothing.
-    for n in range(4, max_n + 1, 2):
+    for n in range(min_n, max_n + 1, 2):
         for g in enumerate_connected_graphs(n, min_degree=3):
             if is_brick(g):
                 yield g
 
 
-def _bipartite_mc_simple(n: int) -> Iterator[Multigraph]:
+def _bipartite_mc_simple(n: int, min_degree: int = 2) -> Iterator[Multigraph]:
     # A degree-1 vertex forces every perfect matching through its one edge,
     # so its neighbour could carry no other covered edge; with n >= 4 that
     # kills matching coverage, hence the floor of 2.
-    for g in enumerate_connected_graphs(n, min_degree=2 if n >= 4 else 1):
+    for g in enumerate_connected_graphs(n, min_degree=min_degree):
         if g.is_bipartite() and is_matching_covered(g):
             yield g
+
+
+def _bipartite_multigraphs(
+    mult_n: int, mult_bound: int, min_n: int = 4, min_degree: int = 0
+) -> Iterator[Multigraph]:
+    """Bipartite matching covered multigraphs with a parallel pair, n from
+    min_n to mult_n, one per isomorphism class.  On two vertices the only
+    candidate is K2 with a doubled edge."""
+    seen: set[bytes] = set()
+    for n in range(min_n, mult_n + 1, 2):
+        # Multiplicities never add neighbours, so bases with a degree-1
+        # vertex cannot sweep to anything matching covered beyond K2.
+        for base in enumerate_connected_graphs(n, min_degree=1 if n == 2 else 2):
+            if not base.is_bipartite():
+                continue
+            for g in multiplicity_sweep(base, mult_bound):
+                if g.m < 2 or (g.is_simple() and n >= 4) or g.min_degree() < min_degree:
+                    continue
+                if not is_matching_covered(g):
+                    continue
+                key = canonical_form(g)
+                if key not in seen:
+                    seen.add(key)
+                    yield g
 
 
 def _first_removable(g: Multigraph) -> Optional[int]:
@@ -176,67 +146,67 @@ def _canon_hex(g: Multigraph) -> str:
     return canonical_form(g).hex()
 
 
+@lru_cache(maxsize=None)
+def _k4_and_prism() -> tuple[bytes, bytes]:
+    return canonical_form(complete_graph(4)), canonical_form(prism_graph())
+
+
+def _applied_with_examples(rows, example: Callable) -> tuple[int, list[dict]]:
+    """For claims whose facts are None on graphs reduced by an edge
+    deletion: (graphs the claim applied to, example rows of the others)."""
+    applied = 0
+    examples: list[dict] = []
+    for g, verdict in rows:
+        if verdict:
+            applied += 1
+            if verdict[0] is not None:
+                examples.append(example(g, verdict[0]))
+    examples.sort(key=lambda r: (r["n"], r["canon"]))
+    return applied, examples
+
+
 # =============================================================================
 # thm-1.1: every simple brick has at least max-degree many removable classes,
 # and (K4 and the prism aside) at least max-degree - 2 removable edges.
 # =============================================================================
 
 
-def _thm11_worker(payload):
-    g = _rebuild(payload)
+def _thm11_population(ctx: dict) -> Iterator[Multigraph]:
+    return _simple_bricks(ctx["max_n"])
+
+
+def _thm11_claim(g: Multigraph, ctx: dict):
+    if not g.is_simple() or not is_brick(g):
+        return None
     classes = removable_classes(g)
-    singles = sum(1 for c in classes if isinstance(c, Single))
-    return (len(classes), singles, g.max_degree())
+    found = {
+        "delta": g.max_degree(),
+        "classes": len(classes),
+        "singles": sum(1 for c in classes if isinstance(c, Single)),
+    }
+    # K4 (n = 4) and the prism (n = 6) are the only exempt bricks.
+    exempt = g.n <= 6 and canonical_form(g) in _k4_and_prism()
+    if found["classes"] < found["delta"]:
+        failed = "classes"
+    elif not exempt and found["singles"] < found["delta"] - 2:
+        failed = "edges"
+    else:
+        return (found, exempt), []
+    return (found, exempt), [dict(found, failed=failed)]
 
 
-def run_thm_1_1(max_n: int = 8, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    bricks = list(_simple_bricks(max_n))
-    exempt = {canonical_form(complete_graph(4)), canonical_form(prism_graph())}
-    results = _pmap(_thm11_worker, [_payload(g) for g in bricks], jobs)
-
-    counterexamples: list[dict] = []
-    verdicts: list[dict] = []
+def _thm11_fold(rows, ctx: dict) -> dict:
     by_n: dict[int, int] = {}
     exempt_seen = 0
-    for g, (n_classes, n_singles, delta) in zip(bricks, results):
+    verdicts = ctx["verdicts"] = []
+    for g, ((found, exempt), _) in rows:
         by_n[g.n] = by_n.get(g.n, 0) + 1
-        is_exempt = canonical_form(g) in exempt
-        exempt_seen += is_exempt
-        ok_classes = n_classes >= delta
-        ok_edges = is_exempt or n_singles >= delta - 2
-        verdicts.append(
-            {
-                "canon": _canon_hex(g),
-                "n": g.n,
-                "delta": delta,
-                "classes": n_classes,
-                "singles": n_singles,
-            }
-        )
-        if not (ok_classes and ok_edges):
-            counterexamples.append(
-                _counterexample(
-                    g,
-                    delta=delta,
-                    classes=n_classes,
-                    singles=n_singles,
-                    failed="classes" if not ok_classes else "edges",
-                )
-            )
-    summary = {
+        exempt_seen += exempt
+        verdicts.append({"canon": _canon_hex(g), "n": g.n, **found})
+    return {
         "bricks_by_n": {str(k): by_n[k] for k in sorted(by_n)},
         "exempt_from_edge_count": exempt_seen,
     }
-    return _finish(
-        "thm-1.1",
-        {"max_n": max_n, "population": "simple bricks"},
-        len(bricks),
-        counterexamples,
-        summary,
-        verdicts,
-        started,
-    )
 
 
 # =============================================================================
@@ -245,68 +215,34 @@ def run_thm_1_1(max_n: int = 8, jobs: int = 1) -> dict:
 # =============================================================================
 
 
-def _thm14_worker(payload):
-    g = _rebuild(payload)
-    if not is_matching_covered(g):
+def _thm14_population(ctx: dict) -> Iterator[Multigraph]:
+    # Matching covered graphs on >= 4 vertices have no degree-1 vertex, and
+    # multiplicities never add neighbours, so the floor of 2 loses nothing.
+    for n in range(4, ctx["max_n"] + 1, 2):
+        yield from enumerate_connected_graphs(n, min_degree=2)
+    for n in range(4, ctx["mult_n"] + 1, 2):
+        for base in enumerate_connected_graphs(n, min_degree=2):
+            for g in multiplicity_sweep(base, ctx["mult_bound"]):
+                if not g.is_simple():  # simple sweep members are covered above
+                    yield g
+
+
+def _thm14_claim(g: Multigraph, ctx: dict):
+    # K2 is matching covered and minimal but has minimum degree 1: the
+    # claim concerns graphs on at least four vertices.
+    if g.n < 4 or not is_matching_covered(g):
         return None
     if _first_removable(g) is not None:
-        return ("reducible",)
-    return ("minimal", g.min_degree())
+        return None, []
+    delta = g.min_degree()
+    return delta, [] if delta in (2, 3) else [{"delta": delta}]
 
 
-def _thm14_population(max_n: int, mult_n: int, mult_bound: int) -> Iterator[tuple[int, tuple]]:
-    # The claim concerns graphs on at least four vertices (K2 is matching
-    # covered and minimal but has minimum degree 1), and matching covered
-    # graphs on >= 4 vertices have no degree-1 vertex.
-    for n in range(4, max_n + 1, 2):
-        for g in enumerate_connected_graphs(n, min_degree=2):
-            yield _payload(g)
-    for n in range(4, mult_n + 1, 2):
-        # Multiplicities never add neighbours, and a vertex with a single
-        # neighbour pins every perfect matching to that pair, so bases with
-        # a degree-1 vertex cannot sweep to anything matching covered.
-        for base in enumerate_connected_graphs(n, min_degree=2):
-            for g in multiplicity_sweep(base, mult_bound):
-                if g.is_simple():
-                    continue  # simple sweep member already covered above
-                yield _payload(g)
-
-
-def run_thm_1_4(max_n: int = 8, mult_n: int = 6, mult_bound: int = 2, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    counterexamples: list[dict] = []
-    minimal_found: list[dict] = []
-    checked = 0
-    mc_count = 0
-    for payload, verdict in _stream_pmap(
-        _thm14_worker, _thm14_population(max_n, mult_n, mult_bound), jobs
-    ):
-        checked += 1
-        if verdict is None:
-            continue
-        mc_count += 1
-        if verdict[0] != "minimal":
-            continue
-        g = _rebuild(payload)
-        delta = verdict[1]
-        minimal_found.append({"canon": _canon_hex(g), "n": g.n, "m": g.m, "delta": delta})
-        if delta not in (2, 3):
-            counterexamples.append(_counterexample(g, delta=delta))
-    minimal_found.sort(key=lambda r: (r["n"], r["canon"]))
-    summary = {
-        "matching_covered": mc_count,
-        "minimal": len(minimal_found),
-        "minimal_examples": minimal_found,
-    }
-    return _finish(
-        "thm-1.4",
-        {"max_n": max_n, "mult_n": mult_n, "mult_bound": mult_bound, "min_n": 4},
-        checked,
-        counterexamples,
-        summary,
-        None,
-        started,
+def _thm14_fold(rows, ctx: dict) -> dict:
+    covered, minimal = _applied_with_examples(
+        rows, lambda g, delta: {"canon": _canon_hex(g), "n": g.n, "m": g.m, "delta": delta}
     )
+    return {"matching_covered": covered, "minimal": len(minimal), "minimal_examples": minimal}
 
 
 # =============================================================================
@@ -315,74 +251,72 @@ def run_thm_1_4(max_n: int = 8, mult_n: int = 6, mult_bound: int = 2, jobs: int 
 # =============================================================================
 
 
-def _wheel_like_population(max_n: int, mult_n: int, mult_bound: int) -> Iterator[Multigraph]:
-    for g in _simple_bricks(max_n):
-        if is_wheel_like(g):
-            yield g
+def _thm13_population(ctx: dict) -> list[Multigraph]:
+    graphs = [g for g in _simple_bricks(ctx["max_n"]) if is_wheel_like(g)]
     seen: set[bytes] = set()
-    for n in range(4, mult_n + 1, 2):
+    for n in range(4, ctx["mult_n"] + 1, 2):
         for base in enumerate_connected_graphs(n, min_degree=3):
             if not is_brick(base):
                 continue
-            for g in multiplicity_sweep(base, mult_bound):
+            for g in multiplicity_sweep(base, ctx["mult_bound"]):
                 if g.is_simple():
                     continue
                 key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if is_wheel_like(g):
-                    yield g
+                if key not in seen:
+                    seen.add(key)
+                    if is_wheel_like(g):
+                        graphs.append(g)
+    return graphs
 
 
-def run_thm_1_3(max_n: int = 8, mult_n: int = 6, mult_bound: int = 2, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    graphs = list(_wheel_like_population(max_n, mult_n, mult_bound))
-    bound = max([g.n for g in graphs], default=4)
-    # Leaf caps cover the multigraph slice; the splice catalog needs spokes
-    # up to bound - 3, since a splice deletes the vertex carrying a heavy
-    # spoke and the surviving endpoint keeps degree m + 2 <= bound - 1.
-    splice_cap = max(mult_bound, bound - 3)
-    closure = g_family_closure(
-        bound,
-        k3_cap=max(3, mult_bound),
-        cap=max(2, mult_bound),
-        splice_cap=splice_cap,
-    )
+def _thm13_prepare(graphs: Sequence[Multigraph], ctx: dict) -> None:
+    """Build, once, the family closure that the claim looks graphs up in.
 
-    counterexamples: list[dict] = []
-    verdicts: list[dict] = []
-    for g in graphs:
-        key = canonical_form(g)
-        entry = closure.get(key)
-        if entry is None:
-            counterexamples.append(_counterexample(g, failed="no certificate in closure"))
-            continue
-        _, cert = entry
-        ok, problems = verify_certificate(cert)
-        if not ok:
-            counterexamples.append(_counterexample(g, failed="certificate rejected", detail=list(problems)))
-            continue
-        built = build_from_certificate(cert)
-        if canonical_form(built) != key:
-            counterexamples.append(_counterexample(g, failed="certificate builds a different graph"))
-            continue
-        verdicts.append({"canon": key.hex(), "n": g.n, "m": g.m, "certified": True})
-    summary = {
-        "wheel_like_bricks": len(graphs),
-        "closure_size": len(closure),
-        "closure_bound": bound,
-        "splice_cap": splice_cap,
+    The closure must hold every wheel-like brick the claim will see, so its
+    bound is their largest order, and its leaf caps cover their largest
+    multiplicity. The splice catalog needs spokes up to bound - 3: a splice
+    deletes the vertex carrying a heavy spoke, and the surviving endpoint
+    keeps degree m + 2 <= bound - 1.
+    """
+    wheel_like = [g for g in graphs if is_brick(g) and is_wheel_like(g)]
+    bound = max((g.n for g in wheel_like), default=4)
+    mult = max((len(c) for g in wheel_like for c in g.parallel_classes.values()), default=1)
+    ctx["closure_bound"] = bound
+    ctx["splice_cap"] = max(mult, bound - 3)
+    if wheel_like:
+        ctx["closure"] = g_family_closure(
+            bound, k3_cap=max(3, mult), cap=max(2, mult), splice_cap=ctx["splice_cap"]
+        )
+
+
+def _thm13_claim(g: Multigraph, ctx: dict):
+    if not is_brick(g) or not is_wheel_like(g):
+        return None
+    key = canonical_form(g)
+    entry = ctx["closure"].get(key)
+    if entry is None:
+        return False, [{"failed": "no certificate in closure"}]
+    ok, problems = verify_certificate(entry[1])
+    if not ok:
+        return False, [{"failed": "certificate rejected", "detail": list(problems)}]
+    if canonical_form(build_from_certificate(entry[1])) != key:
+        return False, [{"failed": "certificate builds a different graph"}]
+    return True, []
+
+
+def _thm13_fold(rows, ctx: dict) -> dict:
+    checked = 0
+    verdicts = ctx["verdicts"] = []
+    for g, (certified, _) in rows:
+        checked += 1
+        if certified:
+            verdicts.append({"canon": _canon_hex(g), "n": g.n, "m": g.m, "certified": True})
+    return {
+        "wheel_like_bricks": checked,
+        "closure_size": len(ctx.get("closure", ())),
+        "closure_bound": ctx["closure_bound"],
+        "splice_cap": ctx["splice_cap"],
     }
-    return _finish(
-        "thm-1.3",
-        {"max_n": max_n, "mult_n": mult_n, "mult_bound": mult_bound},
-        len(graphs),
-        counterexamples,
-        summary,
-        verdicts,
-        started,
-    )
 
 
 # =============================================================================
@@ -441,108 +375,61 @@ def _sample_bipartite_mc(n: int, samples: int, seed: int) -> list[Multigraph]:
     return list(found.values())
 
 
-def _lemma216_check(g: Multigraph, counterexamples: list[dict]) -> tuple[int, int]:
-    """Returns (edges tested, certificates seen)."""
+def _lemma216_population(ctx: dict) -> Iterator[Multigraph]:
+    slices: list[tuple[str, Iterable[Multigraph]]] = [
+        (f"exhaustive n={n}", _bipartite_mc_simple(n)) for n in range(4, ctx["max_n"] + 1, 2)
+    ]
+    multigraphs = _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"], min_n=2)
+    slices.append((f"multigraphs n<={ctx['mult_n']}", multigraphs))
+    sampled = _sample_bipartite_mc(ctx["sample_n"], ctx["samples"], ctx["seed"])
+    ctx["sampled_graphs"] = len(sampled)
+    slices.append((f"sampled n={ctx['sample_n']}", sampled))
+    counts = ctx["slices"] = {}
+    for name, graphs in slices:
+        counts[name] = 0
+        for g in graphs:
+            counts[name] += 1
+            yield g
+
+
+def _lemma216_claim(g: Multigraph, ctx: dict):
+    if not g.is_bipartite() or g.m < 2 or not is_matching_covered(g):
+        return None
     certs = 0
+    problems: list[dict] = []
     for e in range(g.m):
         removable, cert = is_removable_bipartite(g, e)
-        if removable and cert is not None:
-            counterexamples.append(
-                _counterexample(g, edge=list(g.endpoints(e)), failed="certificate for removable edge")
+        edge = list(g.endpoints(e))
+        if removable:
+            if cert is not None:
+                problems.append({"edge": edge, "failed": "certificate for removable edge"})
+        elif cert is None:
+            problems.append({"edge": edge, "failed": "no certificate found"})
+        elif not _certificate_holds(g, e, cert):
+            problems.append(
+                {
+                    "edge": edge,
+                    "failed": "certificate does not satisfy the conditions",
+                    "a1": sorted(cert.a1),
+                    "b1": sorted(cert.b1),
+                }
             )
-        elif not removable:
-            if cert is None:
-                counterexamples.append(
-                    _counterexample(g, edge=list(g.endpoints(e)), failed="no certificate found")
-                )
-            elif not _certificate_holds(g, e, cert):
-                counterexamples.append(
-                    _counterexample(
-                        g,
-                        edge=list(g.endpoints(e)),
-                        failed="certificate does not satisfy the conditions",
-                        a1=sorted(cert.a1),
-                        b1=sorted(cert.b1),
-                    )
-                )
-            else:
-                certs += 1
-    return g.m, certs
+        else:
+            certs += 1
+    return certs, problems
 
 
-def run_lemma_2_16(
-    max_n: int = 8,
-    sample_n: int = 10,
-    samples: int = 200,
-    seed: int = 0,
-    mult_n: int = 6,
-    mult_bound: int = 2,
-    jobs: int = 1,
-) -> dict:
-    started = time.monotonic()
-    counterexamples: list[dict] = []
-    checked = 0
-    edges_tested = 0
-    certs_validated = 0
-
-    populations: list[tuple[str, Iterable[Multigraph]]] = []
-    for n in range(4, max_n + 1, 2):
-        populations.append((f"exhaustive n={n}", _bipartite_mc_simple(n)))
-
-    def _multi_slice() -> Iterator[Multigraph]:
-        seen: set[bytes] = set()
-        for n in range(2, mult_n + 1, 2):
-            floor = 1 if n == 2 else 2
-            for base in enumerate_connected_graphs(n, min_degree=floor):
-                if not base.is_bipartite():
-                    continue
-                for g in multiplicity_sweep(base, mult_bound):
-                    if g.is_simple() and g.n >= 4:
-                        continue
-                    if g.m < 2 or not is_matching_covered(g):
-                        continue
-                    key = canonical_form(g)
-                    if key not in seen:
-                        seen.add(key)
-                        yield g
-
-    populations.append((f"multigraphs n<={mult_n}", _multi_slice()))
-    sampled = _sample_bipartite_mc(sample_n, samples, seed)
-    populations.append((f"sampled n={sample_n}", sampled))
-
-    slice_counts: dict[str, int] = {}
-    for name, graphs in populations:
-        count = 0
-        for g in graphs:
-            count += 1
-            checked += 1
-            m, certs = _lemma216_check(g, counterexamples)
-            edges_tested += m
-            certs_validated += certs
-        slice_counts[name] = count
-
-    summary = {
-        "slices": slice_counts,
-        "edges_tested": edges_tested,
-        "certificates_validated": certs_validated,
-        "sampled_graphs": len(sampled),
+def _lemma216_fold(rows, ctx: dict) -> dict:
+    edges = certs = 0
+    for g, (found, _) in rows:
+        edges += g.m
+        certs += found
+    return {
+        "slices": ctx["slices"],
+        "edges_tested": edges,
+        "certificates_validated": certs,
+        "sampled_graphs": ctx["sampled_graphs"],
     }
-    return _finish(
-        "lemma-2.16",
-        {
-            "max_n": max_n,
-            "sample_n": sample_n,
-            "samples": samples,
-            "seed": seed,
-            "mult_n": mult_n,
-            "mult_bound": mult_bound,
-        },
-        checked,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -551,64 +438,39 @@ def run_lemma_2_16(
 # =============================================================================
 
 
-def _lemma217_population(max_n: int, mult_n: int, mult_bound: int) -> Iterator[Multigraph]:
-    for n in range(4, max_n + 1, 2):
-        for g in enumerate_connected_graphs(n, min_degree=3):
-            if g.is_bipartite() and is_matching_covered(g):
-                yield g
-    seen: set[bytes] = set()
-    for n in range(4, mult_n + 1, 2):
-        for base in enumerate_connected_graphs(n, min_degree=2):
-            if not base.is_bipartite():
-                continue
-            for g in multiplicity_sweep(base, mult_bound):
-                if g.is_simple() or g.min_degree() < 3:
-                    continue
-                if not is_matching_covered(g):
-                    continue
-                key = canonical_form(g)
-                if key not in seen:
-                    seen.add(key)
-                    yield g
+def _lemma217_population(ctx: dict) -> Iterator[Multigraph]:
+    for n in range(4, ctx["max_n"] + 1, 2):
+        yield from _bipartite_mc_simple(n, min_degree=3)
+    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"], min_degree=3)
 
 
-def run_lemma_2_17(max_n: int = 8, mult_n: int = 6, mult_bound: int = 2, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    counterexamples: list[dict] = []
-    checked = 0
-    with_pset = 0
-    inside_edges = 0
-    for g in _lemma217_population(max_n, mult_n, mult_bound):
+def _lemma217_claim(g: Multigraph, ctx: dict):
+    if not g.is_bipartite() or g.min_degree() < 3 or not is_matching_covered(g):
+        return None
+    pset = minimum_P_set(g)
+    if pset is None:
+        return None, []
+    x = pset.vertices
+    inside = [e for e in range(g.m) if set(g.endpoints(e)) <= x]
+    return len(inside), [
+        {"edge": list(g.endpoints(e)), "p_set": sorted(x), "failed": "induced edge not removable"}
+        for e in inside
+        if not is_removable_edge(g, e)
+    ]
+
+
+def _lemma217_fold(rows, ctx: dict) -> dict:
+    checked = with_pset = inside = 0
+    for _, (found, _) in rows:
         checked += 1
-        pset = minimum_P_set(g)
-        if pset is None:
-            continue
-        with_pset += 1
-        x = pset.vertices
-        for e in range(g.m):
-            u, v = g.endpoints(e)
-            if u in x and v in x:
-                inside_edges += 1
-                if not is_removable_edge(g, e):
-                    counterexamples.append(
-                        _counterexample(
-                            g, edge=[u, v], p_set=sorted(x), failed="induced edge not removable"
-                        )
-                    )
-    summary = {
+        if found is not None:
+            with_pset += 1
+            inside += found
+    return {
         "with_p_set": with_pset,
         "without_p_set": checked - with_pset,
-        "induced_edges_tested": inside_edges,
+        "induced_edges_tested": inside,
     }
-    return _finish(
-        "lemma-2.17",
-        {"max_n": max_n, "mult_n": mult_n, "mult_bound": mult_bound, "min_degree": 3},
-        checked,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -629,65 +491,36 @@ def _lemma218_fallback(g: Multigraph, b_side: frozenset[int]) -> bool:
     return False
 
 
-def run_lemma_2_18(max_n: int = 8, mult_n: int = 6, mult_bound: int = 2, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    counterexamples: list[dict] = []
-    checked = 0
-    orientations = 0
-    via_pair = 0
-    via_fallback = 0
+def _lemma218_population(ctx: dict) -> Iterator[Multigraph]:
+    for n in range(4, ctx["max_n"] + 1, 2):
+        yield from _bipartite_mc_simple(n)
+    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"])
 
-    def graphs() -> Iterator[Multigraph]:
-        for n in range(4, max_n + 1, 2):
-            yield from _bipartite_mc_simple(n)
-        seen: set[bytes] = set()
-        for n in range(4, mult_n + 1, 2):
-            for base in enumerate_connected_graphs(n, min_degree=2):
-                if not base.is_bipartite():
-                    continue
-                for g in multiplicity_sweep(base, mult_bound):
-                    if g.is_simple():
-                        continue
-                    if not is_matching_covered(g):
-                        continue
-                    key = canonical_form(g)
-                    if key not in seen:
-                        seen.add(key)
-                        yield g
 
-    for g in graphs():
-        checked += 1
-        a, b = bipartition(g)
-        pair = None
-        for a_side, b_side in ((a, b), (b, a)):
-            if not all(g.degree(x) >= 3 for x in a_side):
-                continue
-            orientations += 1
-            if pair is None:
-                pair = has_two_nonadjacent_removable_edges(g)
-            if pair:
-                via_pair += 1
-                continue
-            if _lemma218_fallback(g, b_side):
-                via_fallback += 1
-                continue
-            counterexamples.append(
-                _counterexample(g, a_side=sorted(a_side), failed="no pair and no fallback pattern")
-            )
-    summary = {
-        "orientations_tested": orientations,
-        "satisfied_by_pair": via_pair,
-        "satisfied_by_fallback": via_fallback,
-    }
-    return _finish(
-        "lemma-2.18",
-        {"max_n": max_n, "mult_n": mult_n, "mult_bound": mult_bound},
-        checked,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
+def _lemma218_claim(g: Multigraph, ctx: dict):
+    if not g.is_bipartite() or not is_matching_covered(g):
+        return None
+    a, b = bipartition(g)
+    sides = [(x, y) for x, y in ((a, b), (b, a)) if all(g.degree(v) >= 3 for v in x)]
+    if not sides:
+        return None
+    if has_two_nonadjacent_removable_edges(g):
+        return (len(sides), len(sides), 0), []
+    fallback = [_lemma218_fallback(g, b_side) for _, b_side in sides]
+    problems = [
+        {"a_side": sorted(a_side), "failed": "no pair and no fallback pattern"}
+        for (a_side, _), ok in zip(sides, fallback)
+        if not ok
+    ]
+    return (len(sides), 0, sum(fallback)), problems
+
+
+def _lemma218_fold(rows, ctx: dict) -> dict:
+    totals = [0, 0, 0]
+    for _, verdict in rows:
+        if verdict:
+            totals = [t + x for t, x in zip(totals, verdict[0])]
+    return dict(zip(("orientations_tested", "satisfied_by_pair", "satisfied_by_fallback"), totals))
 
 
 # =============================================================================
@@ -709,63 +542,45 @@ def _w5_with_hub_parallels(g: Multigraph) -> bool:
     )
 
 
-def _lemma36_canon_worker(payload):
-    return canonical_form(_rebuild(payload))
-
-
-def _lemma36_verdict_worker(payload):
-    g = _rebuild(payload)
-    if not is_brick(g):
-        return None
-    return (bool(is_wheel_like(g)), _w5_with_hub_parallels(g))
-
-
-def run_lemma_3_6(mult_bound: int = 2, jobs: int = 1) -> dict:
-    started = time.monotonic()
+def _lemma36_population(ctx: dict) -> Iterator[Multigraph]:
     bases = [g for g in enumerate_connected_graphs(6, min_degree=3) if is_brick(g)]
+    unique: dict[bytes, Multigraph] = {}
     raw = 0
-    unique: dict[bytes, tuple[int, tuple]] = {}
     for base in bases:
-        batch = []
-        for g in multiplicity_sweep(base, mult_bound):
+        for g in multiplicity_sweep(base, ctx["mult_bound"]):
             raw += 1
-            batch.append(_payload(g))
-        for payload, key in zip(batch, _pmap(_lemma36_canon_worker, batch, jobs)):
-            unique.setdefault(key, payload)
+            unique.setdefault(canonical_form(g), g)
+    ctx["simple_brick_bases"] = len(bases)
+    ctx["labelled_sweep"] = raw
+    for key in sorted(unique):
+        yield unique[key]
 
-    payloads = [unique[k] for k in sorted(unique)]
-    results = _pmap(_lemma36_verdict_worker, payloads, jobs)
 
-    counterexamples: list[dict] = []
-    wheel_like_count = 0
-    non_bricks = 0
-    for payload, verdict in zip(payloads, results):
-        if verdict is None:
+def _lemma36_claim(g: Multigraph, ctx: dict):
+    if g.n != 6 or not is_brick(g):
+        return None
+    wl = bool(is_wheel_like(g))
+    rhs = _w5_with_hub_parallels(g)
+    if wl == rhs:
+        return wl, []
+    return wl, [{"wheel_like": wl, "w5_hub_parallels": rhs, "failed": "equivalence"}]
+
+
+def _lemma36_fold(rows, ctx: dict) -> dict:
+    checked = non_bricks = wheel_like = 0
+    for _, verdict in rows:
+        checked += 1
+        if verdict:
+            wheel_like += verdict[0]
+        else:
             non_bricks += 1
-            continue
-        wl, rhs = verdict
-        wheel_like_count += wl
-        if wl != rhs:
-            g = _rebuild(payload)
-            counterexamples.append(
-                _counterexample(g, wheel_like=wl, w5_hub_parallels=rhs, failed="equivalence")
-            )
-    summary = {
-        "simple_brick_bases": len(bases),
-        "labelled_sweep": raw,
-        "distinct_multigraphs": len(payloads),
+    return {
+        "simple_brick_bases": ctx["simple_brick_bases"],
+        "labelled_sweep": ctx["labelled_sweep"],
+        "distinct_multigraphs": checked,
         "non_bricks": non_bricks,
-        "wheel_like": wheel_like_count,
+        "wheel_like": wheel_like,
     }
-    return _finish(
-        "lemma-3.6",
-        {"n": 6, "mult_bound": mult_bound},
-        len(payloads),
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -858,21 +673,17 @@ def _rim_position_reps(k: int, vec: tuple[int, ...]) -> list[int]:
     return reps
 
 
-def run_lemma_3_9(
-    wheels: tuple[int, ...] = (3, 5, 7),
-    mult_bound: int = 2,
-    doubles: int = 2,
-    jobs: int = 1,
-) -> dict:
-    started = time.monotonic()
-    for k in wheels:
+def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
+    """Splice results, one per theta orbit; the splice that built each
+    result, with its condition verdict, queues in ctx["splices"]."""
+    for k in ctx["wheels"]:
         if k < 3 or k % 2 == 0:
             raise ValueError(f"odd wheel rim length expected, got {k}")
 
-    # Splice-site catalogue: (k, vec, vertex, degree at the vertex).
+    # Splice-site catalogue: (k, vec, vertex).
     sites: list[tuple[int, tuple[int, ...], int]] = []
-    for k in sorted(wheels):
-        for vec in _wheel_bracelets(k, mult_bound, doubles):
+    for k in sorted(ctx["wheels"]):
+        for vec in _wheel_bracelets(k, ctx["mult_bound"], ctx["doubles"]):
             sites.append((k, vec, k))  # the hub
             for p in _rim_position_reps(k, vec):
                 sites.append((k, vec, p))
@@ -881,21 +692,13 @@ def run_lemma_3_9(
         k, vec, vertex = site
         return sum(vec) if vertex == k else 2 + vec[vertex]
 
-    counterexamples: list[dict] = []
-    cache: dict[bytes, tuple[bool, Optional[bool]]] = {}
-    matrices_total = 0
-    reps_total = 0
-    bricks = 0
-    non_bricks = 0
-    wheel_like_count = 0
-    conditions_true = 0
-    tasks = 0
-
+    ctx.update(splice_sites=len(sites), tasks=0, theta_matrices=0)
+    splices = ctx["splices"] = deque()
     for i, sg in enumerate(sites):
         for sh in sites[i:]:
             if site_degree(sg) != site_degree(sh):
                 continue
-            tasks += 1
+            ctx["tasks"] += 1
             kg, vg, u = sg
             kh, vh, v = sh
             gw, hub_g = make_wheel(WheelSpec(kg, vg))
@@ -910,65 +713,63 @@ def run_lemma_3_9(
             if sg == sh:
                 transforms += [(rp, cp, True) for rp in h_actions for cp in g_actions]
             for matrix in theta_class_matrices(row_sums, col_sums):
-                matrices_total += 1
+                ctx["theta_matrices"] += 1
                 if not _orbit_minimal(matrix, transforms):
                     continue
-                reps_total += 1
                 theta = theta_from_class_matrix(gw, u, hw, v, matrix)
                 result = splice(gw, u, hw, v, theta)
-                conds_ok, violations = check_odd_wheel_splice(
-                    gw, hub_g, u, hw, hub_h, v, theta
+                conds = check_odd_wheel_splice(gw, hub_g, u, hw, hub_h, v, theta)
+                splices.append((sg, sh, matrix, conds))
+                yield result
+
+
+def _lemma39_claim(g: Multigraph, ctx: dict):
+    # Isomorphic splice results share one (brick, wheel-like) verdict.
+    key = canonical_form(g)
+    cache = ctx.setdefault("cache", {})
+    verdict = cache.get(key)
+    if verdict is None:
+        brick = is_brick(g)
+        verdict = cache[key] = (brick, bool(is_wheel_like(g)) if brick else None)
+    return (key, *verdict), []
+
+
+def _lemma39_fold(rows, ctx: dict) -> dict:
+    keys: set[bytes] = set()
+    reps = bricks = non_bricks = wheel_like = conditions_true = 0
+    for g, ((key, brick, wl), _) in rows:
+        (kg, vg, u), (kh, vh, v), matrix, (conds_ok, violations) = ctx["splices"].popleft()
+        reps += 1
+        keys.add(key)
+        if not brick:
+            non_bricks += 1
+            continue
+        bricks += 1
+        wheel_like += wl
+        conditions_true += conds_ok
+        if wl != conds_ok:
+            ctx["counterexamples"].append(
+                _counterexample(
+                    g,
+                    left={"k": kg, "mults": list(vg), "vertex": u},
+                    right={"k": kh, "mults": list(vh), "vertex": v},
+                    matrix=[list(r) for r in matrix],
+                    wheel_like=wl,
+                    conditions=bool(conds_ok),
+                    violations=list(violations),
                 )
-                key = canonical_form(result)
-                verdict = cache.get(key)
-                if verdict is None:
-                    brick = is_brick(result)
-                    wl = bool(is_wheel_like(result)) if brick else None
-                    verdict = (brick, wl)
-                    cache[key] = verdict
-                brick, wl = verdict
-                if not brick:
-                    non_bricks += 1
-                    continue
-                bricks += 1
-                wheel_like_count += bool(wl)
-                conditions_true += conds_ok
-                if wl != conds_ok:
-                    counterexamples.append(
-                        _counterexample(
-                            result,
-                            left={"k": kg, "mults": list(vg), "vertex": u},
-                            right={"k": kh, "mults": list(vh), "vertex": v},
-                            matrix=[list(r) for r in matrix],
-                            wheel_like=bool(wl),
-                            conditions=bool(conds_ok),
-                            violations=list(violations),
-                        )
-                    )
-    summary = {
-        "splice_sites": len(sites),
-        "tasks": tasks,
-        "theta_matrices": matrices_total,
-        "orbit_representatives": reps_total,
+            )
+    return {
+        "splice_sites": ctx["splice_sites"],
+        "tasks": ctx["tasks"],
+        "theta_matrices": ctx["theta_matrices"],
+        "orbit_representatives": reps,
         "brick_results": bricks,
         "non_brick_results": non_bricks,
-        "wheel_like": wheel_like_count,
+        "wheel_like": wheel_like,
         "conditions_true": conditions_true,
-        "distinct_results": len(cache),
+        "distinct_results": len(keys),
     }
-    return _finish(
-        "lemma-3.9",
-        {
-            "wheels": sorted(wheels),
-            "mult_bound": mult_bound,
-            "doubles": doubles,
-        },
-        reps_total,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -977,57 +778,31 @@ def run_lemma_3_9(
 # =============================================================================
 
 
-def _prop313_worker(payload):
-    g = _rebuild(payload)
+def _prop313_population(ctx: dict) -> Iterator[Multigraph]:
+    # Bicritical graphs on >= 4 vertices have minimum degree 3: deleting
+    # the two neighbours of a degree-2 vertex strands it.
+    for n in range(4, ctx["max_n"] + 1, 2):
+        yield from enumerate_connected_graphs(n, min_degree=3)
+
+
+def _prop313_claim(g: Multigraph, ctx: dict):
     if not is_bicritical(g):
         return None
     if _first_removable(g) is not None:
-        return ("reducible",)
-    deg3 = sum(1 for v in range(g.n) if g.degree(v) == 3)
-    return ("irreducible", deg3)
+        return None, []
+    deg3 = sum(1 for d in g.degrees if d == 3)
+    return deg3, [] if deg3 >= 4 else [{"degree_three": deg3}]
 
 
-def run_prop_3_13(max_n: int = 8, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    counterexamples: list[dict] = []
-    checked = 0
-    bicritical_count = 0
-    irreducible: list[dict] = []
-
-    def payloads():
-        # Bicritical graphs on >= 4 vertices have minimum degree 3: deleting
-        # the two neighbours of a degree-2 vertex strands it.
-        for n in range(4, max_n + 1, 2):
-            for g in enumerate_connected_graphs(n, min_degree=3):
-                yield _payload(g)
-
-    for payload, verdict in _stream_pmap(_prop313_worker, payloads(), jobs):
-        checked += 1
-        if verdict is None:
-            continue
-        bicritical_count += 1
-        if verdict[0] != "irreducible":
-            continue
-        g = _rebuild(payload)
-        deg3 = verdict[1]
-        irreducible.append({"canon": _canon_hex(g), "n": g.n, "degree_three": deg3})
-        if deg3 < 4:
-            counterexamples.append(_counterexample(g, degree_three=deg3))
-    irreducible.sort(key=lambda r: (r["n"], r["canon"]))
-    summary = {
-        "bicritical": bicritical_count,
+def _prop313_fold(rows, ctx: dict) -> dict:
+    bicritical, irreducible = _applied_with_examples(
+        rows, lambda g, deg3: {"canon": _canon_hex(g), "n": g.n, "degree_three": deg3}
+    )
+    return {
+        "bicritical": bicritical,
         "without_removable_edge": len(irreducible),
         "examples": irreducible,
     }
-    return _finish(
-        "prop-3.13",
-        {"max_n": max_n, "population": "connected simple, min degree 3"},
-        checked,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -1036,62 +811,37 @@ def run_prop_3_13(max_n: int = 8, jobs: int = 1) -> dict:
 # =============================================================================
 
 
-def _decomp_worker(payload):
-    (n, edges), seeds = payload
-    g = Multigraph(n, edges)
+def _decomp_population(ctx: dict) -> Iterator[Multigraph]:
+    for n in range(6, ctx["max_n"] + 1, 2):
+        yield from enumerate_connected_graphs(n, min_degree=2)
+
+
+def _decomp_claim(g: Multigraph, ctx: dict):
+    # Falsy either way, but the fold counts matching covered graphs
+    # without a nontrivial tight cut (False) apart from the rest (None).
     if not is_matching_covered(g):
         return None
     if not nontrivial_tight_shores(g):
-        return ("trivial",)
+        return False
     baseline = decomposition_multiset(g, seed=0)
-    for s in range(1, seeds):
+    for s in range(1, ctx["seeds"]):
         other = decomposition_multiset(g, seed=s)
         if other != baseline:
-            return ("mismatch", s, [x.hex() for x in baseline], [x.hex() for x in other])
-    return ("stable", len(baseline))
+            hexed = ([x.hex() for x in baseline], [x.hex() for x in other])
+            return False, [{"seed": s, "baseline": hexed[0], "other": hexed[1]}]
+    return True, []
 
 
-def run_decomp_unique(max_n: int = 8, seeds: int = 20, jobs: int = 1) -> dict:
-    started = time.monotonic()
-    counterexamples: list[dict] = []
-    checked = 0
-    with_cut = 0
-    mc_count = 0
-
-    def payloads():
-        for n in range(6, max_n + 1, 2):
-            for g in enumerate_connected_graphs(n, min_degree=2):
-                yield (_payload(g), seeds)
-
-    for payload, verdict in _stream_pmap(_decomp_worker, payloads(), jobs, chunk=4000):
-        checked += 1
-        if verdict is None:
-            continue
-        mc_count += 1
-        if verdict[0] == "trivial":
-            continue
-        with_cut += 1
-        if verdict[0] == "mismatch":
-            g = Multigraph(*payload[0])
-            counterexamples.append(
-                _counterexample(
-                    g, seed=verdict[1], baseline=verdict[2], other=verdict[3]
-                )
-            )
-    summary = {
-        "matching_covered": mc_count,
+def _decomp_fold(rows, ctx: dict) -> dict:
+    covered = with_cut = 0
+    for _, verdict in rows:
+        covered += verdict is not None
+        with_cut += bool(verdict)
+    return {
+        "matching_covered": covered,
         "with_nontrivial_tight_cut": with_cut,
-        "seeds_per_graph": seeds,
+        "seeds_per_graph": ctx["seeds"],
     }
-    return _finish(
-        "decomp-unique",
-        {"max_n": max_n, "seeds": seeds, "population": "connected simple"},
-        checked,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -1099,41 +849,37 @@ def run_decomp_unique(max_n: int = 8, seeds: int = 20, jobs: int = 1) -> dict:
 # =============================================================================
 
 
-def _fig_r8_worker(payload):
-    g = _rebuild(payload)
+def _fig_r8_population(ctx: dict) -> Iterator[Multigraph]:
+    return _simple_bricks(8, min_n=8)
+
+
+def _fig_r8_claim(g: Multigraph, ctx: dict):
+    """Is g near-bipartite without two nonadjacent removable edges?"""
     if has_two_nonadjacent_removable_edges(g):
-        return False
-    return is_near_bipartite(g) is not None
+        return False, []
+    return is_near_bipartite(g) is not None, []
 
 
-def run_fig_r8(jobs: int = 1) -> dict:
+def _fig_r8_fold(rows, ctx: dict) -> dict:
     """The unique 8-vertex simple near-bipartite brick without two
     nonadjacent removable edges."""
-    started = time.monotonic()
-    bricks = [g for n in (8,) for g in enumerate_connected_graphs(n, min_degree=3) if is_brick(g)]
-    flags = _pmap(_fig_r8_worker, [_payload(g) for g in bricks], jobs)
-    candidates = [g for g, f in zip(bricks, flags) if f]
-    counterexamples: list[dict] = []
+    bricks = 0
+    candidates: list[Multigraph] = []
+    for g, (candidate, _) in rows:
+        bricks += 1
+        if candidate:
+            candidates.append(g)
     if len(candidates) != 1:
         for g in candidates:
-            counterexamples.append(_counterexample(g, failed="candidate count != 1"))
+            ctx["counterexamples"].append(_counterexample(g, failed="candidate count != 1"))
         if not candidates:
-            counterexamples.append({"mg": "", "failed": "no candidate found"})
-    summary = {
-        "bricks_n8": len(bricks),
+            ctx["counterexamples"].append({"mg": "", "failed": "no candidate found"})
+    return {
+        "bricks_n8": bricks,
         "candidates": len(candidates),
         "candidate_canon": sorted(_canon_hex(g) for g in candidates),
         "candidate_mg": sorted(format_mg(g) for g in candidates),
     }
-    return _finish(
-        "fig-r8",
-        {"n": 8, "population": "simple bricks"},
-        len(bricks),
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 def _has_robust_cut(g: Multigraph) -> bool:
@@ -1151,88 +897,76 @@ def _has_robust_cut(g: Multigraph) -> bool:
     return False
 
 
-def run_fig_nonsolid_6(jobs: int = 1) -> dict:
+def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:
+    return _simple_bricks(6, min_n=6)
+
+
+def _nonsolid_claim(g: Multigraph, ctx: dict):
     """Simple six-vertex nonsolid bricks other than the prism: none is
     wheel-like, and each carries a robust cut."""
-    started = time.monotonic()
-    prism_key = canonical_form(prism_graph())
-    counterexamples: list[dict] = []
-    candidates: list[dict] = []
+    if canonical_form(g) == _k4_and_prism()[1] or is_solid(g):
+        return None
+    robust = _has_robust_cut(g)
+    problems = [{"failed": "nonsolid candidate is wheel-like"}] if is_wheel_like(g) else []
+    if not robust:
+        problems.append({"failed": "nonsolid brick without a robust cut"})
+    return robust, problems
+
+
+def _nonsolid_fold(rows, ctx: dict) -> dict:
     bricks = 0
-    for g in enumerate_connected_graphs(6, min_degree=3):
-        if not is_brick(g):
-            continue
+    candidates: list[dict] = []
+    for g, verdict in rows:
         bricks += 1
-        if canonical_form(g) == prism_key or is_solid(g):
-            continue
-        wl = bool(is_wheel_like(g))
-        robust = _has_robust_cut(g)
-        candidates.append(
-            {"canon": _canon_hex(g), "m": g.m, "robust_cut": robust, "mg": format_mg(g)}
-        )
-        if wl:
-            counterexamples.append(_counterexample(g, failed="nonsolid candidate is wheel-like"))
-        if not robust:
-            counterexamples.append(_counterexample(g, failed="nonsolid brick without a robust cut"))
+        if verdict:
+            candidates.append(
+                {"canon": _canon_hex(g), "m": g.m, "robust_cut": verdict[0], "mg": format_mg(g)}
+            )
     if not candidates:
-        counterexamples.append({"mg": "", "failed": "no nonsolid candidate found"})
+        ctx["counterexamples"].append({"mg": "", "failed": "no nonsolid candidate found"})
     candidates.sort(key=lambda r: (r["m"], r["canon"]))
-    summary = {
+    return {
         "six_vertex_bricks": bricks,
         "candidates": len(candidates),
         "candidate_list": candidates,
     }
-    return _finish(
-        "fig-nonsolid-6",
-        {"n": 6, "population": "simple bricks", "excluded": "prism"},
-        bricks,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
-def run_fig_g3(max_n: int = 10, jobs: int = 1) -> dict:
-    """A third-generation family member that is a brick but not wheel-like."""
-    started = time.monotonic()
-    closure = g_family_closure(max_n)
+def _generation(cert) -> int:
+    return 1 + _generation(cert.left) if isinstance(cert, SpliceNode) else 1
 
-    def depth(cert) -> int:
-        d = 1
-        node = cert
-        while hasattr(node, "left"):
-            d += 1
-            node = node.left
-        return d
 
-    candidates: list[dict] = []
-    gen3 = 0
+def _g3_population(ctx: dict) -> Iterator[Multigraph]:
+    closure = g_family_closure(ctx["max_n"])
+    ctx["closure_size"] = len(closure)
     for key in sorted(closure):
         g, cert = closure[key]
-        if depth(cert) != 3:
-            continue
+        if _generation(cert) == 3:
+            yield g
+
+
+def _g3_claim(g: Multigraph, ctx: dict):
+    """A third-generation family member that is a brick but not wheel-like."""
+    return is_brick(g) and not is_wheel_like(g), []
+
+
+def _g3_fold(rows, ctx: dict) -> dict:
+    gen3 = 0
+    candidates: list[dict] = []
+    for g, (candidate, _) in rows:
         gen3 += 1
-        if is_brick(g) and not is_wheel_like(g):
-            candidates.append({"canon": key.hex(), "n": g.n, "m": g.m, "mg": format_mg(g)})
-    counterexamples: list[dict] = []
+        if candidate:
+            candidates.append({"canon": _canon_hex(g), "n": g.n, "m": g.m, "mg": format_mg(g)})
     if not candidates:
-        counterexamples.append({"mg": "", "failed": "no non-wheel-like third-generation brick"})
-    summary = {
-        "closure_size": len(closure),
+        ctx["counterexamples"].append(
+            {"mg": "", "failed": "no non-wheel-like third-generation brick"}
+        )
+    return {
+        "closure_size": ctx["closure_size"],
         "third_generation": gen3,
         "non_wheel_like_bricks": len(candidates),
         "examples": candidates[:10],
     }
-    return _finish(
-        "fig-g3",
-        {"max_n": max_n},
-        gen3,
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
 
 
 # =============================================================================
@@ -1305,145 +1039,259 @@ def analyze_graph(g: Multigraph) -> dict:
 
 
 # =============================================================================
-# corpus ingestion: re-run a campaign's per-graph claim over supplied graphs
+# registry and runner
 # =============================================================================
-#
-# Each check appends counterexample records for g or declines the graph when
-# the claim's hypotheses do not apply (returning False).
 
 
-def _corpus_thm_1_1(g, ctx, out) -> bool:
-    if not g.is_simple() or not is_brick(g):
-        return False
-    classes = removable_classes(g)
-    singles = sum(1 for c in classes if isinstance(c, Single))
-    delta = g.max_degree()
-    exempt = canonical_form(g) in ctx["exempt"]
-    if len(classes) < delta or (not exempt and singles < delta - 2):
-        out.append(_counterexample(g, delta=delta, classes=len(classes), singles=singles))
-    return True
+class Campaign(NamedTuple):
+    population: Callable[[dict], Iterable[Multigraph]]
+    claim: Callable[[Multigraph, dict], object]
+    fold: Callable[[Iterator[tuple], dict], dict]
+    defaults: dict
+    about: str
+    # report "parameters" from the run's parameters
+    parameters: Callable[[dict], dict] = dict
+    # run_corpus reruns the claim over supplied graphs
+    corpus: bool = False
+    # in-process set-up from the graphs the claim will see, before any claim
+    prepare: Optional[Callable[[Sequence[Multigraph], dict], None]] = None
 
 
-def _corpus_thm_1_4(g, ctx, out) -> bool:
-    if g.n < 4 or not is_matching_covered(g):
-        return False
-    if _first_removable(g) is not None:
-        return True
-    if g.min_degree() not in (2, 3):
-        out.append(_counterexample(g, delta=g.min_degree()))
-    return True
-
-
-def _corpus_thm_1_3(g, ctx, out) -> bool:
-    if not is_brick(g) or not is_wheel_like(g):
-        return False
-    closure = ctx.get("closure")
-    if closure is None or ctx["closure_bound"] < g.n:
-        closure = g_family_closure(max(g.n, 8))
-        ctx["closure"] = closure
-        ctx["closure_bound"] = max(g.n, 8)
-    key = canonical_form(g)
-    entry = closure.get(key)
-    if entry is None:
-        out.append(_counterexample(g, failed="no certificate in closure"))
-        return True
-    ok, problems = verify_certificate(entry[1])
-    if not ok:
-        out.append(_counterexample(g, failed="certificate rejected", detail=list(problems)))
-    elif canonical_form(build_from_certificate(entry[1])) != key:
-        out.append(_counterexample(g, failed="certificate builds a different graph"))
-    return True
-
-
-def _corpus_lemma_2_16(g, ctx, out) -> bool:
-    if not g.is_bipartite() or g.m < 2 or not is_matching_covered(g):
-        return False
-    _lemma216_check(g, out)
-    return True
-
-
-def _corpus_lemma_2_17(g, ctx, out) -> bool:
-    if not g.is_bipartite() or g.min_degree() < 3 or not is_matching_covered(g):
-        return False
-    pset = minimum_P_set(g)
-    if pset is None:
-        return True
-    x = pset.vertices
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        if u in x and v in x and not is_removable_edge(g, e):
-            out.append(
-                _counterexample(g, edge=[u, v], p_set=sorted(x), failed="induced edge not removable")
-            )
-    return True
-
-
-def _corpus_lemma_2_18(g, ctx, out) -> bool:
-    if not g.is_bipartite() or not is_matching_covered(g):
-        return False
-    a, b = bipartition(g)
-    applied = False
-    for a_side, b_side in ((a, b), (b, a)):
-        if not all(g.degree(x) >= 3 for x in a_side):
-            continue
-        applied = True
-        if has_two_nonadjacent_removable_edges(g):
-            continue
-        if not _lemma218_fallback(g, b_side):
-            out.append(
-                _counterexample(g, a_side=sorted(a_side), failed="no pair and no fallback pattern")
-            )
-    return applied
-
-
-def _corpus_lemma_3_6(g, ctx, out) -> bool:
-    if g.n != 6 or not is_brick(g):
-        return False
-    wl = bool(is_wheel_like(g))
-    rhs = _w5_with_hub_parallels(g)
-    if wl != rhs:
-        out.append(_counterexample(g, wheel_like=wl, w5_hub_parallels=rhs, failed="equivalence"))
-    return True
-
-
-def _corpus_prop_3_13(g, ctx, out) -> bool:
-    if not is_bicritical(g):
-        return False
-    if _first_removable(g) is not None:
-        return True
-    deg3 = sum(1 for v in range(g.n) if g.degree(v) == 3)
-    if deg3 < 4:
-        out.append(_counterexample(g, degree_three=deg3))
-    return True
-
-
-def _corpus_decomp_unique(g, ctx, out) -> bool:
-    if not is_matching_covered(g) or not nontrivial_tight_shores(g):
-        return False
-    baseline = decomposition_multiset(g, seed=0)
-    for s in range(1, ctx["seeds"]):
-        if decomposition_multiset(g, seed=s) != baseline:
-            out.append(_counterexample(g, seed=s))
-            return True
-    return True
-
-
-CORPUS_CHECKS: dict[str, Callable] = {
-    "thm-1.1": _corpus_thm_1_1,
-    "thm-1.3": _corpus_thm_1_3,
-    "thm-1.4": _corpus_thm_1_4,
-    "lemma-2.16": _corpus_lemma_2_16,
-    "lemma-2.17": _corpus_lemma_2_17,
-    "lemma-2.18": _corpus_lemma_2_18,
-    "lemma-3.6": _corpus_lemma_3_6,
-    "prop-3.13": _corpus_prop_3_13,
-    "decomp-unique": _corpus_decomp_unique,
+CAMPAIGNS: dict[str, Campaign] = {
+    "thm-1.1": Campaign(
+        _thm11_population,
+        _thm11_claim,
+        _thm11_fold,
+        {"max_n": 8},
+        "simple bricks: removable classes reach the maximum degree",
+        lambda p: {**p, "population": "simple bricks"},
+        corpus=True,
+    ),
+    "thm-1.3": Campaign(
+        _thm13_population,
+        _thm13_claim,
+        _thm13_fold,
+        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        "wheel-like bricks admit family certificates from forward closure",
+        corpus=True,
+        prepare=_thm13_prepare,
+    ),
+    "thm-1.4": Campaign(
+        _thm14_population,
+        _thm14_claim,
+        _thm14_fold,
+        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        "minimal matching covered graphs have minimum degree 2 or 3",
+        lambda p: {**p, "min_n": 4},
+        corpus=True,
+    ),
+    "lemma-2.16": Campaign(
+        _lemma216_population,
+        _lemma216_claim,
+        _lemma216_fold,
+        {"max_n": 8, "sample_n": 10, "samples": 200, "seed": 0, "mult_n": 6, "mult_bound": 2},
+        "bipartite non-removability is equivalent to an (A1, B1) certificate",
+        corpus=True,
+    ),
+    "lemma-2.17": Campaign(
+        _lemma217_population,
+        _lemma217_claim,
+        _lemma217_fold,
+        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        "minimum P-set interiors consist of removable edges",
+        lambda p: {**p, "min_degree": 3},
+        corpus=True,
+    ),
+    "lemma-2.18": Campaign(
+        _lemma218_population,
+        _lemma218_claim,
+        _lemma218_fold,
+        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        "degree-3 side forces a removable pair or the degree-2/degree-4 pattern",
+        corpus=True,
+    ),
+    "lemma-3.6": Campaign(
+        _lemma36_population,
+        _lemma36_claim,
+        _lemma36_fold,
+        {"mult_bound": 2},
+        "six-vertex bricks: wheel-like means 5-wheel with hub parallels",
+        lambda p: {"n": 6, **p},
+        corpus=True,
+    ),
+    "lemma-3.9": Campaign(
+        _lemma39_population,
+        _lemma39_claim,
+        _lemma39_fold,
+        {"wheels": (3, 5, 7), "mult_bound": 2, "doubles": 2},
+        "odd-wheel splices: wheel-like equals the three splice conditions",
+        lambda p: {**p, "wheels": sorted(p["wheels"])},
+    ),
+    "prop-3.13": Campaign(
+        _prop313_population,
+        _prop313_claim,
+        _prop313_fold,
+        {"max_n": 8},
+        "edge-irreducible bicritical graphs carry four degree-3 vertices",
+        lambda p: {**p, "population": "connected simple, min degree 3"},
+        corpus=True,
+    ),
+    "decomp-unique": Campaign(
+        _decomp_population,
+        _decomp_claim,
+        _decomp_fold,
+        {"max_n": 8, "seeds": 20},
+        "tight cut decompositions agree across random cut orders",
+        lambda p: {**p, "population": "connected simple"},
+        corpus=True,
+    ),
+    "fig-r8": Campaign(
+        _fig_r8_population,
+        _fig_r8_claim,
+        _fig_r8_fold,
+        {},
+        "the unique 8-vertex near-bipartite brick without a removable pair",
+        lambda p: {"n": 8, "population": "simple bricks"},
+    ),
+    "fig-nonsolid-6": Campaign(
+        _nonsolid_population,
+        _nonsolid_claim,
+        _nonsolid_fold,
+        {},
+        "six-vertex nonsolid non-prism bricks: not wheel-like, robust cuts exist",
+        lambda p: {"n": 6, "population": "simple bricks", "excluded": "prism"},
+    ),
+    "fig-g3": Campaign(
+        _g3_population,
+        _g3_claim,
+        _g3_fold,
+        {"max_n": 10},
+        "a third-generation family brick that is not wheel-like",
+    ),
 }
 
 
-def run_corpus(name: str, graphs: Sequence[Multigraph], source: str = "corpus", seeds: int = 20) -> dict:
-    if name not in CORPUS_CHECKS:
-        known = ", ".join(sorted(CORPUS_CHECKS))
+# Set in each worker process by _start_worker: the claim and its context.
+_worker_claim: tuple = ()
+
+
+def _start_worker(claim: Callable, ctx: dict) -> None:
+    global _worker_claim
+    _worker_claim = (claim, ctx)
+
+
+def _decide_in_worker(payload: tuple[int, tuple]):
+    claim, ctx = _worker_claim
+    return claim(Multigraph(*payload), ctx)
+
+
+def _verdicts(
+    claim: Callable, ctx: dict, graphs: Iterable[Multigraph], jobs: int
+) -> Iterator[tuple]:
+    """(graph, verdict) pairs in population order.
+
+    The claim sees a fresh copy of each graph, rebuilt from (n, edges), so
+    per-graph memos die with the verdict instead of piling up on graphs the
+    enumeration cache holds for the whole run.  With jobs > 1, chunks of
+    the population go to a pool of workers; they are forked, so they share
+    the claim's context (a thm-1.3 closure, say) without pickling it.
+    """
+    graphs = iter(graphs)
+    while chunk := list(itertools.islice(graphs, _POOL_CHUNK if jobs > 1 else 1)):
+        payloads = [(g.n, g.edges) for g in chunk]
+        if jobs > 1:
+            import multiprocessing
+
+            fork = multiprocessing.get_context("fork")
+            with fork.Pool(jobs, _start_worker, (claim, ctx)) as pool:
+                chunksize = max(1, len(chunk) // (8 * jobs))
+                verdicts = pool.map(_decide_in_worker, payloads, chunksize=chunksize)
+        else:
+            verdicts = [claim(Multigraph(*p), ctx) for p in payloads]
+        yield from zip(chunk, verdicts)
+
+
+def _run(
+    name: str,
+    parameters: dict,
+    claim: Callable,
+    fold: Callable,
+    graphs: Iterable[Multigraph],
+    ctx: dict,
+    jobs: int,
+    started: float,
+) -> dict:
+    counterexamples = ctx["counterexamples"] = []
+    checked = 0
+
+    def rows() -> Iterator[tuple]:
+        nonlocal checked
+        for g, verdict in _verdicts(claim, ctx, graphs, jobs or 1):
+            checked += 1
+            if verdict:
+                counterexamples.extend(_counterexample(g, **p) for p in verdict[1])
+            yield g, verdict
+
+    body = fold(rows(), ctx)
+    body["status"] = "pass" if not counterexamples else "fail"
+    report = {
+        "schema": SCHEMA_VERSION,
+        "campaign": name,
+        "parameters": parameters,
+        "graphs_checked": checked,
+        "summary": body,
+        "counterexamples": sorted(counterexamples, key=lambda r: r["mg"]),
+    }
+    verdicts = ctx.get("verdicts")
+    if verdicts is not None:
+        if len(verdicts) <= VERDICT_CAP:
+            report["verdicts"] = verdicts
+        else:
+            report["verdicts_omitted"] = len(verdicts)
+    report["wall_clock_seconds"] = round(time.monotonic() - started, 3)
+    return report
+
+
+def run_campaign(name: str, **params) -> dict:
+    if name not in CAMPAIGNS:
+        known = ", ".join(sorted(CAMPAIGNS))
+        raise UnknownCampaignError(f"unknown campaign {name!r} (known: {known})")
+    campaign = CAMPAIGNS[name]
+    kwargs = dict(campaign.defaults)
+    jobs = params.pop("jobs", None) or 1
+    for key, value in params.items():
+        if value is None:
+            continue
+        if key not in kwargs:
+            raise UnknownCampaignError(f"campaign {name!r} takes no parameter {key!r}")
+        kwargs[key] = value
+    started = time.monotonic()
+    ctx = dict(kwargs)
+    graphs = campaign.population(ctx)
+    if campaign.prepare is not None:
+        graphs = list(graphs)
+        campaign.prepare(graphs, ctx)
+    parameters = campaign.parameters(kwargs)
+    return _run(name, parameters, campaign.claim, campaign.fold, graphs, ctx, jobs, started)
+
+
+def _corpus_fold(rows, ctx: dict) -> dict:
+    applied = skipped = 0
+    for _, verdict in rows:
+        if verdict:
+            applied += 1
+        else:
+            skipped += 1
+    return {"applied": applied, "skipped_hypotheses": skipped}
+
+
+def run_corpus(
+    name: str, graphs: Sequence[Multigraph], source: str = "corpus", seeds: int = 20, jobs: int = 1
+) -> dict:
+    """Rerun a campaign's claim over supplied graphs instead of its population."""
+    campaign = CAMPAIGNS.get(name)
+    if campaign is None or not campaign.corpus:
+        known = ", ".join(sorted(k for k, c in CAMPAIGNS.items() if c.corpus))
         raise UnknownCampaignError(
             f"campaign {name!r} has no corpus mode (supported: {known})"
         )
@@ -1453,122 +1301,8 @@ def run_corpus(name: str, graphs: Sequence[Multigraph], source: str = "corpus", 
             raise BoundExceededError(
                 f"corpus graph on {g.n} vertices exceeds the ingestion cap {_CORPUS_MAX_N}"
             )
-    check = CORPUS_CHECKS[name]
-    ctx = {
-        "seeds": seeds,
-        "exempt": {canonical_form(complete_graph(4)), canonical_form(prism_graph())},
-    }
-    counterexamples: list[dict] = []
-    applied = 0
-    skipped = 0
-    for g in graphs:
-        if check(g, ctx, counterexamples):
-            applied += 1
-        else:
-            skipped += 1
-    summary = {"applied": applied, "skipped_hypotheses": skipped}
-    return _finish(
-        name,
-        {"corpus": source, "graphs": len(graphs), "seeds": seeds},
-        len(graphs),
-        counterexamples,
-        summary,
-        None,
-        started,
-    )
-
-
-# =============================================================================
-# registry
-# =============================================================================
-
-CAMPAIGNS: dict[str, tuple[Callable[..., dict], dict, str]] = {
-    "thm-1.1": (
-        run_thm_1_1,
-        {"max_n": 8, "jobs": 1},
-        "simple bricks: removable classes reach the maximum degree",
-    ),
-    "thm-1.3": (
-        run_thm_1_3,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2, "jobs": 1},
-        "wheel-like bricks admit family certificates from forward closure",
-    ),
-    "thm-1.4": (
-        run_thm_1_4,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2, "jobs": 1},
-        "minimal matching covered graphs have minimum degree 2 or 3",
-    ),
-    "lemma-2.16": (
-        run_lemma_2_16,
-        {
-            "max_n": 8,
-            "sample_n": 10,
-            "samples": 200,
-            "seed": 0,
-            "mult_n": 6,
-            "mult_bound": 2,
-            "jobs": 1,
-        },
-        "bipartite non-removability is equivalent to an (A1, B1) certificate",
-    ),
-    "lemma-2.17": (
-        run_lemma_2_17,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2, "jobs": 1},
-        "minimum P-set interiors consist of removable edges",
-    ),
-    "lemma-2.18": (
-        run_lemma_2_18,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2, "jobs": 1},
-        "degree-3 side forces a removable pair or the degree-2/degree-4 pattern",
-    ),
-    "lemma-3.6": (
-        run_lemma_3_6,
-        {"mult_bound": 2, "jobs": 1},
-        "six-vertex bricks: wheel-like means 5-wheel with hub parallels",
-    ),
-    "lemma-3.9": (
-        run_lemma_3_9,
-        {"wheels": (3, 5, 7), "mult_bound": 2, "doubles": 2, "jobs": 1},
-        "odd-wheel splices: wheel-like equals the three splice conditions",
-    ),
-    "prop-3.13": (
-        run_prop_3_13,
-        {"max_n": 8, "jobs": 1},
-        "edge-irreducible bicritical graphs carry four degree-3 vertices",
-    ),
-    "decomp-unique": (
-        run_decomp_unique,
-        {"max_n": 8, "seeds": 20, "jobs": 1},
-        "tight cut decompositions agree across random cut orders",
-    ),
-    "fig-r8": (
-        run_fig_r8,
-        {"jobs": 1},
-        "the unique 8-vertex near-bipartite brick without a removable pair",
-    ),
-    "fig-nonsolid-6": (
-        run_fig_nonsolid_6,
-        {"jobs": 1},
-        "six-vertex nonsolid non-prism bricks: not wheel-like, robust cuts exist",
-    ),
-    "fig-g3": (
-        run_fig_g3,
-        {"max_n": 10, "jobs": 1},
-        "a third-generation family brick that is not wheel-like",
-    ),
-}
-
-
-def run_campaign(name: str, **params) -> dict:
-    if name not in CAMPAIGNS:
-        known = ", ".join(sorted(CAMPAIGNS))
-        raise UnknownCampaignError(f"unknown campaign {name!r} (known: {known})")
-    runner, defaults, _ = CAMPAIGNS[name]
-    kwargs = dict(defaults)
-    for key, value in params.items():
-        if value is None:
-            continue
-        if key not in defaults:
-            raise UnknownCampaignError(f"campaign {name!r} takes no parameter {key!r}")
-        kwargs[key] = value
-    return runner(**kwargs)
+    ctx = {"seeds": seeds}
+    if campaign.prepare is not None:
+        campaign.prepare(graphs, ctx)
+    parameters = {"corpus": source, "graphs": len(graphs), "seeds": seeds}
+    return _run(name, parameters, campaign.claim, _corpus_fold, graphs, ctx, jobs, started)

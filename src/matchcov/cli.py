@@ -98,6 +98,7 @@ def cmd_verify(args) -> int:
             graphs,
             source=os.path.basename(args.corpus),
             seeds=args.seeds if args.seeds is not None else 20,
+            jobs=args.jobs,
         )
     else:
         params = {

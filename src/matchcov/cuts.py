@@ -12,14 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .covered import is_matching_covered
-from .errors import (
-    BoundExceededError,
-    EmptyShoreError,
-    NotA2SeparationError,
-    NotABarrierError,
-    NotAComponentError,
-    NotMatchingCoveredError,
-)
+from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
 from .matching import odd_components_count, perfect_matchings
 from .multigraph import Multigraph, bits, mask_of
 
@@ -149,40 +142,6 @@ def is_barrier(g: Multigraph, s: Iterable[int]) -> bool:
     return odd_components_count(g, s) == len(s)
 
 
-def barrier_cut(g: Multigraph, barrier: Iterable[int], component: Iterable[int]) -> EdgeCut:
-    """Cut around one odd component of G - B."""
-    b = frozenset(barrier)
-    if not is_barrier(g, b):
-        raise NotABarrierError(f"{sorted(b)} is not a barrier")
-    comp = frozenset(component)
-    within = g.full_mask & ~mask_of(b)
-    comp_masks = g.component_masks(within)
-    if mask_of(comp) not in comp_masks:
-        raise NotAComponentError(f"{sorted(comp)} is not a component of G - B")
-    return edge_cut(g, comp)
-
-
-def is_special_barrier_cut(g: Multigraph, barrier: Iterable[int], shore: Iterable[int]) -> bool:
-    """Shore is the unique nontrivial odd component of G - B."""
-    b = frozenset(barrier)
-    if not is_barrier(g, b):
-        raise NotABarrierError(f"{sorted(b)} is not a barrier")
-    x = frozenset(shore)
-    within = g.full_mask & ~mask_of(b)
-    comp_masks = g.component_masks(within)
-    xm = mask_of(x)
-    if xm not in comp_masks:
-        return False
-    if xm.bit_count() % 2 == 0 or xm.bit_count() < 3:
-        return False
-    for c in comp_masks:
-        if c == xm:
-            continue
-        if c.bit_count() % 2 and c.bit_count() > 1:
-            return False
-    return True
-
-
 def two_separations(g: Multigraph) -> tuple[frozenset[int], ...]:
     """All pairs {u, v} with G - u - v disconnected into even components."""
     if not is_matching_covered(g):
@@ -194,32 +153,4 @@ def two_separations(g: Multigraph) -> tuple[frozenset[int], ...]:
         comps = g.component_masks(within)
         if len(comps) >= 2 and all(c.bit_count() % 2 == 0 for c in comps):
             out.append(frozenset((u, v)))
-    return tuple(out)
-
-
-def two_separation_cuts(g: Multigraph, pair: Iterable[int]) -> tuple[EdgeCut, ...]:
-    """The cuts del(V(G1) + u) and del(V(G1) + v) over component groupings.
-
-    G1 runs over every union of components of G - {u, v} containing the
-    lowest component; the complementary grouping gives the same unordered
-    cuts, so each split is emitted once, (+u) before (+v).
-    """
-    s = sorted(frozenset(pair))
-    if len(s) != 2:
-        raise NotA2SeparationError(f"{s} is not a vertex pair")
-    u, v = s
-    if frozenset(s) not in set(two_separations(g)):
-        raise NotA2SeparationError(f"{s} is not a 2-separation")
-    within = g.full_mask & ~(1 << u) & ~(1 << v)
-    comps = g.component_masks(within)
-    out = []
-    for pick in range(1 << (len(comps) - 1)):
-        group = comps[0]
-        for i in range(1, len(comps)):
-            if (pick >> (i - 1)) & 1:
-                group |= comps[i]
-        if group == within:
-            continue
-        out.append(edge_cut(g, bits(group | (1 << u))))
-        out.append(edge_cut(g, bits(group | (1 << v))))
     return tuple(out)

@@ -21,7 +21,7 @@ from .covered import is_matching_covered
 from .cuts import contractions, edge_cut, is_separating, is_tight
 from .errors import BoundExceededError, NotMatchingCoveredError
 from .matching import perfect_matchings
-from .multigraph import Multigraph, bits, mask_of
+from .multigraph import Multigraph
 
 _SOLID_MAX_N = int(os.environ.get("MATCHCOV_MAX_SOLID_N", "14"))
 

@@ -45,22 +45,6 @@ class NotBipartiteMCError(MatchcovError, ValueError):
     """Operation requires a bipartite matching covered graph."""
 
 
-class NotABarrierError(MatchcovError, ValueError):
-    """Vertex set is not a barrier of the graph."""
-
-
-class BarrierTrivialError(MatchcovError, ValueError):
-    """Barrier has fewer than two vertices."""
-
-
-class NotAComponentError(MatchcovError, ValueError):
-    """Vertex set is not a component of the graph minus the barrier."""
-
-
-class NotA2SeparationError(MatchcovError, ValueError):
-    """Vertex pair is not a 2-separation."""
-
-
 class NotABrickError(MatchcovError, ValueError):
     """Operation requires a brick."""
 

@@ -1,4 +1,4 @@
-"""Maximum matchings, perfect matching enumeration, and Tutte violators.
+"""Maximum matchings and perfect matching enumeration.
 
 The general engine is augmenting-path search with blossom shrinking on the
 underlying simple graph; parallel edges never change matchability, so a
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import BoundExceededError, VertexOutOfRangeError
 from .multigraph import Multigraph, bits, mask_of
@@ -27,12 +27,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
-class TutteViolator:
-    vertices: frozenset[int]
-    odd_component_count: int
 
 
 def _blossom_max_matching(n: int, adj: list[list[int]]) -> list[int]:
@@ -110,18 +104,9 @@ def _blossom_max_matching(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def _adjacency_lists(g: Multigraph, skip: frozenset[int] = frozenset()) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        if v in skip:
-            continue
-        adj[v] = [u for u in bits(g.adj_masks[v]) if u not in skip]
-    return adj
-
-
 def max_matching(g: Multigraph) -> Matching:
     """A maximum-cardinality matching, lifted to lowest parallel edge ids."""
-    match = _blossom_max_matching(g.n, _adjacency_lists(g))
+    match = _blossom_max_matching(g.n, [bits(mask) for mask in g.adj_masks])
     edge_ids = []
     for v in range(g.n):
         u = match[v]
@@ -148,32 +133,6 @@ def odd_components_count(g: Multigraph, s) -> int:
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
     within = g.full_mask & ~s_mask
     return sum(1 for comp in g.component_masks(within) if comp.bit_count() % 2)
-
-
-def find_tutte_violator(g: Multigraph) -> Optional[TutteViolator]:
-    """A vertex set S with more than |S| odd components outside it.
-
-    None when the graph has a perfect matching. The set is extracted
-    Gallai-Edmonds style: S is the neighborhood of the vertices missable by
-    some maximum matching.
-    """
-    if has_perfect_matching(g):
-        return None
-    nu = matching_number(g)
-    missable = []
-    for v in range(g.n):
-        adj = _adjacency_lists(g, skip=frozenset([v]))
-        match = _blossom_max_matching(g.n, adj)
-        size = sum(1 for w in range(g.n) if match[w] != -1) // 2
-        if size == nu:
-            missable.append(v)
-    d_mask = mask_of(missable)
-    a_mask = 0
-    for v in missable:
-        a_mask |= g.adj_masks[v]
-    a_mask &= ~d_mask
-    s = frozenset(bits(a_mask))
-    return TutteViolator(s, odd_components_count(g, s))
 
 
 def enumerate_perfect_matchings(g: Multigraph) -> Iterator[Matching]:
@@ -220,18 +179,3 @@ def perfect_matchings(g: Multigraph) -> tuple[Matching, ...]:
         cached = tuple(enumerate_perfect_matchings(g))
         g._pm_list_cache = cached
     return cached
-
-
-def has_pm_containing(g: Multigraph, e: int) -> bool:
-    u, v = g.endpoints(e)
-    return g.has_pm_mask(g.full_mask & ~(1 << u) & ~(1 << v))
-
-
-def has_pm_avoiding_vertices(g: Multigraph, u: int, v: int) -> bool:
-    """Perfect matching of G - u - v (the bicriticality primitive)."""
-    for w in (u, v):
-        if not (0 <= w < g.n):
-            raise VertexOutOfRangeError(f"vertex {w} outside 0..{g.n - 1}")
-    if u == v:
-        raise VertexOutOfRangeError("vertices must be distinct")
-    return g.has_pm_mask(g.full_mask & ~(1 << u) & ~(1 << v))

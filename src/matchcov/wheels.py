@@ -170,10 +170,6 @@ def is_wheel_like(g: Multigraph) -> frozenset[int]:
     return frozenset(cands)
 
 
-def hub_edges_removable(g: Multigraph, h: int) -> bool:
-    return all(is_removable_edge(g, e) for e in g.incident[h])
-
-
 def check_odd_wheel_splice(
     g: Multigraph,
     hub_g: int,
@@ -544,8 +540,8 @@ def g_family_closure(
                 n_out = left.n + wheel.n - 2
                 if n_out < 8 or n_out > max_n:
                     continue
-                u_reps = sorted({min(orbit) for orbit in _orbit_sets(left)})
-                v_reps = sorted({min(orbit) for orbit in _orbit_sets(wheel)})
+                u_reps = sorted({min(orbit) for orbit in vertex_orbits(left)})
+                v_reps = sorted({min(orbit) for orbit in vertex_orbits(wheel)})
                 for u in u_reps:
                     du = left.degree(u)
                     for v in v_reps:
@@ -569,10 +565,6 @@ def g_family_closure(
                             next_frontier.append((built, cert))
         frontier = next_frontier
     return members
-
-
-def _orbit_sets(g: Multigraph) -> list[frozenset[int]]:
-    return vertex_orbits(g)
 
 
 def _slot_permutation(

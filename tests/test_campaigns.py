@@ -4,15 +4,16 @@ import json
 
 import pytest
 
+from matchcov import campaigns
 from matchcov.campaigns import (
     CAMPAIGNS,
-    CORPUS_CHECKS,
     SCHEMA_VERSION,
     report_json,
     run_campaign,
     run_corpus,
 )
 from matchcov.errors import BoundExceededError, UnknownCampaignError
+from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
 
 REPORT_KEYS = {
@@ -54,7 +55,17 @@ def test_registry_names():
         "fig-nonsolid-6",
         "fig-g3",
     }
-    assert set(CORPUS_CHECKS) <= set(CAMPAIGNS)
+    assert {name for name, c in CAMPAIGNS.items() if c.corpus} == {
+        "thm-1.1",
+        "thm-1.3",
+        "thm-1.4",
+        "lemma-2.16",
+        "lemma-2.17",
+        "lemma-2.18",
+        "lemma-3.6",
+        "prop-3.13",
+        "decomp-unique",
+    }
 
 
 def test_thm_1_1_reduced():
@@ -150,12 +161,51 @@ def test_corpus_run():
     assert rep["parameters"]["graphs"] == 2
 
 
-def test_corpus_skips_inapplicable():
-    # the prism is not wheel-like, so the wheel-like check does not apply
+def test_corpus_skips_inapplicable(monkeypatch):
+    # the prism is not wheel-like, so the wheel-like check does not apply,
+    # and no family closure is built for it
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure built for a corpus without wheel-like bricks")
+
+    monkeypatch.setattr(campaigns, "g_family_closure", no_closure)
     rep = run_corpus("thm-1.3", [prism_graph()])
     assert rep["summary"]["applied"] == 0
     assert rep["summary"]["skipped_hypotheses"] == 1
     assert rep["summary"]["status"] == "pass"
+
+
+def test_corpus_thm_1_3_heavy_spokes():
+    # Wheel-like bricks whose spoke multiplicities exceed the default leaf
+    # caps: the closure must be sized from the corpus graphs themselves.
+    corpus = [make_wheel(WheelSpec(5, (3, 1, 1, 1, 1)))[0], make_wheel(WheelSpec(3, (4, 1, 1)))[0]]
+    rep = run_corpus("thm-1.3", corpus)
+    assert rep["counterexamples"] == []
+    assert rep["summary"] == {"applied": 2, "skipped_hypotheses": 0, "status": "pass"}
+
+
+def test_corpus_agrees_with_full_run():
+    # The corpus rerun of prop-3.13 over its own population applies the
+    # claim exactly where the full run found a bicritical graph.
+    full = run_campaign("prop-3.13", max_n=6)
+    population = list(CAMPAIGNS["prop-3.13"].population({"max_n": 6}))
+    rep = run_corpus("prop-3.13", population)
+    assert rep["graphs_checked"] == full["graphs_checked"] == len(population)
+    assert rep["summary"]["applied"] == full["summary"]["bicritical"]
+    assert rep["counterexamples"] == []
+
+
+def _untimed(report):
+    return {k: v for k, v in report.items() if k != "wall_clock_seconds"}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("lemma-2.17", {"max_n": 6, "mult_n": 4}), ("fig-nonsolid-6", {})],
+)
+def test_jobs_do_not_change_reports(name, params):
+    serial = run_campaign(name, jobs=1, **params)
+    pooled = run_campaign(name, jobs=2, **params)
+    assert _untimed(pooled) == _untimed(serial)
 
 
 def test_corpus_petersen():
