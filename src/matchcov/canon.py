@@ -2,10 +2,12 @@
 
 Canonical labeling runs iterative color refinement and then backtracks over
 individualizations of the first smallest non-singleton cell, taking the
-lexicographically least edge encoding over all discrete leaves. Edge
-multiplicities are folded into the initial invariant, the refinement
-signatures, and the leaf encoding, so two multigraphs share a canonical
-form exactly when they are isomorphic as multigraphs.
+lexicographically least edge encoding over all discrete leaves. Each
+vertex's (neighbour, multiplicity) list is built once per graph and serves
+every refinement round of the search; `automorphisms` starts from the same
+refinement. Edge multiplicities are folded into the initial invariant, the
+refinement signatures, and the leaf encoding, so two multigraphs share a
+canonical form exactly when they are isomorphic as multigraphs.
 
 The only search pruning is the twin test: if two cell members have
 identical multiplicity rows, their transposition is an automorphism and
@@ -14,58 +16,48 @@ instead of factorial without touching correctness.
 """
 from __future__ import annotations
 
+from .errors import BoundExceededError
 from .multigraph import Multigraph
 
 
-def _initial_colors(g: Multigraph) -> tuple[int, ...]:
-    keys = []
-    for v in range(g.n):
-        incident_mults = sorted(
-            cnt for (a, b), cnt in g._mult.items() if a == v or b == v
-        )
-        keys.append((g.degrees[v], tuple(incident_mults)))
-    order = sorted(set(keys))
-    rank = {k: i for i, k in enumerate(order)}
-    return tuple(rank[k] for k in keys)
+def _equitable(nbrs: list, colors: list[int], scale: int) -> list[int]:
+    """Refine dense colors until no cell splits.
 
-
-def _refine(g: Multigraph, colors: tuple[int, ...]) -> tuple[int, ...]:
-    n = g.n
-    mult = g._mult
-    adj = [sorted(g.neighbors(v)) for v in range(n)]
-    while True:
-        sigs = []
-        for v in range(n):
-            around = sorted(
-                (colors[u], mult[(v, u) if v < u else (u, v)]) for u in adj[v]
-            )
-            sigs.append((colors[v], tuple(around)))
+    A vertex's signature is its color, then its neighbours' (color,
+    multiplicity) pairs in sorted order, each packed as color * scale +
+    multiplicity (scale exceeds every multiplicity, so the packing keeps
+    the pair order). New colors rank the distinct signatures.
+    """
+    cells = len(set(colors))
+    while cells < len(colors):
+        packed = [c * scale for c in colors]
+        sigs = [
+            (colors[v], *sorted([packed[u] + cnt for u, cnt in around]))
+            for v, around in enumerate(nbrs)
+        ]
         order = sorted(set(sigs))
+        if len(order) == cells:
+            break
         rank = {s: i for i, s in enumerate(order)}
-        new_colors = tuple(rank[s] for s in sigs)
-        if len(order) == len(set(colors)):
-            return new_colors
-        colors = new_colors
+        colors = [rank[s] for s in sigs]
+        cells = len(order)
+    return colors
 
 
-def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
-    # v gets a class of its own, placed just before the rest of its old cell.
-    pairs = [(c, 1) for c in colors]
-    pairs[v] = (colors[v], 0)
-    order = sorted(set(pairs))
-    rank = {p: i for i, p in enumerate(order)}
-    return tuple(rank[p] for p in pairs)
+def _start(g: Multigraph) -> tuple[list, int, list[int]]:
+    """(neighbour lists, packing scale, equitable initial colors).
 
-
-def _encode(g: Multigraph, position: tuple[int, ...]) -> bytes:
-    triples = sorted(
-        (min(position[u], position[v]), max(position[u], position[v]), cnt)
-        for (u, v), cnt in g._mult.items()
-    )
-    out = bytearray([g.n])
-    for i, j, cnt in triples:
-        out += bytes((i, j, min(cnt, 255)))
-    return bytes(out)
+    The initial invariant is the degree, then the sorted incident
+    multiplicities.
+    """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (u, v), cnt in g._mult.items():
+        nbrs[u].append((v, cnt))
+        nbrs[v].append((u, cnt))
+    scale = max(g._mult.values(), default=0) + 1
+    keys = [(g.degrees[v], tuple(sorted(c for _, c in nbrs[v]))) for v in range(g.n)]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return nbrs, scale, _equitable(nbrs, [rank[k] for k in keys], scale)
 
 
 def _twins(g: Multigraph, u: int, w: int) -> bool:
@@ -81,35 +73,49 @@ def _twins(g: Multigraph, u: int, w: int) -> bool:
 
 
 def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
-    """(position permutation old->new, canonical byte form)."""
+    """(position permutation old->new, canonical byte form).
+
+    The form is n, then one (i, j, multiplicity) byte triple per adjacent
+    position pair i < j in ascending order; a multiplicity of 255 or more
+    is written as the byte 255 followed by the count in 8 bytes.
+    """
     n = g.n
     if n == 0:
         return (), bytes([0])
+    if n > 255:
+        raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
+    nbrs, scale, start = _start(g)
+    rows = [
+        (u, v, bytes((cnt,)) if cnt < 255 else b"\xff" + cnt.to_bytes(8, "big"))
+        for (u, v), cnt in g._mult.items()
+    ]
     best: list = [None, None]
 
-    def rec(colors: tuple[int, ...]) -> None:
+    def rec(colors: list[int]) -> None:
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                if target is None or len(cells[c]) < len(cells[target]):
-                    target = c
-        if target is None:
-            cand = _encode(g, colors)
+        if len(cells) == n:
+            triples = sorted(
+                (colors[u], colors[v], t) if colors[u] < colors[v] else (colors[v], colors[u], t)
+                for u, v, t in rows
+            )
+            cand = bytes([n]) + b"".join(bytes((i, j)) + t for i, j, t in triples)
             if best[1] is None or cand < best[1]:
-                best[0] = colors
+                best[0] = tuple(colors)
                 best[1] = cand
             return
+        target = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
         reps: list[int] = []
         for v in cells[target]:
             if any(_twins(g, v, w) for w in reps):
                 continue
             reps.append(v)
-            rec(_refine(g, _individualize(colors, v)))
+            # v gets a cell of its own, just before the rest of its old cell.
+            split = [c + (c > target or (c == target and x != v)) for x, c in enumerate(colors)]
+            rec(_equitable(nbrs, split, scale))
 
-    rec(_refine(g, _initial_colors(g)))
+    rec(start)
     return best[0], best[1]
 
 
@@ -138,7 +144,7 @@ def automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
     n = g.n
     if n == 0:
         return [()]
-    colors = _refine(g, _initial_colors(g))
+    colors = _start(g)[2]
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)

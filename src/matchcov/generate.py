@@ -4,8 +4,12 @@ Connected simple graphs are generated by vertex augmentation: every
 connected graph on k+1 vertices arises from a connected graph on k
 vertices by attaching a new vertex to a nonempty subset (every connected
 graph has a non-cutvertex, so connected intermediates suffice). Duplicates
-are removed per level by canonical form. Multigraph sweeps lay multiplicity
-vectors over simple underlying graphs.
+are removed per level by canonical form, keeping the first child seen.
+Twin-swap pruning skips attach sets that cannot give a new first child: if
+u < w are twins of the parent, the swap (u w) is an automorphism, so an
+attach set holding w but not u gives the same child as the smaller set with
+w traded for u, which was tried earlier. Multigraph sweeps lay
+multiplicity vectors over simple underlying graphs.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .canon import canonical_form
+from .canon import _twins, canonical_form
 from .errors import BoundExceededError
 from .multigraph import Multigraph
 
@@ -36,8 +40,16 @@ def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[Multigraph
     for parent in _connected_level(n - 1, min_degree, target_n):
         pedges = parent.edges
         pdeg = parent.degrees
+        twins = [
+            (1 << u, 1 << w)
+            for u in range(n - 1)
+            for w in range(u + 1, n - 1)
+            if _twins(parent, u, w)
+        ]
         for attach_mask in range(1, 1 << (n - 1)):
             if attach_mask.bit_count() + slack < min_degree:
+                continue
+            if any(attach_mask & wb and not attach_mask & ub for ub, wb in twins):
                 continue
             attach = [v for v in range(n - 1) if (attach_mask >> v) & 1]
             ok = True

@@ -3,7 +3,10 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from matchcov import (
+    Multigraph,
     automorphisms,
     canonical_form,
     canonical_labeling,
@@ -12,6 +15,7 @@ from matchcov import (
     new_multigraph,
     vertex_orbits,
 )
+from matchcov.errors import BoundExceededError
 from matchcov.zoo import complete_graph, cycle_graph, path_graph, star_graph
 from conftest import naive_isomorphic
 
@@ -111,3 +115,23 @@ def test_is_isomorphic_agrees_with_canon():
     assert is_isomorphic(a, b)
     c = new_multigraph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3)])
     assert not is_isomorphic(a, c)
+
+
+def _weighted_c4(mults):
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 0))
+    return new_multigraph(4, [p for p, cnt in zip(pairs, mults) for _ in range(cnt)])
+
+
+def test_canonical_form_keeps_multiplicities_above_255():
+    uneven = _weighted_c4((300, 400, 300, 400))
+    even = _weighted_c4((350, 350, 350, 350))
+    assert canonical_form(uneven) != canonical_form(even)
+    assert not is_isomorphic(uneven, even)
+    turned = uneven.relabeled((1, 2, 3, 0))
+    assert canonical_form(turned) == canonical_form(uneven)
+    assert is_isomorphic(turned, uneven)
+
+
+def test_canonical_form_refuses_more_than_255_vertices():
+    with pytest.raises(BoundExceededError):
+        canonical_form(Multigraph(256, [(0, 1)]))

@@ -1,0 +1,41 @@
+"""Property tests of canonical forms on generated multigraphs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchcov import canonical_form, new_multigraph
+from conftest import naive_isomorphic
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def multigraphs(draw, max_n: int):
+    """Multigraphs on 1..max_n vertices, each pair of multiplicity 0..3."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_canonical_form_invariant_under_random_relabeling(data):
+    g = data.draw(multigraphs(7))
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_form(g.relabeled(perm)) == canonical_form(g)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_canonical_form_equality_matches_naive_isomorphism(data):
+    # h is a relabeled copy of g, sometimes with one pair's multiplicity
+    # redrawn, so both isomorphic and non-isomorphic pairs occur.
+    g = data.draw(multigraphs(5))
+    h = g.relabeled(data.draw(st.permutations(range(g.n))))
+    if g.n > 1 and data.draw(st.booleans()):
+        pair = st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)
+        u, v = sorted(data.draw(pair))
+        cnt = data.draw(st.integers(0, 3))
+        h = new_multigraph(g.n, [e for e in h.edges if e != (u, v)] + [(u, v)] * cnt)
+    assert (canonical_form(g) == canonical_form(h)) == naive_isomorphic(g, h)

@@ -19,9 +19,9 @@ def test_connected_simple_counts_match_labeled_space():
 
 
 def test_connected_simple_known_sizes():
-    # counts re-derived by the labeled sweep in the previous test
-    sizes = [sum(1 for _ in enumerate_connected_graphs(n)) for n in range(1, 7)]
-    assert sizes == [1, 1, 2, 6, 21, 112]
+    # OEIS A001349; n <= 6 also re-derived by the labeled sweep above
+    sizes = [sum(1 for _ in enumerate_connected_graphs(n)) for n in range(1, 8)]
+    assert sizes == [1, 1, 2, 6, 21, 112, 853]
 
 
 def test_min_degree_filter():
