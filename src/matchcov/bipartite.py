@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .covered import is_matching_covered
+from .covered import is_matching_covered, is_removable_edge
 from .errors import BoundExceededError, NotBipartiteMCError
 from .multigraph import Multigraph, mask_of
 
@@ -140,13 +140,12 @@ def _certificate_search(
 def is_removable_bipartite(g: Multigraph, e: int) -> tuple[bool, Optional[RemovabilityCertificate]]:
     """(removable?, non-removability certificate when not removable).
 
-    The direct deletion test decides removability; the certificate is found
+    `is_removable_edge` decides removability; the certificate is found
     by subset search over same-size class pairs and is None exactly when the
     edge is removable.
     """
     a, b = bipartition(g)
-    removable = is_matching_covered(g.delete_edges([e]))
-    if removable:
+    if is_removable_edge(g, e):
         return True, None
     cert = _certificate_search(g, e, a, b)
     if cert is None:

@@ -17,7 +17,7 @@ instead of factorial without touching correctness.
 from __future__ import annotations
 
 from .errors import BoundExceededError
-from .multigraph import Multigraph
+from .multigraph import Multigraph, per_graph
 
 
 def _equitable(nbrs: list, colors: list[int], scale: int) -> list[int]:
@@ -119,12 +119,9 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
     return best[0], best[1]
 
 
+@per_graph
 def canonical_form(g: Multigraph) -> bytes:
-    cached = getattr(g, "_canon_cache", None)
-    if cached is None:
-        cached = canonical_labeling(g)[1]
-        g._canon_cache = cached
-    return cached
+    return canonical_labeling(g)[1]
 
 
 def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -5,6 +5,11 @@ vertices, and every edge lies in some perfect matching. An edge e is
 removable when G - e stays matching covered; a doubleton {e, f} is
 removable when G - e - f is matching covered but neither single deletion
 is. Removable classes are the singles plus the doubletons.
+
+Every one of these questions asks which parallel classes lie in a perfect
+matching that avoids some classes D. Class f depends on D when none does
+(for D = {e}: every perfect matching through f uses e). A per-graph pool
+of perfect matchings answers them: see `_Witnesses`.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .errors import NotMatchingCoveredError
-from .multigraph import Multigraph, vertex_connectivity
+from .multigraph import Multigraph, _reach, _two_coloring, per_graph
 
 
 @dataclass(frozen=True)
@@ -29,57 +34,156 @@ class Doubleton:
 RemovableClass = Union[Single, Doubleton]
 
 
+def _matching(adj: list[int], index: dict, mask: int, dead: set[int]) -> Optional[int]:
+    """Class bitset of a perfect matching of the vertices in `mask`, or None.
+
+    Depth-first, matching the lowest vertex first, with an explicit stack so
+    that no order of graph meets the recursion limit. `dead` gathers the
+    masks proven to have no perfect matching, so it must only be shared
+    between searches over the same adjacency.
+    """
+    frames: list[list[int]] = []  # [mask, untried partners, class taken]
+    while True:
+        if not mask:
+            found = 0
+            for frame in frames:
+                found |= frame[2]
+            return found
+        if mask not in dead:
+            low = mask & -mask
+            frames.append([mask, adj[low.bit_length() - 1] & (mask ^ low), 0])
+        while frames:
+            top = frames[-1]
+            if top[1]:
+                u_bit = top[1] & -top[1]
+                v_bit = top[0] & -top[0]
+                top[1] ^= u_bit
+                top[2] = 1 << index[v_bit.bit_length() - 1, u_bit.bit_length() - 1]
+                mask = top[0] ^ v_bit ^ u_bit
+                break
+            dead.add(top[0])
+            frames.pop()
+        else:
+            return None
+
+
+class _Witnesses:
+    """Perfect matchings of g's underlying simple graph, kept as they are
+    found, each as a bitset over parallel classes.
+
+    "Is there a perfect matching that contains class c and avoids the
+    classes D?" is first a bitset test on the pool. On a miss, one search on
+    G - V(c) - D either finds a matching, which joins the pool, or proves
+    that c depends on D. Nothing is enumerated up front.
+    """
+
+    def __init__(self, g: Multigraph):
+        self.pairs = list(g.parallel_classes)
+        self.index = {pair: c for c, pair in enumerate(self.pairs)}
+        self.edge_class = [self.index[pair] for pair in g.edges]
+        self.sizes = [len(ids) for ids in g.parallel_classes.values()]
+        self.adj = g.adj_masks
+        self.full = g.full_mask
+        self.pool: list[int] = []
+        self._dependents: dict[int, int] = {}
+
+    def adjacency_without(self, drop: int) -> list[int]:
+        adj = list(self.adj)
+        while drop:
+            low = drop & -drop
+            drop ^= low
+            a, b = self.pairs[low.bit_length() - 1]
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
+        return adj
+
+    def dependents(self, drop: int) -> int:
+        """Bitset of the classes outside `drop` that no perfect matching
+        avoiding every class in `drop` contains."""
+        if drop in self._dependents:
+            return self._dependents[drop]
+        cover = drop
+        for pm in self.pool:
+            if not pm & drop:
+                cover |= pm
+        missing = (1 << len(self.pairs)) - 1 & ~cover
+        out = 0
+        if missing:
+            adj = self.adjacency_without(drop)
+            dead: set[int] = set()
+            while missing:
+                low = missing & -missing
+                a, b = self.pairs[low.bit_length() - 1]
+                pm = _matching(adj, self.index, self.full ^ (1 << a) ^ (1 << b), dead)
+                if pm is None:
+                    out |= low
+                    missing ^= low
+                else:
+                    self.pool.append(pm | low)
+                    missing &= ~pm & ~low
+        self._dependents[drop] = out
+        return out
+
+    def covered_without(self, drop: int) -> bool:
+        """Is G minus every edge of the classes in `drop` matching covered?
+        Connectivity is tested apart: on C4, deleting two opposite edges
+        leaves every other class in a perfect matching, but two components."""
+        if self.dependents(drop):
+            return False
+        return _reach(self.adjacency_without(drop), 0, self.full) == self.full
+
+    def removable(self, e: int) -> bool:
+        """A parallel copy always is; otherwise G - e must stay covered."""
+        c = self.edge_class[e]
+        return self.sizes[c] > 1 or self.covered_without(1 << c)
+
+
+@per_graph
+def _witnesses(g: Multigraph) -> _Witnesses:
+    return _Witnesses(g)
+
+
+@per_graph
 def is_matching_covered(g: Multigraph) -> bool:
     if g.n < 2 or g.n % 2:
         return False
-    if not g.is_connected():
-        return False
-    full = g.full_mask
-    for (u, v) in g.parallel_classes:
-        if not g.has_pm_mask(full & ~(1 << u) & ~(1 << v)):
-            return False
-    return True
+    return _witnesses(g).covered_without(0)
 
 
-def _require_mc(g: Multigraph) -> None:
+def _require_mc(g: Multigraph) -> _Witnesses:
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("graph is not matching covered")
+    return _witnesses(g)
 
 
 def is_removable_edge(g: Multigraph, e: int) -> bool:
-    _require_mc(g)
-    return _removable_unchecked(g, e)
+    pool = _require_mc(g)
+    g.endpoints(e)  # EdgeOutOfRangeError, where a negative id would index from the end
+    return pool.removable(e)
 
 
-def _removable_unchecked(g: Multigraph, e: int) -> bool:
-    return is_matching_covered(g.delete_edges([e]))
-
-
+@per_graph
 def removable_edges(g: Multigraph) -> tuple[int, ...]:
     """Ascending edge ids removable one at a time."""
-    _require_mc(g)
-    cached = getattr(g, "_removable_cache", None)
-    if cached is None:
-        cached = tuple(e for e in range(g.m) if _removable_unchecked(g, e))
-        g._removable_cache = cached
-    return cached
+    pool = _require_mc(g)
+    return tuple(e for e in range(g.m) if pool.removable(e))
 
 
+@per_graph
 def removable_doubletons(g: Multigraph) -> tuple[tuple[int, int], ...]:
     """Pairs {e, f}, neither removable alone, with G - e - f matching covered."""
-    _require_mc(g)
-    cached = getattr(g, "_doubleton_cache", None)
-    if cached is not None:
-        return cached
+    pool = _require_mc(g)
     removable = set(removable_edges(g))
-    non_removable = [e for e in range(g.m) if e not in removable]
+    # A non-removable edge has no parallel copy, so it is a whole class.
+    classes = [(e, 1 << pool.edge_class[e]) for e in range(g.m) if e not in removable]
     out = []
-    for e, f in combinations(non_removable, 2):
-        if is_matching_covered(g.delete_edges([e, f])):
+    for (e, ce), (f, cf) in combinations(classes, 2):
+        # Whatever depends on e alone, f aside, depends on {e, f} too.
+        if pool.dependents(ce) & ~cf or pool.dependents(cf) & ~ce:
+            continue
+        if pool.covered_without(ce | cf):
             out.append((e, f))
-    cached = tuple(out)
-    g._doubleton_cache = cached
-    return cached
+    return tuple(out)
 
 
 def removable_classes(g: Multigraph) -> tuple[RemovableClass, ...]:
@@ -100,19 +204,29 @@ def is_bicritical(g: Multigraph) -> bool:
     return True
 
 
+@per_graph
 def is_brick(g: Multigraph) -> bool:
-    """3-connected and bicritical."""
-    return is_bicritical(g) and vertex_connectivity(g) >= 3
+    """3-connected and bicritical.
+
+    A bicritical graph is connected and has no cut vertex (deleting a cut
+    vertex and a vertex of one component leaves some component odd), so
+    3-connectivity only asks that no two vertices separate it.
+    """
+    if not is_bicritical(g):
+        return False
+    adj, full = g.adj_masks, g.full_mask
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            within = full ^ (1 << x) ^ (1 << y)
+            start = (within & -within).bit_length() - 1
+            if _reach(adj, start, within) != within:
+                return False
+    return True
 
 
 def is_minimal_mc(g: Multigraph) -> bool:
     """Matching covered with no removable edge."""
-    if not is_matching_covered(g):
-        return False
-    for e in range(g.m):
-        if _removable_unchecked(g, e):
-            return False
-    return True
+    return is_matching_covered(g) and not removable_edges(g)
 
 
 def is_near_bipartite(g: Multigraph) -> Optional[tuple[int, int]]:
@@ -120,13 +234,21 @@ def is_near_bipartite(g: Multigraph) -> Optional[tuple[int, int]]:
 
     None when no pair works (in particular for bipartite input). Pairs are
     screened by 2-colorability before the covered test, cheapest first.
+
+    Only two edges without parallel copies can work. A pair that empties no
+    class leaves the odd cycles of G; one that empties one class uv leaves
+    a bipartite G - uv only if u and v lie on one side, and then G - uv has
+    no perfect matching, or uv lies in none of G's, since a matching through
+    uv takes two vertices from that side.
     """
-    _require_mc(g)
+    pool = _require_mc(g)
     if g.is_bipartite():
         return None
-    for e, f in combinations(range(g.m), 2):
-        h = g.delete_edges([e, f])
-        if h.is_bipartite() and is_matching_covered(h):
+    cls, sizes = pool.edge_class, pool.sizes
+    singles = [e for e in range(g.m) if sizes[cls[e]] == 1]
+    for e, f in combinations(singles, 2):
+        drop = 1 << cls[e] | 1 << cls[f]
+        if _two_coloring(pool.adjacency_without(drop)) is not None and pool.covered_without(drop):
             return (e, f)
     return None
 

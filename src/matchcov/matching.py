@@ -4,8 +4,8 @@ The general engine is augmenting-path search with blossom shrinking on the
 underlying simple graph; parallel edges never change matchability, so a
 matched pair is lifted back to the lowest edge id of its parallel class.
 Perfect-matching existence queries go through the memoized bitmask kernel
-on the graph object instead, which amortizes across the thousands of
-related queries the covered-graph predicates make.
+on the graph object instead, and the removability questions through the
+pool of perfect matchings in `covered`.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceededError, VertexOutOfRangeError
-from .multigraph import Multigraph, bits, mask_of
+from .multigraph import Multigraph, bits, mask_of, per_graph
 
 _PM_ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_PM_ENUM_N", "24"))
 
@@ -172,10 +172,7 @@ def enumerate_perfect_matchings(g: Multigraph) -> Iterator[Matching]:
     yield from rec(full)
 
 
+@per_graph
 def perfect_matchings(g: Multigraph) -> tuple[Matching, ...]:
     """Cached tuple of all perfect matchings (see enumerate_perfect_matchings)."""
-    cached = getattr(g, "_pm_list_cache", None)
-    if cached is None:
-        cached = tuple(enumerate_perfect_matchings(g))
-        g._pm_list_cache = cached
-    return cached
+    return tuple(enumerate_perfect_matchings(g))

@@ -6,11 +6,17 @@ edge id i always means position i of the edge list handed to the
 constructor. Bitmask adjacency over the underlying simple graph backs the
 perfect-matching and connectivity kernels that the rest of the library
 leans on.
+
+One caching rule: whatever is derived from a graph is kept on that graph,
+in its instance dict, and nowhere else. Inside the class that is
+`functools.cached_property`; a function of a graph in another module
+takes the `per_graph` decorator. Since a graph never changes, the value
+stays valid for the graph's lifetime, and it goes when the graph goes.
 """
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     EdgeOutOfRangeError,
@@ -154,16 +160,7 @@ class Multigraph:
         """Bitmask of the component of `start` inside the induced mask."""
         if within is None:
             within = self.full_mask
-        adj = self.adj_masks
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = adj[v] & within & ~seen
-            seen |= new
-            frontier |= new
-        return seen
+        return _reach(self.adj_masks, start, within)
 
     def component_masks(self, within: Optional[int] = None) -> list[int]:
         if within is None:
@@ -187,22 +184,7 @@ class Multigraph:
 
     def two_coloring(self) -> Optional[tuple[int, ...]]:
         """0/1 coloring with adjacent vertices distinct, or None."""
-        color = [-1] * self.n
-        adj = self.adj_masks
-        for s in range(self.n):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in _bits(adj[v]):
-                    if color[u] == -1:
-                        color[u] = 1 - color[v]
-                        stack.append(u)
-                    elif color[u] == color[v]:
-                        return None
-        return tuple(color)
+        return _two_coloring(self.adj_masks)
 
     # -- perfect matching kernel --------------------------------------------
 
@@ -213,9 +195,8 @@ class Multigraph:
     def has_pm_mask(self, mask: int) -> bool:
         """Does the induced subgraph on `mask` have a perfect matching?
 
-        Memoized per graph; repeated queries (every edge, every vertex pair)
-        share subproblems, which is what keeps the covered-graph predicates
-        fast at desk scale.
+        Memoized per graph; repeated queries (every vertex pair, for
+        bicriticality) share subproblems.
         """
         memo = self._pm_memo
         hit = memo.get(mask)
@@ -337,6 +318,40 @@ class Multigraph:
         return Multigraph(self.n, edges, labels)
 
 
+def _reach(adj: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of the vertices reachable from `start` inside `within`, over
+    the adjacency masks `adj`."""
+    seen = 1 << start
+    frontier = seen
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = adj[v] & within & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def _two_coloring(adj: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """0/1 coloring over the adjacency masks `adj`, or None when some odd
+    cycle forbids one."""
+    color = [-1] * len(adj)
+    for s in range(len(adj)):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in _bits(adj[v]):
+                if color[u] == -1:
+                    color[u] = 1 - color[v]
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    return None
+    return tuple(color)
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -356,6 +371,25 @@ def mask_of(vertices: Iterable[int]) -> int:
     return out
 
 
+def per_graph(fn: Callable) -> Callable:
+    """Cache fn(g) on g itself, the way `cached_property` caches a method.
+
+    The key is fn's dotted module path, which no attribute name can take.
+    A call that raises caches nothing.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(g: Multigraph):
+        memo = g.__dict__
+        if key in memo:
+            return memo[key]
+        value = memo[key] = fn(g)
+        return value
+
+    return cached
+
+
 def new_multigraph(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -368,7 +402,8 @@ def new_multigraph(
 def vertex_connectivity(g: Multigraph) -> int:
     """Minimum vertices whose removal disconnects g or leaves one vertex.
 
-    Returns 0 for disconnected or trivial graphs.
+    Returns 0 for disconnected or trivial graphs. A brute-force walk over
+    vertex subsets, kept as the reference the tests hold `is_brick` to.
     """
     from itertools import combinations
 

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterator, Optional, Union
 
 from .canon import canonical_form, vertex_orbits
-from .covered import is_brick, is_removable_edge, removable_doubletons
+from .covered import is_brick, is_removable_edge, removable_doubletons, removable_edges
 from .errors import (
     BadSpecError,
     BoundExceededError,
@@ -30,7 +30,7 @@ from .errors import (
     NotABrickError,
     NotOddWheelsError,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, per_graph
 
 _GFAMILY_MAX_N = int(os.environ.get("MATCHCOV_MAX_GFAMILY_N", "14"))
 
@@ -141,6 +141,7 @@ def splice(g: Multigraph, u: int, h: Multigraph, v: int, theta: dict[int, int]) 
     return Multigraph(g.n + h.n - 2, edges)
 
 
+@per_graph
 def max_degree_set(g: Multigraph) -> frozenset[int]:
     top = g.max_degree()
     return frozenset(v for v in range(g.n) if g.degrees[v] == top)
@@ -301,8 +302,9 @@ def family_splice_violations(
             violations.append("1")
 
     if hw.n == 4 and u not in u_g:
+        removable = removable_edges(hw)
         for e in boundary_slots(hw, v):
-            if is_removable_edge(hw, e):
+            if e in removable:
                 continue
             a, b = gj.endpoints(theta[e])
             if a in u_g or b in u_g:
@@ -429,15 +431,20 @@ def theta_class_matrices(
     yield from rows(0, tuple(col_sums), ())
 
 
-def boundary_classes(g: Multigraph, v: int) -> list[list[int]]:
+def boundary_classes(g: Multigraph, v: int) -> tuple[tuple[int, ...], ...]:
     """Parallel classes of the boundary of v: edge-id lists grouped by the
     other endpoint, ordered by that endpoint."""
-    groups: dict[int, list[int]] = {}
-    for e in boundary_slots(g, v):
-        a, b = g.endpoints(e)
-        other = b if a == v else a
-        groups.setdefault(other, []).append(e)
-    return [groups[w] for w in sorted(groups)]
+    return _boundary_classes(g)[v]
+
+
+@per_graph
+def _boundary_classes(g: Multigraph) -> tuple:
+    """boundary_classes of every vertex, built once per graph."""
+    groups: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
+    for e, (a, b) in enumerate(g.edges):
+        groups[a].setdefault(b, []).append(e)
+        groups[b].setdefault(a, []).append(e)
+    return tuple(tuple(tuple(at[w]) for w in sorted(at)) for at in groups)
 
 
 def theta_from_class_matrix(
@@ -533,15 +540,15 @@ def g_family_closure(
             frontier_seen.add(key)
             frontier.append((wheel, WheelLeaf(spec)))
 
+    partners = [(w, s, _orbit_reps(w)) for w, _h, s in base]
     while frontier:
         next_frontier: list[tuple[Multigraph, GCertificate]] = []
         for left, left_cert in frontier:
-            for wheel, _hub, spec in base:
-                n_out = left.n + wheel.n - 2
-                if n_out < 8 or n_out > max_n:
-                    continue
-                u_reps = sorted({min(orbit) for orbit in vertex_orbits(left)})
-                v_reps = sorted({min(orbit) for orbit in vertex_orbits(wheel)})
+            fits = [p for p in partners if 8 <= left.n + p[0].n - 2 <= max_n]
+            if not fits:
+                continue
+            u_reps = _orbit_reps(left)
+            for wheel, spec, v_reps in fits:
                 for u in u_reps:
                     du = left.degree(u)
                     for v in v_reps:
@@ -565,6 +572,10 @@ def g_family_closure(
                             next_frontier.append((built, cert))
         frontier = next_frontier
     return members
+
+
+def _orbit_reps(g: Multigraph) -> list[int]:
+    return sorted(min(orbit) for orbit in vertex_orbits(g))
 
 
 def _slot_permutation(

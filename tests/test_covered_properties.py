@@ -1,0 +1,135 @@
+"""Removable classes, minimality, near-bipartiteness and the brick test
+against the definitions, on generated multigraphs and named edge cases."""
+
+import time
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchcov import (
+    enumerate_connected_graphs,
+    is_bicritical,
+    is_brick,
+    is_matching_covered,
+    is_minimal_mc,
+    is_near_bipartite,
+    is_removable_edge,
+    new_multigraph,
+    removable_classes,
+    removable_doubletons,
+    removable_edges,
+    vertex_connectivity,
+)
+from matchcov.errors import EdgeOutOfRangeError, NotMatchingCoveredError
+from matchcov.zoo import complete_graph, cycle_graph, path_graph
+from conftest import mc_by_definition
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+# Pair multiplicities 0 and 1 four times as often as 2 and 3: at n <= 8,
+# uniform draws are so dense that doubletons and near-bipartite graphs
+# hardly occur.
+MULTIPLICITY = st.sampled_from([0, 0, 0, 0, 1, 1, 1, 1, 2, 3])
+
+
+@st.composite
+def multigraphs(draw, max_n: int, even: bool):
+    """Multigraphs on up to max_n vertices, each pair of multiplicity 0..3."""
+    n = 2 * draw(st.integers(1, max_n // 2)) if even else draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = draw(st.lists(MULTIPLICITY, min_size=len(pairs), max_size=len(pairs)))
+    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
+
+
+def expected_removable(g):
+    return tuple(e for e in range(g.m) if mc_by_definition(g.delete_edges([e])))
+
+
+def expected_doubletons(g, singles):
+    rest = [e for e in range(g.m) if e not in singles]
+    return tuple(
+        (e, f) for e, f in combinations(rest, 2) if mc_by_definition(g.delete_edges([e, f]))
+    )
+
+
+def expected_near_bipartite(g):
+    if g.is_bipartite():
+        return None
+    for e, f in combinations(range(g.m), 2):
+        h = g.delete_edges([e, f])
+        if h.is_bipartite() and mc_by_definition(h):
+            return (e, f)
+    return None
+
+
+def check_against_definition(g):
+    if not mc_by_definition(g):
+        assert not is_minimal_mc(g)
+        with pytest.raises(NotMatchingCoveredError):
+            removable_edges(g)
+        with pytest.raises(NotMatchingCoveredError):
+            is_near_bipartite(g)
+        return
+    singles = expected_removable(g)
+    assert removable_edges(g) == singles
+    assert all(is_removable_edge(g, e) == (e in singles) for e in range(g.m))
+    assert removable_doubletons(g) == expected_doubletons(g, singles)
+    assert is_minimal_mc(g) == (not singles)
+    assert is_near_bipartite(g) == expected_near_bipartite(g)
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(8, even=True))
+def test_removability_matches_definition(g):
+    check_against_definition(g)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1)],  # K2: its one edge is not removable
+        [(0, 1)] * 3,  # K2 tripled: every copy is removable
+        [(0, 1), (1, 2), (2, 3), (0, 3)],  # C4: opposite edges disconnect it
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 3)],  # C4 with a parallel pair
+        [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)],  # K4 with a parallel pair
+    ],
+)
+def test_removability_named_cases(edges):
+    check_against_definition(new_multigraph(max(max(e) for e in edges) + 1, edges))
+
+
+def test_brick_matches_connectivity_oracle_on_small_graphs():
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            assert is_brick(g) == (is_bicritical(g) and vertex_connectivity(g) >= 3), g.edges
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(8, even=False))
+def test_brick_matches_connectivity_oracle(g):
+    assert is_brick(g) == (is_bicritical(g) and vertex_connectivity(g) >= 3)
+
+
+def test_removable_classes_of_k16_without_enumerating_matchings():
+    # K16 has 2,027,025 perfect matchings; listing them takes minutes.
+    started = time.perf_counter()
+    classes = removable_classes(complete_graph(16))
+    assert len(classes) == 120
+    assert time.perf_counter() - started < 10
+
+
+def test_removable_edge_errors():
+    with pytest.raises(NotMatchingCoveredError):
+        is_removable_edge(path_graph(4), 0)
+    k4 = complete_graph(4)
+    for e in (-1, k4.m):
+        with pytest.raises(EdgeOutOfRangeError):
+            is_removable_edge(k4, e)
+
+
+def test_long_cycle_is_matching_covered():
+    # Deeper than the interpreter's recursion limit, if the search recursed.
+    assert is_matching_covered(cycle_graph(3000))
