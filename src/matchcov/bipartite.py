@@ -13,11 +13,12 @@ from typing import Iterator, Optional
 
 from .covered import is_matching_covered, is_removable_edge
 from .errors import BoundExceededError, NotBipartiteMCError
-from .multigraph import Multigraph, mask_of
+from .multigraph import Multigraph, mask_of, per_graph
 
 _PSET_MAX_N = int(os.environ.get("MATCHCOV_MAX_PSET_N", "14"))
 
 
+@per_graph
 def bipartition(g: Multigraph) -> tuple[frozenset[int], frozenset[int]]:
     """(A, B) color classes, vertex 0 in A; requires bipartite MC input."""
     if not is_matching_covered(g):

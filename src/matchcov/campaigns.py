@@ -43,7 +43,7 @@ from .covered import (
     removable_classes,
     removable_edges,
 )
-from .decomposition import decomposition_multiset, is_solid, nontrivial_tight_shores
+from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
 from .errors import BoundExceededError, UnknownCampaignError
 from .generate import enumerate_connected_graphs, multiplicity_sweep
 from .graphio import format_mg
@@ -884,17 +884,10 @@ def _fig_r8_fold(rows, ctx: dict) -> dict:
 
 def _has_robust_cut(g: Multigraph) -> bool:
     from .cuts import is_robust
+    from .decomposition import _odd_shores
 
-    half = list(range(1, g.n))
-    for size in range(3, g.n - 2, 2):
-        for rest in itertools.combinations(half, size - 1):
-            # Anchoring vertex 0 walks each complementary pair once.
-            if is_robust(g, (0,) + rest):
-                return True
-            comp = frozenset(range(g.n)) - {0} - set(rest)
-            if is_robust(g, comp):
-                return True
-    return False
+    # A cut is robust from either shore, so one shore per cut will do.
+    return any(is_robust(g, x) for x in _odd_shores(g.n))
 
 
 def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:
@@ -998,12 +991,7 @@ def analyze_graph(g: Multigraph) -> dict:
     report["bicritical"] = is_bicritical(g)
     brick = is_brick(g)
     report["brick"] = brick
-    if g.is_bipartite():
-        from .decomposition import is_brace
-
-        report["brace"] = is_brace(g)
-    else:
-        report["brace"] = False
+    report["brace"] = is_brace(g)
     if g.n <= _SOLID_MAX_N:
         report["solid"] = is_solid(g)
     else:

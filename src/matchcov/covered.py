@@ -9,16 +9,21 @@ is. Removable classes are the singles plus the doubletons.
 Every one of these questions asks which parallel classes lie in a perfect
 matching that avoids some classes D. Class f depends on D when none does
 (for D = {e}: every perfect matching through f uses e). A per-graph pool
-of perfect matchings answers them: see `_Witnesses`.
+of perfect matchings answers them: see `_Witnesses`. Filled to every
+perfect matching, the same pool is the table that cuts are read from: see
+`pm_table`.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .errors import NotMatchingCoveredError
-from .multigraph import Multigraph, _reach, _two_coloring, per_graph
+from .errors import BoundExceededError, NotMatchingCoveredError
+from .multigraph import Multigraph, _bits, _reach, _two_coloring, per_graph
+
+_PM_ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_PM_ENUM_N", "24"))
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,24 @@ def _matching(adj: list[int], index: dict, mask: int, dead: set[int]) -> Optiona
             return None
 
 
+def _all_matchings(adj: list[int], index: dict, mask: int, memo: dict) -> list[int]:
+    """Class bitsets of every perfect matching of the vertices in `mask`,
+    lowest vertex first; `memo` maps masks to lists and starts as {0: [0]}."""
+    if mask in memo:
+        return memo[mask]
+    low = mask & -mask
+    v = low.bit_length() - 1
+    out: list[int] = []
+    partners = adj[v] & mask
+    while partners:
+        u_bit = partners & -partners
+        partners ^= u_bit
+        c = 1 << index[v, u_bit.bit_length() - 1]
+        out += [c | pm for pm in _all_matchings(adj, index, mask ^ low ^ u_bit, memo)]
+    memo[mask] = out
+    return out
+
+
 class _Witnesses:
     """Perfect matchings of g's underlying simple graph, kept as they are
     found, each as a bitset over parallel classes.
@@ -74,7 +97,8 @@ class _Witnesses:
     "Is there a perfect matching that contains class c and avoids the
     classes D?" is first a bitset test on the pool. On a miss, one search on
     G - V(c) - D either finds a matching, which joins the pool, or proves
-    that c depends on D. Nothing is enumerated up front.
+    that c depends on D. Nothing is enumerated up front; `fill` completes
+    the pool, and no query searches after that.
     """
 
     def __init__(self, g: Multigraph):
@@ -85,7 +109,28 @@ class _Witnesses:
         self.adj = g.adj_masks
         self.full = g.full_mask
         self.pool: list[int] = []
+        self.complete = False
         self._dependents: dict[int, int] = {}
+
+    def fill(self) -> "_Witnesses":
+        """Complete the pool to every perfect matching and flip it: bit i of
+        `columns[c]` says whether pool[i] holds class c, and
+        `vertex_classes[v]` has the classes at vertex v."""
+        if not self.complete:
+            self.pool = _all_matchings(self.adj, self.index, self.full, {0: [0]})
+            # Column c as binary digits, pool[i] at digit -1 - i: or-ing the
+            # bits in one by one would rebuild a long integer each time.
+            digits = [bytearray(b"0" * len(self.pool)) for _ in self.pairs]
+            for i, pm in enumerate(self.pool):
+                for c in _bits(pm):
+                    digits[c][-1 - i] = 49  # "1"
+            self.columns = [int(d or b"0", 2) for d in digits]
+            self.vertex_classes = [0] * len(self.adj)
+            for c, (a, b) in enumerate(self.pairs):
+                self.vertex_classes[a] |= 1 << c
+                self.vertex_classes[b] |= 1 << c
+            self.complete = True
+        return self
 
     def adjacency_without(self, drop: int) -> list[int]:
         adj = list(self.adj)
@@ -108,6 +153,8 @@ class _Witnesses:
                 cover |= pm
         missing = (1 << len(self.pairs)) - 1 & ~cover
         out = 0
+        if self.complete:
+            out, missing = missing, 0
         if missing:
             adj = self.adjacency_without(drop)
             dead: set[int] = set()
@@ -148,6 +195,16 @@ def is_matching_covered(g: Multigraph) -> bool:
     if g.n < 2 or g.n % 2:
         return False
     return _witnesses(g).covered_without(0)
+
+
+def pm_table(g: Multigraph) -> _Witnesses:
+    """The witness pool of g, filled and flipped: the one list of perfect
+    matchings that every enumeration and every cut reads."""
+    if g.n > _PM_ENUM_MAX_N:
+        raise BoundExceededError(
+            f"perfect matching enumeration capped at {_PM_ENUM_MAX_N} vertices"
+        )
+    return _witnesses(g).fill()
 
 
 def _require_mc(g: Multigraph) -> _Witnesses:

@@ -1,8 +1,11 @@
 """Edge cuts of matching covered graphs and the barrier machinery.
 
 A cut is named by a shore X; its boundary is every edge slot with exactly
-one end in X. Tightness (every perfect matching crosses exactly once) is
-decided against the full perfect-matching list, which the graph caches.
+one end in X. Cuts are read from the graph's table of perfect matchings
+(`covered.pm_table`), with no contraction: tight when every matching
+crosses once, separating when every class lies in a matching that does
+(Carvalho, Lucchesi and Murty, "On a conjecture of Lovasz concerning
+bricks I", JCTB 2002).
 """
 from __future__ import annotations
 
@@ -11,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .covered import is_matching_covered
+from .covered import _Witnesses, is_matching_covered, pm_table
 from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
-from .matching import odd_components_count, perfect_matchings
+from .errors import VertexOutOfRangeError
 from .multigraph import Multigraph, bits, mask_of
 
 _BARRIER_MAX_N = int(os.environ.get("MATCHCOV_MAX_BARRIER_N", "16"))
@@ -24,9 +27,6 @@ class EdgeCut:
     shore: frozenset[int]
     boundary: tuple[int, ...]
 
-    def is_trivial(self, g: Multigraph) -> bool:
-        return len(self.shore) == 1 or len(self.shore) == g.n - 1
-
 
 @dataclass(frozen=True)
 class Barrier:
@@ -34,10 +34,17 @@ class Barrier:
     odd_components: tuple[frozenset[int], ...]
 
 
-def edge_cut(g: Multigraph, shore: Iterable[int]) -> EdgeCut:
+def _shore(g: Multigraph, shore: Iterable[int]) -> frozenset[int]:
     x = frozenset(shore)
     if not x or len(x) >= g.n:
         raise EmptyShoreError("shore must be a nonempty proper vertex subset")
+    if min(x) < 0 or max(x) >= g.n:
+        raise VertexOutOfRangeError(f"shore {sorted(x)} outside 0..{g.n - 1}")
+    return x
+
+
+def edge_cut(g: Multigraph, shore: Iterable[int]) -> EdgeCut:
+    x = _shore(g, shore)
     xm = mask_of(x)
     boundary = tuple(
         e for e, (u, v) in enumerate(g.edges) if ((xm >> u) & 1) != ((xm >> v) & 1)
@@ -45,23 +52,35 @@ def edge_cut(g: Multigraph, shore: Iterable[int]) -> EdgeCut:
     return EdgeCut(x, boundary)
 
 
+def _crossings(g: Multigraph, x: frozenset[int]) -> tuple[_Witnesses, int, int]:
+    """`pm_table(g)`, and bitsets over it of the matchings that cross the cut
+    of X at least once and at least twice."""
+    table = pm_table(g)
+    boundary = 0
+    for v in x:
+        boundary ^= table.vertex_classes[v]  # a class inside X goes twice
+    once = twice = 0
+    while boundary:
+        low = boundary & -boundary
+        boundary ^= low
+        column = table.columns[low.bit_length() - 1]
+        twice |= once & column
+        once |= column
+    return table, once, twice
+
+
 def is_tight(g: Multigraph, shore: Iterable[int]) -> bool:
     """Every perfect matching contains exactly one boundary edge."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("tightness is defined on matching covered graphs")
-    cut = edge_cut(g, shore)
-    boundary = set(cut.boundary)
-    for pm in perfect_matchings(g):
-        if sum(1 for e in pm.edge_ids if e in boundary) != 1:
-            return False
-    return True
+    # Each matching crosses an odd cut, and some crosses an even one (of a
+    # connected, covered graph) twice or more: tight is "none crosses twice".
+    return not _crossings(g, _shore(g, shore))[2]
 
 
 def contractions(g: Multigraph, shore: Iterable[int]) -> tuple[Multigraph, Multigraph]:
     """(G with complement contracted, G with shore contracted)."""
-    x = frozenset(shore)
-    if not x or len(x) >= g.n:
-        raise EmptyShoreError("shore must be a nonempty proper vertex subset")
+    x = _shore(g, shore)
     complement = frozenset(range(g.n)) - x
     g_keep_x, _ = g.contract(complement)
     g_keep_rest, _ = g.contract(x)
@@ -69,16 +88,16 @@ def contractions(g: Multigraph, shore: Iterable[int]) -> tuple[Multigraph, Multi
 
 
 def is_separating(g: Multigraph, shore: Iterable[int]) -> bool:
-    """Both shore contractions are matching covered."""
+    """Both shore contractions are matching covered: for an odd shore,
+    every class lies in a perfect matching that crosses the cut once."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("separating cuts live in matching covered graphs")
-    x = frozenset(shore)
-    if not x or len(x) >= g.n:
-        raise EmptyShoreError("shore must be a nonempty proper vertex subset")
+    x = _shore(g, shore)
     if len(x) % 2 == 0:
         return False
-    a, b = contractions(g, x)
-    return is_matching_covered(a) and is_matching_covered(b)
+    table, once, twice = _crossings(g, x)
+    exactly_once = once & ~twice
+    return all(column & exactly_once for column in table.columns)
 
 
 def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:
@@ -94,52 +113,58 @@ def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:
     return is_near_brick(a) and is_near_brick(b)
 
 
+def _barrier(g: Multigraph, s_mask: int) -> Barrier:
+    """S with the odd components of G - S, barrier or not."""
+    odd = [c for c in g.component_masks(g.full_mask ^ s_mask) if c.bit_count() % 2]
+    return Barrier(frozenset(bits(s_mask)), tuple(frozenset(bits(c)) for c in odd))
+
+
 def barriers(g: Multigraph) -> Iterator[Barrier]:
-    """All barriers: nonempty S with o(G - S) = |S|, in (size, mask) order.
+    """All barriers: nonempty S with o(G - S) = |S|, in (size, sorted
+    vertices) order.
 
     Requires a graph with a perfect matching. Only the definitional cuts are
     applied (|S| <= n/2 and parity), so independence of barriers stays a
     checkable property downstream rather than an assumption.
     """
     if g.n > _BARRIER_MAX_N:
-        raise BoundExceededError(
-            f"barrier enumeration capped at {_BARRIER_MAX_N} vertices"
-        )
+        raise BoundExceededError(f"barrier enumeration capped at {_BARRIER_MAX_N} vertices")
     if not g.has_perfect_matching():
         raise NotMatchingCoveredError("barriers are defined for graphs with a perfect matching")
-    full = g.full_mask
-    subsets_by_size: list[list[int]] = [[] for _ in range(g.n // 2 + 1)]
     for size in range(1, g.n // 2 + 1):
         for combo in combinations(range(g.n), size):
-            subsets_by_size[size].append(mask_of(combo))
-    for size in range(1, g.n // 2 + 1):
-        for s_mask in subsets_by_size[size]:
-            within = full & ~s_mask
-            comps = g.component_masks(within)
-            odd = [c for c in comps if c.bit_count() % 2]
-            if len(odd) == size:
-                yield Barrier(
-                    frozenset(bits(s_mask)),
-                    tuple(frozenset(bits(c)) for c in odd),
-                )
+            b = _barrier(g, mask_of(combo))
+            if len(b.odd_components) == size:
+                yield b
 
 
 def maximal_barriers(g: Multigraph) -> tuple[Barrier, ...]:
-    all_barriers = list(barriers(g))
+    """In (size, sorted vertices) order. In a matching covered graph they
+    partition V, u and v sharing one when G - u - v has no perfect matching
+    (Kotzig and Lovasz; Lovasz and Plummer, Matching Theory, 5.2)."""
+    if g.n > _BARRIER_MAX_N:
+        raise BoundExceededError(f"barrier enumeration capped at {_BARRIER_MAX_N} vertices")
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("maximal barriers are read off matching covered graphs")
+    full = rest = g.full_mask
     out = []
-    for b in all_barriers:
-        if not any(
-            b.vertices < other.vertices for other in all_barriers if other is not b
-        ):
-            out.append(b)
-    return tuple(out)
+    while rest:
+        s_mask = low = rest & -rest
+        for v in bits(rest ^ low):
+            if not g.has_pm_mask(full ^ low ^ (1 << v)):
+                s_mask |= 1 << v
+        rest ^= s_mask
+        out.append(_barrier(g, s_mask))
+    return tuple(sorted(out, key=lambda b: (len(b.vertices), sorted(b.vertices))))
 
 
 def is_barrier(g: Multigraph, s: Iterable[int]) -> bool:
     s = frozenset(s)
     if not s:
         return False
-    return odd_components_count(g, s) == len(s)
+    if min(s) < 0 or max(s) >= g.n:
+        raise VertexOutOfRangeError(f"vertices {sorted(s)} outside 0..{g.n - 1}")
+    return len(_barrier(g, mask_of(s)).odd_components) == len(s)
 
 
 def two_separations(g: Multigraph) -> tuple[frozenset[int], ...]:

@@ -14,13 +14,12 @@ import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .canon import canonical_form
 from .covered import is_matching_covered
-from .cuts import contractions, edge_cut, is_separating, is_tight
+from .cuts import contractions, is_separating, is_tight
 from .errors import BoundExceededError, NotMatchingCoveredError
-from .matching import perfect_matchings
 from .multigraph import Multigraph
 
 _SOLID_MAX_N = int(os.environ.get("MATCHCOV_MAX_SOLID_N", "14"))
@@ -31,8 +30,13 @@ class DecompResult:
     components: tuple[tuple[Multigraph, str], ...]  # (graph, "brick" | "brace")
     cut_shores: tuple[frozenset[int], ...]  # shores used, in recursion order
 
-    def tags(self) -> tuple[str, ...]:
-        return tuple(tag for _, tag in self.components)
+
+def _odd_shores(n: int) -> Iterator[tuple[int, ...]]:
+    """One shore X per nontrivial odd cut, 3 <= |X| <= n - 3: the one
+    holding vertex 0, in (size, sorted vertex tuple) order."""
+    for size in range(3, n - 2, 2):
+        for combo in combinations(range(1, n), size - 1):
+            yield (0,) + combo
 
 
 def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
@@ -43,22 +47,7 @@ def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
     """
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
-    pms = perfect_matchings(g)
-    found = []
-    n = g.n
-    for size in range(3, n - 2, 2):
-        for combo in combinations(range(1, n), size - 1):
-            shore = (0,) + combo
-            boundary = set(edge_cut(g, shore).boundary)
-            ok = True
-            for pm in pms:
-                if sum(1 for e in pm.edge_ids if e in boundary) != 1:
-                    ok = False
-                    break
-            if ok:
-                found.append(frozenset(shore))
-    found.sort(key=lambda x: (len(x), sorted(x)))
-    return tuple(found)
+    return tuple(frozenset(x) for x in _odd_shores(g.n) if is_tight(g, x))
 
 
 def find_nontrivial_tight_cut(
@@ -120,13 +109,7 @@ def is_solid(g: Multigraph) -> bool:
         raise BoundExceededError(f"solidity check capped at {_SOLID_MAX_N} vertices")
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("solidity is defined on matching covered graphs")
-    n = g.n
-    for size in range(3, n - 2, 2):
-        for combo in combinations(range(1, n), size - 1):
-            shore = frozenset((0,) + combo)
-            if is_separating(g, shore) and not is_tight(g, shore):
-                return False
-    return True
+    return not any(is_separating(g, x) and not is_tight(g, x) for x in _odd_shores(g.n))
 
 
 def decomposition_multiset(g: Multigraph, seed: Optional[int] = None) -> tuple[bytes, ...]:

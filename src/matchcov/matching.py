@@ -4,20 +4,18 @@ The general engine is augmenting-path search with blossom shrinking on the
 underlying simple graph; parallel edges never change matchability, so a
 matched pair is lifted back to the lowest edge id of its parallel class.
 Perfect-matching existence queries go through the memoized bitmask kernel
-on the graph object instead, and the removability questions through the
-pool of perfect matchings in `covered`.
+on the graph object instead; the removability questions, and enumeration,
+through the pool of perfect matchings in `covered`.
 """
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
-from .errors import BoundExceededError, VertexOutOfRangeError
-from .multigraph import Multigraph, bits, mask_of, per_graph
-
-_PM_ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_PM_ENUM_N", "24"))
+from .covered import pm_table
+from .multigraph import Multigraph, bits, per_graph
 
 
 @dataclass(frozen=True)
@@ -126,50 +124,19 @@ def has_perfect_matching(g: Multigraph) -> bool:
     return g.has_pm_mask(g.full_mask)
 
 
-def odd_components_count(g: Multigraph, s) -> int:
-    s_mask = mask_of(s)
-    for v in bits(s_mask):
-        if v >= g.n:
-            raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    within = g.full_mask & ~s_mask
-    return sum(1 for comp in g.component_masks(within) if comp.bit_count() % 2)
-
-
 def enumerate_perfect_matchings(g: Multigraph) -> Iterator[Matching]:
     """All perfect matchings as edge-id sets; parallel edges are distinct.
 
-    Deterministic order: always match the lowest uncovered vertex, trying
-    its incident edge slots in ascending edge id order.
+    Each perfect matching of the underlying simple graph, in the order of
+    the filled witness pool (`covered.pm_table`), stands for one matching
+    per choice of an edge in each of its classes.
     """
-    if g.n > _PM_ENUM_MAX_N:
-        raise BoundExceededError(
-            f"perfect matching enumeration capped at {_PM_ENUM_MAX_N} vertices"
-        )
-    if g.n % 2:
-        return
-    full = g.full_mask
-    incident = g.incident
-    edges = g.edges
-    chosen: list[int] = []
-
-    def rec(mask: int) -> Iterator[Matching]:
-        if mask == 0:
-            yield Matching(tuple(sorted(chosen)), frozenset(range(g.n)))
-            return
-        v = (mask & -mask).bit_length() - 1
-        # Cheap feasibility cut keeps dense graphs from thrashing.
-        if not g.has_pm_mask(mask):
-            return
-        for e in incident[v]:
-            a, b = edges[e]
-            u = b if a == v else a
-            if not (mask >> u) & 1:
-                continue
-            chosen.append(e)
-            yield from rec(mask ^ (1 << v) ^ (1 << u))
-            chosen.pop()
-
-    yield from rec(full)
+    table = pm_table(g)
+    ids = list(g.parallel_classes.values())
+    everyone = frozenset(range(g.n))
+    for pm in table.pool:
+        for choice in product(*(ids[c] for c in bits(pm))):
+            yield Matching(tuple(sorted(choice)), everyone)
 
 
 @per_graph

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from matchcov import Multigraph, new_multigraph
 
@@ -110,6 +111,23 @@ def mc_by_definition(g: Multigraph) -> bool:
     return len(hit) == g.m
 
 
+def tight_by_definition(g: Multigraph, shore, pms=None) -> bool:
+    """Every perfect matching has exactly one edge with one end in the
+    shore; `pms` may pass brute_perfect_matchings(g) in."""
+    x = set(shore)
+    boundary = {e for e in range(g.m) if (g.endpoints(e)[0] in x) != (g.endpoints(e)[1] in x)}
+    if pms is None:
+        pms = brute_perfect_matchings(g)
+    return all(len(pm & boundary) == 1 for pm in pms)
+
+
+def separating_by_definition(g: Multigraph, shore) -> bool:
+    """Both shore contractions are matching covered."""
+    x = set(shore)
+    rest = set(range(g.n)) - x
+    return mc_by_definition(g.contract(rest)[0]) and mc_by_definition(g.contract(x)[0])
+
+
 def naive_isomorphic(g: Multigraph, h: Multigraph) -> bool:
     """Isomorphism by trying every vertex permutation. n <= 8 only."""
     if g.n != h.n or g.m != h.m:
@@ -157,6 +175,21 @@ def labeled_connected_multigraphs(n: int, mult_bound: int):
         g = new_multigraph(n, edges)
         if g.is_connected():
             yield g
+
+
+# Pair multiplicities 0 and 1 four times as often as 2 and 3: at n <= 8,
+# uniform draws are so dense that doubletons and near-bipartite graphs
+# hardly occur.
+MULTIPLICITY = st.sampled_from([0, 0, 0, 0, 1, 1, 1, 1, 2, 3])
+
+
+@st.composite
+def multigraphs(draw, max_n: int, even: bool):
+    """Multigraphs on up to max_n vertices, each pair of multiplicity 0..3."""
+    n = 2 * draw(st.integers(1, max_n // 2)) if even else draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = draw(st.lists(MULTIPLICITY, min_size=len(pairs), max_size=len(pairs)))
+    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
 
 
 @pytest.fixture(scope="session")

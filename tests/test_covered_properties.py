@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from matchcov import (
     enumerate_connected_graphs,
@@ -24,24 +23,9 @@ from matchcov import (
 )
 from matchcov.errors import EdgeOutOfRangeError, NotMatchingCoveredError
 from matchcov.zoo import complete_graph, cycle_graph, path_graph
-from conftest import mc_by_definition
+from conftest import mc_by_definition, multigraphs
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-# Pair multiplicities 0 and 1 four times as often as 2 and 3: at n <= 8,
-# uniform draws are so dense that doubletons and near-bipartite graphs
-# hardly occur.
-MULTIPLICITY = st.sampled_from([0, 0, 0, 0, 1, 1, 1, 1, 2, 3])
-
-
-@st.composite
-def multigraphs(draw, max_n: int, even: bool):
-    """Multigraphs on up to max_n vertices, each pair of multiplicity 0..3."""
-    n = 2 * draw(st.integers(1, max_n // 2)) if even else draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mults = draw(st.lists(MULTIPLICITY, min_size=len(pairs), max_size=len(pairs)))
-    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
 
 
 def expected_removable(g):

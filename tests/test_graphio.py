@@ -1,6 +1,8 @@
 """Text formats: graph6 and the multigraph edge-list format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcov import (
     canonical_form,
@@ -18,6 +20,9 @@ from matchcov.errors import (
     ParseError,
 )
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph
+from conftest import multigraphs
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_graph6_round_trip(connected_simple_upto_6):
@@ -89,3 +94,37 @@ def test_parse_graph_text_sniffs_both():
     assert canonical_form(parse_graph_text(encode_graph6(g))) == canonical_form(g)
     multi = new_multigraph(2, [(0, 1), (0, 1)])
     assert parse_graph_text(format_mg(multi)).m == 2
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(10, even=False))
+def test_mg_and_graph6_round_trips(g):
+    # .mg keeps every edge slot, in order.
+    assert parse_graph_text(format_mg(g)) == g
+    # graph6 keeps the underlying simple graph and refuses anything else.
+    simple = g.underlying_simple()
+    text = encode_graph6(simple)
+    h = parse_graph_text(text)
+    assert h.n == g.n and sorted(h.edges) == sorted(simple.edges)
+    assert encode_graph6(h) == text
+    if not g.is_simple():
+        with pytest.raises(NotSimpleError):
+            encode_graph6(g)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 70).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=40),
+    )
+))
+def test_graph6_round_trip_across_size_forms(case):
+    # n = 63 and up takes the four-character size form.
+    n, pairs = case
+    g = new_multigraph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    text = encode_graph6(g)
+    assert (text[0] == "~") == (n >= 63)
+    h = parse_graph_text(text)
+    assert h.n == n and sorted(h.edges) == sorted(g.edges)
+    assert parse_graph_text(format_mg(g)) == g
