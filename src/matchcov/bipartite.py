@@ -150,8 +150,7 @@ def is_removable_bipartite(g: Multigraph, e: int) -> tuple[bool, Optional[Remova
         return True, None
     cert = _certificate_search(g, e, a, b)
     if cert is None:
-        # Try the mirrored orientation: the roles of A and B are symmetric.
+        # Try the mirrored orientation, with B in the role of A: then a1
+        # lies in B and b1 in A.
         cert = _certificate_search(g, e, b, a)
-        if cert is not None:
-            cert = RemovabilityCertificate(cert.a1, cert.b1)
     return False, cert

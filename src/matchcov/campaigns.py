@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
-from .canon import canonical_form
+from .canon import automorphisms, canonical_form
 from .covered import (
     Single,
     has_two_nonadjacent_removable_edges,
@@ -45,7 +45,7 @@ from .covered import (
 )
 from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
 from .errors import BoundExceededError, UnknownCampaignError
-from .generate import enumerate_connected_graphs, multiplicity_sweep
+from .generate import enumerate_connected_graphs, multiplicity_classes, multiplicity_sweep
 from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph
@@ -59,6 +59,7 @@ from .wheels import (
     make_wheel,
     odd_wheel_rim,
     splice,
+    spoke_vectors,
     build_from_certificate,
     theta_class_matrices,
     theta_from_class_matrix,
@@ -114,21 +115,15 @@ def _bipartite_multigraphs(
     """Bipartite matching covered multigraphs with a parallel pair, n from
     min_n to mult_n, one per isomorphism class.  On two vertices the only
     candidate is K2 with a doubled edge."""
-    seen: set[bytes] = set()
     for n in range(min_n, mult_n + 1, 2):
         # Multiplicities never add neighbours, so bases with a degree-1
-        # vertex cannot sweep to anything matching covered beyond K2.
+        # vertex cannot sweep to anything matching covered beyond K2; and
+        # a multigraph is matching covered exactly when its base is.
         for base in enumerate_connected_graphs(n, min_degree=1 if n == 2 else 2):
-            if not base.is_bipartite():
+            if not base.is_bipartite() or not is_matching_covered(base):
                 continue
-            for g in multiplicity_sweep(base, mult_bound):
-                if g.m < 2 or (g.is_simple() and n >= 4) or g.min_degree() < min_degree:
-                    continue
-                if not is_matching_covered(g):
-                    continue
-                key = canonical_form(g)
-                if key not in seen:
-                    seen.add(key)
+            for g in multiplicity_classes(base, mult_bound):
+                if g.m >= 2 and not (g.is_simple() and n >= 4) and g.min_degree() >= min_degree:
                     yield g
 
 
@@ -228,6 +223,13 @@ def _thm14_population(ctx: dict) -> Iterator[Multigraph]:
 
 
 def _thm14_claim(g: Multigraph, ctx: dict):
+    """Minimal means no removable edge. In a matching covered graph a
+    parallel copy is always removable: deleting it leaves the underlying
+    simple graph as it was, and matching coverage depends on nothing else.
+    So no multigraph with a parallel class is minimal, and the multigraph
+    slice of the population never reaches the degree test.
+    tests/test_covered_properties.py checks the lemma.
+    """
     # K2 is matching covered and minimal but has minimum degree 1: the
     # claim concerns graphs on at least four vertices.
     if g.n < 4 or not is_matching_covered(g):
@@ -253,19 +255,10 @@ def _thm14_fold(rows, ctx: dict) -> dict:
 
 def _thm13_population(ctx: dict) -> list[Multigraph]:
     graphs = [g for g in _simple_bricks(ctx["max_n"]) if is_wheel_like(g)]
-    seen: set[bytes] = set()
-    for n in range(4, ctx["mult_n"] + 1, 2):
-        for base in enumerate_connected_graphs(n, min_degree=3):
-            if not is_brick(base):
-                continue
-            for g in multiplicity_sweep(base, ctx["mult_bound"]):
-                if g.is_simple():
-                    continue
-                key = canonical_form(g)
-                if key not in seen:
-                    seen.add(key)
-                    if is_wheel_like(g):
-                        graphs.append(g)
+    for base in _simple_bricks(ctx["mult_n"]):
+        for g in multiplicity_classes(base, ctx["mult_bound"]):
+            if not g.is_simple() and is_wheel_like(g):
+                graphs.append(g)
     return graphs
 
 
@@ -543,17 +536,11 @@ def _w5_with_hub_parallels(g: Multigraph) -> bool:
 
 
 def _lemma36_population(ctx: dict) -> Iterator[Multigraph]:
-    bases = [g for g in enumerate_connected_graphs(6, min_degree=3) if is_brick(g)]
-    unique: dict[bytes, Multigraph] = {}
-    raw = 0
-    for base in bases:
-        for g in multiplicity_sweep(base, ctx["mult_bound"]):
-            raw += 1
-            unique.setdefault(canonical_form(g), g)
+    bases = list(_simple_bricks(6, min_n=6))
     ctx["simple_brick_bases"] = len(bases)
-    ctx["labelled_sweep"] = raw
-    for key in sorted(unique):
-        yield unique[key]
+    ctx["labelled_sweep"] = sum(ctx["mult_bound"] ** base.m for base in bases)
+    for base in bases:
+        yield from multiplicity_classes(base, ctx["mult_bound"])
 
 
 def _lemma36_claim(g: Multigraph, ctx: dict):
@@ -591,55 +578,6 @@ def _lemma36_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _wheel_bracelets(k: int, mult_bound: int, doubles: int) -> list[tuple[int, ...]]:
-    """Hub multiplicity vectors up to rotation and reflection."""
-    out = set()
-    for vec in itertools.product(range(1, mult_bound + 1), repeat=k):
-        if sum(1 for x in vec if x > 1) > doubles:
-            continue
-        forms = []
-        for r in range(k):
-            rot = vec[r:] + vec[:r]
-            forms.append(rot)
-            forms.append(rot[::-1])
-        out.add(min(forms))
-    return sorted(out)
-
-
-def _vector_stabilizer(k: int, vec: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Dihedral rim maps sigma (as tuples: i -> sigma[i]) with vec[sigma[i]] == vec[i]."""
-    maps = []
-    for r in range(k):
-        for flip in (False, True):
-            if flip:
-                sigma = tuple((r - i) % k for i in range(k))
-            else:
-                sigma = tuple((r + i) % k for i in range(k))
-            if all(vec[sigma[i]] == vec[i] for i in range(k)):
-                maps.append(sigma)
-    return maps
-
-
-def _class_actions(k: int, vec: tuple[int, ...], vertex: int) -> list[tuple[int, ...]]:
-    """Permutations induced on the boundary classes at `vertex` by the wheel
-    symmetries fixing it.  Classes are keyed by the other endpoint in
-    ascending order, matching boundary_classes."""
-    hub = k
-    if vertex == hub:
-        keys = list(range(k))
-    else:
-        keys = sorted({(vertex - 1) % k, (vertex + 1) % k, hub})
-    index = {w: i for i, w in enumerate(keys)}
-    actions = []
-    for sigma in _vector_stabilizer(k, vec):
-        if vertex != hub and sigma[vertex] != vertex:
-            continue
-        ext = {w: (sigma[w] if w < k else hub) for w in keys}
-        actions.append(tuple(index[ext[w]] for w in keys))
-    seen = sorted(set(actions))
-    return seen
-
-
 def _transformed_matrix(matrix, rperm, cperm, transpose):
     src = tuple(zip(*matrix)) if transpose else matrix
     r = len(src)
@@ -660,17 +598,33 @@ def _orbit_minimal(matrix, transforms) -> bool:
     return True
 
 
-def _rim_position_reps(k: int, vec: tuple[int, ...]) -> list[int]:
-    stab = _vector_stabilizer(k, vec)
-    seen: set[int] = set()
-    reps = []
-    for p in range(k):
-        if p in seen:
+class _SpliceSite(NamedTuple):
+    """A splice vertex of one wheel, with what every splice there reuses."""
+
+    k: int
+    vec: tuple[int, ...]
+    vertex: int
+    wheel: Multigraph
+    hub: int
+    class_sizes: tuple[int, ...]
+    # Permutations of the boundary classes at `vertex` (class i goes to
+    # action[i]) induced by the wheel symmetries fixing the hub and `vertex`.
+    actions: list[tuple[int, ...]]
+
+
+def _splice_sites(k: int, vec: tuple[int, ...]) -> Iterator[_SpliceSite]:
+    """The hub, then the least rim vertex of each orbit of the wheel
+    symmetries that fix the hub (K4 has more, which move its hub)."""
+    wheel, hub = make_wheel(WheelSpec(k, vec))
+    group = [p for p in automorphisms(wheel) if p[hub] == hub]
+    for vertex in [hub, *range(k)]:
+        if any(p[vertex] < vertex for p in group):
             continue
-        orbit = {sigma[p] for sigma in stab}
-        seen |= orbit
-        reps.append(min(orbit))
-    return reps
+        sizes = tuple(len(c) for c in boundary_classes(wheel, vertex))
+        # boundary_classes orders the classes by their other endpoint.
+        index = {w: i for i, w in enumerate(sorted(wheel.neighbors(vertex)))}
+        actions = {tuple(index[p[w]] for w in index) for p in group if p[vertex] == vertex}
+        yield _SpliceSite(k, vec, vertex, wheel, hub, sizes, sorted(actions))
 
 
 def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
@@ -679,46 +633,31 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
     for k in ctx["wheels"]:
         if k < 3 or k % 2 == 0:
             raise ValueError(f"odd wheel rim length expected, got {k}")
-
-    # Splice-site catalogue: (k, vec, vertex).
-    sites: list[tuple[int, tuple[int, ...], int]] = []
-    for k in sorted(ctx["wheels"]):
-        for vec in _wheel_bracelets(k, ctx["mult_bound"], ctx["doubles"]):
-            sites.append((k, vec, k))  # the hub
-            for p in _rim_position_reps(k, vec):
-                sites.append((k, vec, p))
-
-    def site_degree(site) -> int:
-        k, vec, vertex = site
-        return sum(vec) if vertex == k else 2 + vec[vertex]
-
+    sites = [
+        site
+        for k in sorted(ctx["wheels"])
+        for vec in spoke_vectors(k, ctx["mult_bound"])
+        if sum(x > 1 for x in vec) <= ctx["doubles"]
+        for site in _splice_sites(k, vec)
+    ]
     ctx.update(splice_sites=len(sites), tasks=0, theta_matrices=0)
     splices = ctx["splices"] = deque()
     for i, sg in enumerate(sites):
         for sh in sites[i:]:
-            if site_degree(sg) != site_degree(sh):
+            if sum(sg.class_sizes) != sum(sh.class_sizes):
                 continue
             ctx["tasks"] += 1
-            kg, vg, u = sg
-            kh, vh, v = sh
-            gw, hub_g = make_wheel(WheelSpec(kg, vg))
-            hw, hub_h = make_wheel(WheelSpec(kh, vh))
-            col_sums = tuple(len(c) for c in boundary_classes(gw, u))
-            row_sums = tuple(len(c) for c in boundary_classes(hw, v))
-            g_actions = _class_actions(kg, vg, u)
-            h_actions = _class_actions(kh, vh, v)
-            transforms = [
-                (rp, cp, False) for rp in h_actions for cp in g_actions
-            ]
-            if sg == sh:
-                transforms += [(rp, cp, True) for rp in h_actions for cp in g_actions]
-            for matrix in theta_class_matrices(row_sums, col_sums):
+            transforms = [(rp, cp, False) for rp in sh.actions for cp in sg.actions]
+            if sh is sg:
+                transforms += [(rp, cp, True) for rp, cp, _ in transforms]
+            gw, u, hw, v = sg.wheel, sg.vertex, sh.wheel, sh.vertex
+            for matrix in theta_class_matrices(sh.class_sizes, sg.class_sizes):
                 ctx["theta_matrices"] += 1
                 if not _orbit_minimal(matrix, transforms):
                     continue
                 theta = theta_from_class_matrix(gw, u, hw, v, matrix)
                 result = splice(gw, u, hw, v, theta)
-                conds = check_odd_wheel_splice(gw, hub_g, u, hw, hub_h, v, theta)
+                conds = check_odd_wheel_splice(gw, sg.hub, u, hw, sh.hub, v, theta)
                 splices.append((sg, sh, matrix, conds))
                 yield result
 
@@ -738,7 +677,7 @@ def _lemma39_fold(rows, ctx: dict) -> dict:
     keys: set[bytes] = set()
     reps = bricks = non_bricks = wheel_like = conditions_true = 0
     for g, ((key, brick, wl), _) in rows:
-        (kg, vg, u), (kh, vh, v), matrix, (conds_ok, violations) = ctx["splices"].popleft()
+        sg, sh, matrix, (conds_ok, violations) = ctx["splices"].popleft()
         reps += 1
         keys.add(key)
         if not brick:
@@ -751,8 +690,8 @@ def _lemma39_fold(rows, ctx: dict) -> dict:
             ctx["counterexamples"].append(
                 _counterexample(
                     g,
-                    left={"k": kg, "mults": list(vg), "vertex": u},
-                    right={"k": kh, "mults": list(vh), "vertex": v},
+                    left={"k": sg.k, "mults": list(sg.vec), "vertex": sg.vertex},
+                    right={"k": sh.k, "mults": list(sh.vec), "vertex": sh.vertex},
                     matrix=[list(r) for r in matrix],
                     wheel_like=wl,
                     conditions=bool(conds_ok),
@@ -1036,7 +975,6 @@ class Campaign(NamedTuple):
     claim: Callable[[Multigraph, dict], object]
     fold: Callable[[Iterator[tuple], dict], dict]
     defaults: dict
-    about: str
     # report "parameters" from the run's parameters
     parameters: Callable[[dict], dict] = dict
     # run_corpus reruns the claim over supplied graphs
@@ -1051,7 +989,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _thm11_claim,
         _thm11_fold,
         {"max_n": 8},
-        "simple bricks: removable classes reach the maximum degree",
         lambda p: {**p, "population": "simple bricks"},
         corpus=True,
     ),
@@ -1060,7 +997,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _thm13_claim,
         _thm13_fold,
         {"max_n": 8, "mult_n": 6, "mult_bound": 2},
-        "wheel-like bricks admit family certificates from forward closure",
         corpus=True,
         prepare=_thm13_prepare,
     ),
@@ -1069,7 +1005,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _thm14_claim,
         _thm14_fold,
         {"max_n": 8, "mult_n": 6, "mult_bound": 2},
-        "minimal matching covered graphs have minimum degree 2 or 3",
         lambda p: {**p, "min_n": 4},
         corpus=True,
     ),
@@ -1078,7 +1013,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _lemma216_claim,
         _lemma216_fold,
         {"max_n": 8, "sample_n": 10, "samples": 200, "seed": 0, "mult_n": 6, "mult_bound": 2},
-        "bipartite non-removability is equivalent to an (A1, B1) certificate",
         corpus=True,
     ),
     "lemma-2.17": Campaign(
@@ -1086,7 +1020,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _lemma217_claim,
         _lemma217_fold,
         {"max_n": 8, "mult_n": 6, "mult_bound": 2},
-        "minimum P-set interiors consist of removable edges",
         lambda p: {**p, "min_degree": 3},
         corpus=True,
     ),
@@ -1095,7 +1028,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _lemma218_claim,
         _lemma218_fold,
         {"max_n": 8, "mult_n": 6, "mult_bound": 2},
-        "degree-3 side forces a removable pair or the degree-2/degree-4 pattern",
         corpus=True,
     ),
     "lemma-3.6": Campaign(
@@ -1103,7 +1035,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _lemma36_claim,
         _lemma36_fold,
         {"mult_bound": 2},
-        "six-vertex bricks: wheel-like means 5-wheel with hub parallels",
         lambda p: {"n": 6, **p},
         corpus=True,
     ),
@@ -1112,7 +1043,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _lemma39_claim,
         _lemma39_fold,
         {"wheels": (3, 5, 7), "mult_bound": 2, "doubles": 2},
-        "odd-wheel splices: wheel-like equals the three splice conditions",
         lambda p: {**p, "wheels": sorted(p["wheels"])},
     ),
     "prop-3.13": Campaign(
@@ -1120,7 +1050,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _prop313_claim,
         _prop313_fold,
         {"max_n": 8},
-        "edge-irreducible bicritical graphs carry four degree-3 vertices",
         lambda p: {**p, "population": "connected simple, min degree 3"},
         corpus=True,
     ),
@@ -1129,7 +1058,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _decomp_claim,
         _decomp_fold,
         {"max_n": 8, "seeds": 20},
-        "tight cut decompositions agree across random cut orders",
         lambda p: {**p, "population": "connected simple"},
         corpus=True,
     ),
@@ -1138,7 +1066,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _fig_r8_claim,
         _fig_r8_fold,
         {},
-        "the unique 8-vertex near-bipartite brick without a removable pair",
         lambda p: {"n": 8, "population": "simple bricks"},
     ),
     "fig-nonsolid-6": Campaign(
@@ -1146,7 +1073,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _nonsolid_claim,
         _nonsolid_fold,
         {},
-        "six-vertex nonsolid non-prism bricks: not wheel-like, robust cuts exist",
         lambda p: {"n": 6, "population": "simple bricks", "excluded": "prism"},
     ),
     "fig-g3": Campaign(
@@ -1154,7 +1080,6 @@ CAMPAIGNS: dict[str, Campaign] = {
         _g3_claim,
         _g3_fold,
         {"max_n": 10},
-        "a third-generation family brick that is not wheel-like",
     ),
 }
 

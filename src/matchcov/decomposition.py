@@ -100,7 +100,7 @@ def is_brace(g: Multigraph) -> bool:
         raise NotMatchingCoveredError("braces are matching covered")
     if not g.is_bipartite():
         return False
-    return not nontrivial_tight_shores(g)
+    return not any(is_tight(g, x) for x in _odd_shores(g.n))
 
 
 def is_solid(g: Multigraph) -> bool:

@@ -8,8 +8,13 @@ are removed per level by canonical form, keeping the first child seen.
 Twin-swap pruning skips attach sets that cannot give a new first child: if
 u < w are twins of the parent, the swap (u w) is an automorphism, so an
 attach set holding w but not u gives the same child as the smaller set with
-w traded for u, which was tried earlier. Multigraph sweeps lay
-multiplicity vectors over simple underlying graphs.
+w traded for u, which was tried earlier.
+
+Multigraphs are laid over simple underlying graphs as multiplicity
+vectors. `multiplicity_sweep` gives every labelled vector over a base;
+`multiplicity_classes` keeps the first sweep member of each isomorphism
+class, the one place where a multigraph population is quotiented by
+isomorphism.
 """
 from __future__ import annotations
 
@@ -88,10 +93,9 @@ def enumerate_connected_graphs(n: int, min_degree: int = 0) -> Iterator[Multigra
 def multiplicity_sweep(g: Multigraph, mult_bound: int) -> Iterator[Multigraph]:
     """All multigraphs over g with per-edge multiplicity 1..mult_bound.
 
-    Labeled sweep in lexicographic vector order, the all-ones vector first;
-    isomorphic duplicates are NOT removed (verdicts downstream are
-    isomorphism-invariant, and deduplication would cost more than it saves
-    at desk scale).
+    Labelled sweep in lexicographic vector order, the all-ones vector
+    first; isomorphic duplicates are kept (`multiplicity_classes` drops
+    them).
     """
     base = g.edges
     for vec in product(range(1, mult_bound + 1), repeat=len(base)):
@@ -101,27 +105,35 @@ def multiplicity_sweep(g: Multigraph, mult_bound: int) -> Iterator[Multigraph]:
         yield Multigraph(g.n, tuple(edges))
 
 
+def multiplicity_classes(g: Multigraph, mult_bound: int) -> Iterator[Multigraph]:
+    """The first `multiplicity_sweep` member of each isomorphism class of
+    multigraphs over g, in sweep order.
+
+    A seen set per base suffices: isomorphic multigraphs have isomorphic
+    underlying simple graphs, so bases from one enumeration (one per
+    isomorphism class) never share a multigraph class.
+    """
+    seen: set[bytes] = set()
+    for h in multiplicity_sweep(g, mult_bound):
+        key = canonical_form(h)
+        if key not in seen:
+            seen.add(key)
+            yield h
+
+
 def enumerate_multigraphs(
     n: int, mult_bound: int, min_degree: int = 0
 ) -> Iterator[Multigraph]:
     """Connected multigraphs on n vertices up to isomorphism, multiplicity
     <= mult_bound.
 
-    Underlying simple graphs come out canonically ordered; multiplicity
-    vectors in lexicographic order on top of each, deduplicated per base
-    (isomorphic multigraphs always share an underlying simple graph, so a
-    per-base seen set suffices).
+    Underlying simple graphs come out canonically ordered, and the
+    `multiplicity_classes` of each follow in sweep order.
     """
     for simple in enumerate_connected_graphs(n, min_degree=0):
-        seen: set[bytes] = set()
-        for g in multiplicity_sweep(simple, mult_bound):
-            if min_degree and g.min_degree() < min_degree:
-                continue
-            key = canonical_form(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield g
+        for g in multiplicity_classes(simple, mult_bound):
+            if g.min_degree() >= min_degree:
+                yield g
 
 
 def clear_enumeration_cache() -> None:

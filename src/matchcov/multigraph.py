@@ -25,22 +25,10 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-VertexLabels = tuple[frozenset[int], ...]
-
-
 class Multigraph:
-    """n vertices (0..n-1) plus an ordered tuple of undirected edges.
+    """n vertices (0..n-1) plus an ordered tuple of undirected edges."""
 
-    Optional vertex labels track provenance through contractions: label i is
-    the set of original vertices that vertex i stands for.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[VertexLabels] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise VertexOutOfRangeError(f"vertex count {n} is negative")
         norm = []
@@ -52,11 +40,6 @@ class Multigraph:
             norm.append((u, v) if u < v else (v, u))
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise VertexOutOfRangeError("label tuple length != n")
-        self.labels = labels
 
     # -- basic accessors ---------------------------------------------------
 
@@ -142,14 +125,10 @@ class Multigraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.labels == other.labels
-        )
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.labels))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m})"
@@ -244,7 +223,7 @@ class Multigraph:
             if not (0 <= e < len(self.edges)):
                 raise EdgeOutOfRangeError(f"edge id {e} outside 0..{len(self.edges) - 1}")
         kept = tuple(pair for e, pair in enumerate(self.edges) if e not in drop)
-        return Multigraph(self.n, kept, self.labels)
+        return Multigraph(self.n, kept)
 
     def underlying_simple(self) -> "Multigraph":
         seen = set()
@@ -253,7 +232,7 @@ class Multigraph:
             if pair not in seen:
                 seen.add(pair)
                 kept.append(pair)
-        return Multigraph(self.n, kept, self.labels)
+        return Multigraph(self.n, kept)
 
     def contract(self, shore: Iterable[int]) -> tuple["Multigraph", dict[int, int]]:
         """Contract the shore to a single (last) vertex.
@@ -281,13 +260,7 @@ class Multigraph:
             nv = cvx if v in x else remap[v]
             provenance[e] = len(new_edges)
             new_edges.append((nu, nv))
-        base = self.labels
-        if base is None:
-            base = tuple(frozenset([v]) for v in range(self.n))
-        new_labels = tuple(base[v] for v in kept) + (
-            frozenset().union(*(base[v] for v in sorted(x))),
-        )
-        return Multigraph(cvx + 1, new_edges, new_labels), provenance
+        return Multigraph(cvx + 1, new_edges), provenance
 
     def induced(self, keep: Sequence[int]) -> "Multigraph":
         """Induced subgraph on `keep`, renumbered in the given order."""
@@ -301,21 +274,11 @@ class Multigraph:
             for (u, v) in self.edges
             if u in remap and v in remap
         ]
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[v] for v in keep)
-        return Multigraph(len(keep), kept_edges, labels)
+        return Multigraph(len(keep), kept_edges)
 
     def relabeled(self, perm: Sequence[int]) -> "Multigraph":
         """Image under vertex permutation (perm[v] is the new id of v)."""
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        labels = None
-        if self.labels is not None:
-            inv = [0] * self.n
-            for v,w in enumerate(perm):
-                inv[w] = v
-            labels = tuple(self.labels[inv[i]] for i in range(self.n))
-        return Multigraph(self.n, edges, labels)
+        return Multigraph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
 
 def _reach(adj: Sequence[int], start: int, within: int) -> int:
@@ -390,13 +353,9 @@ def per_graph(fn: Callable) -> Callable:
     return cached
 
 
-def new_multigraph(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    labels: Optional[VertexLabels] = None,
-) -> Multigraph:
+def new_multigraph(n: int, edges: Iterable[tuple[int, int]]) -> Multigraph:
     """Constructor alias used by callers that prefer a function."""
-    return Multigraph(n, edges, labels)
+    return Multigraph(n, edges)
 
 
 def vertex_connectivity(g: Multigraph) -> int:

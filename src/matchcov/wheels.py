@@ -470,28 +470,25 @@ def theta_from_class_matrix(
     return theta
 
 
+def spoke_vectors(k: int, mult_bound: int) -> Iterator[tuple[int, ...]]:
+    """Spoke multiplicity vectors of the k-wheel, each entry 1..mult_bound,
+    one per class under rim rotation and reflection: the lexicographically
+    least member of each, in ascending order."""
+    for vec in product(range(1, mult_bound + 1), repeat=k):
+        rotations = [vec[s:] + vec[:s] for s in range(k)]
+        if vec == min(rotations + [rot[::-1] for rot in rotations]):
+            yield vec
+
+
 def _g1_catalog(max_n: int, k3_cap: int, cap: int) -> list[tuple[Multigraph, int, WheelSpec]]:
     """Base-family wheels up to max_n vertices: (graph, hub, spec) per
-    distinct multiplicity vector up to rim rotation/reflection."""
+    `spoke_vectors` class."""
     out = []
-    k = 3
-    while k + 1 <= max_n:
-        top = k3_cap if k == 3 else cap
-        seen = set()
-        for mults in product(range(1, top + 1), repeat=k):
-            orbit = []
-            for s in range(k):
-                rot = tuple(mults[(s + i) % k] for i in range(k))
-                orbit.append(rot)
-                orbit.append(rot[::-1])
-            key = min(orbit)
-            if key in seen:
-                continue
-            seen.add(key)
-            spec = WheelSpec(k, key)
+    for k in range(3, max_n, 2):
+        for mults in spoke_vectors(k, k3_cap if k == 3 else cap):
+            spec = WheelSpec(k, mults)
             wheel, hub = make_wheel(spec)
             out.append((wheel, hub, spec))
-        k += 2
     return out
 
 

@@ -127,6 +127,20 @@ def test_decomp_unique_reduced():
     assert rep["summary"]["with_nontrivial_tight_cut"] >= 1
 
 
+def test_lemma_3_9_population_with_heavy_spokes():
+    # Population only: three doubles and spokes of multiplicity 3 reach
+    # site stabilizers and class actions that the digest bound does not.
+    ctx = {"wheels": (3, 5), "mult_bound": 3, "doubles": 3}
+    reps = sum(1 for _ in CAMPAIGNS["lemma-3.9"].population(ctx))
+    assert (ctx["splice_sites"], ctx["tasks"], ctx["theta_matrices"], reps) == (
+        122,
+        1737,
+        70201,
+        30394,
+    )
+    assert len(ctx["splices"]) == reps
+
+
 def test_fig_nonsolid_6():
     rep = run_campaign("fig-nonsolid-6")
     _check_shape(rep, "fig-nonsolid-6")

@@ -97,6 +97,20 @@ def test_brick_matches_connectivity_oracle(g):
     assert is_brick(g) == (is_bicritical(g) and vertex_connectivity(g) >= 3)
 
 
+@PROPERTY_SETTINGS
+@given(multigraphs(8, even=True))
+def test_multigraph_verdicts_follow_the_underlying_simple_graph(g):
+    # Populations test matching coverage once per base, and thm-1.4 relies
+    # on a parallel copy of a matching covered graph being removable.
+    simple = g.underlying_simple()
+    covered = is_matching_covered(g)
+    assert covered == is_matching_covered(simple)
+    assert is_brick(g) == is_brick(simple)
+    if covered:
+        parallel = [e for ids in g.parallel_classes.values() if len(ids) > 1 for e in ids]
+        assert all(is_removable_edge(g, e) for e in parallel)
+
+
 def test_removable_classes_of_k16_without_enumerating_matchings():
     # K16 has 2,027,025 perfect matchings; listing them takes minutes.
     started = time.perf_counter()

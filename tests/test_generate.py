@@ -68,3 +68,14 @@ def test_multiplicity_sweep_includes_base():
     for g in multiplicity_sweep(base, 2):
         assert g.underlying_simple().m == base.m
         assert max(g.multiplicity(*g.endpoints(e)) for e in range(g.m)) <= 2
+
+
+def test_multiplicity_classes_keep_first_sweep_member_per_class():
+    from matchcov.generate import multiplicity_classes
+
+    for base in (complete_graph(4), cycle_graph(4)):
+        first = {}
+        for g in multiplicity_sweep(base, 3):
+            first.setdefault(canonical_form(g), g.edges)
+        got = [g.edges for g in multiplicity_classes(base, 3)]
+        assert got == list(first.values())

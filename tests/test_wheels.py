@@ -35,6 +35,7 @@ from matchcov.wheels import (
     cert_to_obj,
     family_splice_violations,
     is_k4_plus,
+    spoke_vectors,
 )
 from matchcov.zoo import complete_graph, prism_graph
 
@@ -299,3 +300,20 @@ def test_verify_certificate_rejects_tampering():
     bad_u = SpliceNode(node.left, node.wheel, 99, node.v, node.theta)
     ok2, problems2 = verify_certificate(bad_u)
     assert not ok2 and problems2
+
+
+def test_spoke_vectors_one_per_wheel_class():
+    # Beyond the 3-wheel the hub is the one vertex of top degree, so two
+    # spoke vectors give isomorphic wheels exactly when a rim rotation or
+    # reflection maps one onto the other.
+    for k, bound in ((5, 2), (5, 3), (7, 2)):
+        vecs = list(spoke_vectors(k, bound))
+        assert vecs == sorted(vecs)
+        forms = [canonical_form(make_wheel(WheelSpec(k, v))[0]) for v in vecs]
+        every = {
+            canonical_form(make_wheel(WheelSpec(k, v))[0])
+            for v in itertools.product(range(1, bound + 1), repeat=k)
+        }
+        assert len(set(forms)) == len(forms) and set(forms) == every
+    # bracelets of three beads in three colours
+    assert len(list(spoke_vectors(3, 3))) == 10
