@@ -28,6 +28,7 @@ import random
 import time
 from collections import deque
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
@@ -44,7 +45,7 @@ from .covered import (
     removable_edges,
 )
 from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
-from .errors import BoundExceededError, UnknownCampaignError
+from .errors import BadSpecError, BoundExceededError, UnknownCampaignError
 from .generate import enumerate_connected_graphs, multiplicity_classes, multiplicity_sweep
 from .graphio import format_mg
 from .matching import matching_number
@@ -578,24 +579,22 @@ def _lemma36_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _transformed_matrix(matrix, rperm, cperm, transpose):
-    src = tuple(zip(*matrix)) if transpose else matrix
-    r = len(src)
-    c = len(src[0])
-    out = [[0] * c for _ in range(r)]
-    for i in range(r):
-        row = src[i]
-        orow = out[rperm[i]]
-        for j in range(c):
-            orow[cperm[j]] = row[j]
-    return tuple(tuple(row) for row in out)
-
-
-def _orbit_minimal(matrix, transforms) -> bool:
+def _flat_transforms(transforms, rows: int, cols: int) -> list[itemgetter]:
+    """Each (rperm, cperm, transpose) as a getter that reads the transformed
+    matrix off a rows x cols matrix, both row-major: source entry (i, j), or
+    (j, i) when transposed, goes to (rperm[i], cperm[j])."""
+    getters = []
     for rperm, cperm, transpose in transforms:
-        if _transformed_matrix(matrix, rperm, cperm, transpose) < matrix:
-            return False
-    return True
+        index = [0] * (rows * cols)
+        for i, j in itertools.product(range(rows), range(cols)):
+            index[rperm[i] * cols + cperm[j]] = j * cols + i if transpose else i * cols + j
+        getters.append(itemgetter(*index))
+    return getters
+
+
+def _orbit_minimal(flat: tuple[int, ...], getters: list[itemgetter]) -> bool:
+    # Rows share one length, so row-major tuples order as the matrices do.
+    return not any(get(flat) < flat for get in getters)
 
 
 class _SpliceSite(NamedTuple):
@@ -632,7 +631,11 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
     result, with its condition verdict, queues in ctx["splices"]."""
     for k in ctx["wheels"]:
         if k < 3 or k % 2 == 0:
-            raise ValueError(f"odd wheel rim length expected, got {k}")
+            raise BadSpecError(f"odd wheel rim length expected, got {k}")
+    if ctx["mult_bound"] < 1:
+        raise BadSpecError(f"mult_bound must be at least 1, got {ctx['mult_bound']}")
+    if ctx["doubles"] < 0:
+        raise BadSpecError(f"doubles must be nonnegative, got {ctx['doubles']}")
     sites = [
         site
         for k in sorted(ctx["wheels"])
@@ -650,10 +653,11 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
             transforms = [(rp, cp, False) for rp in sh.actions for cp in sg.actions]
             if sh is sg:
                 transforms += [(rp, cp, True) for rp, cp, _ in transforms]
+            getters = _flat_transforms(transforms, len(sh.class_sizes), len(sg.class_sizes))
             gw, u, hw, v = sg.wheel, sg.vertex, sh.wheel, sh.vertex
             for matrix in theta_class_matrices(sh.class_sizes, sg.class_sizes):
                 ctx["theta_matrices"] += 1
-                if not _orbit_minimal(matrix, transforms):
+                if not _orbit_minimal(tuple(itertools.chain.from_iterable(matrix)), getters):
                     continue
                 theta = theta_from_class_matrix(gw, u, hw, v, matrix)
                 result = splice(gw, u, hw, v, theta)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Union
 
@@ -281,37 +282,45 @@ def family_splice_violations(
 ) -> tuple[str, ...]:
     """Violated conditions for extending the family by splicing gj with the
     odd wheel hw.  Ids: "size" (result must have >= 8 vertices), "1", "2".
+    Only "2" reads theta: "size" and "1" are `splice_site_violations`.
 
     The caller guarantees hw is a base-family member; gj is the built left
     graph.
     """
+    return splice_site_violations(gj, u, hw, v) + theta_violations(gj, u, hw, v, theta)
+
+
+def splice_site_violations(gj: Multigraph, u: int, hw: Multigraph, v: int) -> tuple[str, ...]:
+    """The family conditions fixed by the splice site alone: "size", "1"."""
     violations = []
     if gj.n + hw.n - 2 < 8:
         violations.append("size")
-
-    u_g = max_degree_set(gj)
-    u_h = max_degree_set(hw)
+    in_g = u in max_degree_set(gj)
+    in_h = v in max_degree_set(hw)
     if hw.n == 4 and hw.is_simple():
-        if u in u_g:
-            violations.append("1")
+        bad = in_g
     elif is_k4_plus(hw):
-        if v not in u_h:
-            violations.append("1")
+        bad = not in_h
     else:
-        if (u in u_g) + (v in u_h) != 1:
-            violations.append("1")
-
-    if hw.n == 4 and u not in u_g:
-        removable = removable_edges(hw)
-        for e in boundary_slots(hw, v):
-            if e in removable:
-                continue
-            a, b = gj.endpoints(theta[e])
-            if a in u_g or b in u_g:
-                violations.append("2")
-                break
-
+        bad = in_g + in_h != 1
+    if bad:
+        violations.append("1")
     return tuple(violations)
+
+
+def theta_violations(
+    gj: Multigraph, u: int, hw: Multigraph, v: int, theta: dict[int, int]
+) -> tuple[str, ...]:
+    """Condition "2": with a 4-vertex wheel spliced at a vertex u outside
+    gj's top degree set, no nonremovable edge at v may land next to it."""
+    u_g = max_degree_set(gj)
+    if hw.n != 4 or u in u_g:
+        return ()
+    removable = removable_edges(hw)
+    for e in boundary_slots(hw, v):
+        if e not in removable and not u_g.isdisjoint(gj.endpoints(theta[e])):
+            return ("2",)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -399,36 +408,39 @@ def verify_certificate(cert: GCertificate) -> tuple[bool, tuple[str, ...]]:
 def theta_class_matrices(
     row_sums: tuple[int, ...], col_sums: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All nonnegative integer matrices with the given row and column sums.
+    """All nonnegative integer matrices with the given row and column sums,
+    in ascending lexicographic order of their tuples of rows.
 
     A bijection between two boundaries, taken up to swaps of parallel copies,
     is exactly such a matrix over the parallel classes on each side.
     """
     if sum(row_sums) != sum(col_sums):
         return
-    cols = len(col_sums)
+    if not row_sums:
+        yield ()
+        return
+    last = len(row_sums) - 1
 
     def rows(r: int, caps: tuple[int, ...], acc: tuple) -> Iterator[tuple]:
-        if r == len(row_sums):
-            yield acc
+        if r == last:
+            # The column sums force the last row.
+            yield acc + (caps,)
             return
-        target = row_sums[r]
-
-        def fill(j: int, left: int, row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if j == cols:
-                if left == 0:
-                    yield row
-                return
-            hi = min(left, caps[j])
-            lo = max(0, left - sum(caps[j + 1 :]))
-            for t in range(lo, hi + 1):
-                yield from fill(j + 1, left - t, row + (t,))
-
-        for row in fill(0, target, ()):
-            new_caps = tuple(c - t for c, t in zip(caps, row))
-            yield from rows(r + 1, new_caps, acc + (row,))
+        for row in _compositions(row_sums[r], len(caps)):
+            if all(t <= c for t, c in zip(row, caps)):
+                yield from rows(r + 1, tuple(c - t for c, t in zip(caps, row)), acc + (row,))
 
     yield from rows(0, tuple(col_sums), ())
+
+
+@lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Tuples of `parts` nonnegative integers summing to total, ascending."""
+    if parts == 0:
+        return ((),) if total == 0 else ()
+    return tuple(
+        (t, *rest) for t in range(total + 1) for rest in _compositions(total - t, parts - 1)
+    )
 
 
 def boundary_classes(g: Multigraph, v: int) -> tuple[tuple[int, ...], ...]:
@@ -519,11 +531,7 @@ def g_family_closure(
         sk3 = sc = splice_cap
     # Only wheels small enough to splice inside max_n (smallest partner has
     # four vertices) belong in the splice catalog.
-    base = [
-        (w, h, s)
-        for w, h, s in _g1_catalog(max_n, sk3, sc)
-        if w.n + 4 - 2 <= max_n
-    ]
+    base = _g1_catalog(max_n - 2, sk3, sc)
     members: dict[bytes, tuple[Multigraph, GCertificate]] = {}
     for wheel, _hub, spec in leaves:
         key = canonical_form(wheel)
@@ -549,15 +557,13 @@ def g_family_closure(
                 for u in u_reps:
                     du = left.degree(u)
                     for v in v_reps:
-                        if wheel.degree(v) != du:
+                        if wheel.degree(v) != du or splice_site_violations(left, u, wheel, v):
                             continue
-                        h_classes = boundary_classes(wheel, v)
-                        g_classes = boundary_classes(left, u)
-                        row_sums = tuple(len(c) for c in h_classes)
-                        col_sums = tuple(len(c) for c in g_classes)
+                        row_sums = tuple(len(c) for c in boundary_classes(wheel, v))
+                        col_sums = tuple(len(c) for c in boundary_classes(left, u))
                         for matrix in theta_class_matrices(row_sums, col_sums):
                             theta = theta_from_class_matrix(left, u, wheel, v, matrix)
-                            if family_splice_violations(left, u, wheel, v, theta):
+                            if theta_violations(left, u, wheel, v, theta):
                                 continue
                             built = splice(left, u, wheel, v, theta)
                             key = canonical_form(built)

@@ -101,6 +101,14 @@ def test_verify_unknown_campaign():
     assert "matchcov:" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--wheels", "3,4"], ["--wheels", "1"], ["--mult-bound", "0"], ["--doubles", "-1"]],
+)
+def test_verify_lemma39_bad_parameters(flags):
+    assert main(["verify", "lemma-3.9", "--jobs", "1", *flags]) == EXIT_USAGE
+
+
 def test_verify_counterexample_exit(monkeypatch):
     import matchcov.cli as cli_mod
 

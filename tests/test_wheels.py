@@ -1,5 +1,6 @@
 """Wheels, splicing, the splice conditions, and family certificates."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -36,8 +37,15 @@ from matchcov.wheels import (
     family_splice_violations,
     is_k4_plus,
     spoke_vectors,
+    theta_class_matrices,
 )
 from matchcov.zoo import complete_graph, prism_graph
+
+# sha256 over g_family_closure(8) and g_family_closure(8, splice_cap=4):
+# each member's canonical key, (n, edges) and certificate, in dict order.
+# Taken before the splice search checked its site conditions once per site.
+CLOSURE_8_DIGEST = "988fbfa9efe16f628e671e60afbff540f22bf67662417187dc754cb691a11f4c"
+CLOSURE_8_CAP4_DIGEST = "e022f7a5e7390a6b7d4d607510209625e5cbd538b18ce88edfa0505bf4563a80"
 
 
 def _theta_by_slots(g, u, h, v, pairs):
@@ -317,3 +325,49 @@ def test_spoke_vectors_one_per_wheel_class():
         assert len(set(forms)) == len(forms) and set(forms) == every
     # bracelets of three beads in three colours
     assert len(list(spoke_vectors(3, 3))) == 10
+
+
+def _closure_digest(members):
+    h = hashlib.sha256()
+    for key, (g, cert) in members.items():
+        h.update(repr((key, (g.n, g.edges), cert_to_obj(cert))).encode())
+    return h.hexdigest()
+
+
+def test_closure_members_and_certificates_pinned():
+    assert _closure_digest(g_family_closure(8)) == CLOSURE_8_DIGEST
+    assert _closure_digest(g_family_closure(8, splice_cap=4)) == CLOSURE_8_CAP4_DIGEST
+
+
+def _class_matrices_oracle(row_sums, col_sums):
+    rows, cols = len(row_sums), len(col_sums)
+    bounds = [range(min(r, c) + 1) for r in row_sums for c in col_sums]
+    found = []
+    for flat in itertools.product(*bounds):
+        matrix = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+        if tuple(map(sum, matrix)) == row_sums and all(
+            sum(row[j] for row in matrix) == c for j, c in enumerate(col_sums)
+        ):
+            found.append(matrix)
+    return sorted(found)
+
+
+def test_theta_class_matrices_order_matches_oracle():
+    # Every shape up to 3 x 4 with row and column sums up to 4 in total,
+    # the empty shape, zero sums and unequal totals included.
+    def sums(parts):
+        return [t for t in itertools.product(range(5), repeat=parts) if sum(t) <= 4]
+
+    shapes = 0
+    for rows in range(4):
+        for cols in range(5):
+            for row_sums in sums(rows):
+                for col_sums in sums(cols):
+                    got = list(theta_class_matrices(row_sums, col_sums))
+                    assert got == _class_matrices_oracle(row_sums, col_sums), (row_sums, col_sums)
+                    shapes += 1
+    assert list(theta_class_matrices((), ())) == [()]
+    assert list(theta_class_matrices((0, 0), ())) == [((), ())]
+    assert list(theta_class_matrices((), (0, 0))) == [()]
+    assert list(theta_class_matrices((1, 2), (2,))) == []
+    assert shapes == 7056
