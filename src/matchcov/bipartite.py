@@ -40,20 +40,28 @@ class PSet:
     into_b: bool
 
 
-def _crossing_counts(g: Multigraph, x: frozenset[int], a: frozenset[int]) -> tuple[int, int]:
-    xm = mask_of(x)
-    out_a = 0
-    in_b = 0
-    for (u, v) in g.edges:
-        u_in, v_in = (xm >> u) & 1, (xm >> v) & 1
-        if u_in == v_in:
-            continue
-        inside, outside = (u, v) if u_in else (v, u)
-        if inside in a:
-            out_a += 1
-        else:
-            in_b += 1
-    return out_a, in_b
+def _edge_rows(g: Multigraph) -> list[list[int]]:
+    """Per vertex v, neighbour bitmasks by multiplicity: bit w of
+    rows[v][j] says that more than j edges join v and w."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), ids in g.parallel_classes.items():
+        for x, y in ((u, v), (v, u)):
+            row = rows[x]
+            row += [0] * (len(ids) - len(row))
+            for j in range(len(ids)):
+                row[j] |= 1 << y
+    return rows
+
+
+def _p_set(rows: list[list[int]], xa: tuple[int, ...], xb: tuple[int, ...]) -> Optional[PSet]:
+    """PSet record for X = xa + xb, balanced with xa in A and xb in B, when
+    a single edge leaves X's A-side or enters its B-side."""
+    outside = ~mask_of(xa + xb)
+    out_a = sum((row & outside).bit_count() for v in xa for row in rows[v])
+    in_b = sum((row & outside).bit_count() for v in xb for row in rows[v])
+    if out_a == 1 or in_b == 1:
+        return PSet(frozenset(xa + xb), out_a == 1, in_b == 1)
+    return None
 
 
 def is_P_set(g: Multigraph, x) -> Optional[PSet]:
@@ -64,10 +72,7 @@ def is_P_set(g: Multigraph, x) -> Optional[PSet]:
         return None
     if len(x & a) != len(x & b):
         return None
-    out_a, in_b = _crossing_counts(g, x, a)
-    if out_a == 1 or in_b == 1:
-        return PSet(x, out_a == 1, in_b == 1)
-    return None
+    return _p_set(_edge_rows(g), tuple(x & a), tuple(x & b))
 
 
 def all_P_sets(g: Multigraph) -> Iterator[PSet]:
@@ -76,17 +81,18 @@ def all_P_sets(g: Multigraph) -> Iterator[PSet]:
         raise BoundExceededError(f"P-set enumeration capped at {_PSET_MAX_N} vertices")
     a, b = bipartition(g)
     a_sorted, b_sorted = sorted(a), sorted(b)
-    found = []
+    rows = _edge_rows(g)
     for k in range(1, min(len(a), len(b)) + 1):
         if 2 * k >= g.n:
             break
+        found = []
         for xa in combinations(a_sorted, k):
             for xb in combinations(b_sorted, k):
-                p = is_P_set(g, xa + xb)
+                p = _p_set(rows, xa, xb)
                 if p is not None:
                     found.append(p)
-    found.sort(key=lambda p: (len(p.vertices), sorted(p.vertices)))
-    yield from found
+        found.sort(key=lambda p: sorted(p.vertices))
+        yield from found
 
 
 def minimum_P_set(g: Multigraph) -> Optional[PSet]:

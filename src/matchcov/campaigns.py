@@ -826,11 +826,13 @@ def _fig_r8_fold(rows, ctx: dict) -> dict:
 
 
 def _has_robust_cut(g: Multigraph) -> bool:
-    from .cuts import is_robust
-    from .decomposition import _odd_shores
+    from .cuts import cut_shore_sets, is_robust
+    from .decomposition import _shores_in
 
-    # A cut is robust from either shore, so one shore per cut will do.
-    return any(is_robust(g, x) for x in _odd_shores(g.n))
+    # A cut is robust from either shore, so one shore per cut will do; a
+    # robust cut is separating and not tight.
+    tight, separating = cut_shore_sets(g)
+    return any(is_robust(g, x) for x in _shores_in(g.n, separating & ~tight))
 
 
 def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:
@@ -911,6 +913,7 @@ def _g3_fold(rows, ctx: dict) -> dict:
 
 
 def analyze_graph(g: Multigraph) -> dict:
+    from .covered import _PM_ENUM_MAX_N
     from .cuts import _BARRIER_MAX_N, maximal_barriers
     from .decomposition import _SOLID_MAX_N
 
@@ -934,7 +937,12 @@ def analyze_graph(g: Multigraph) -> dict:
     report["bicritical"] = is_bicritical(g)
     brick = is_brick(g)
     report["brick"] = brick
-    report["brace"] = is_brace(g)
+    # A brace has no tight cut, which is read from every perfect matching.
+    if g.n <= _PM_ENUM_MAX_N or not report["bipartite"]:
+        report["brace"] = is_brace(g)
+    else:
+        report["brace"] = None
+        skipped.append(f"brace: n > {_PM_ENUM_MAX_N}")
     if g.n <= _SOLID_MAX_N:
         report["solid"] = is_solid(g)
     else:

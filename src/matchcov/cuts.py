@@ -6,18 +6,25 @@ one end in X. Cuts are read from the graph's table of perfect matchings
 crosses once, separating when every class lies in a matching that does
 (Carvalho, Lucchesi and Murty, "On a conjecture of Lovasz concerning
 bricks I", JCTB 2002).
+
+Two ways in. `is_tight` and `is_separating` answer for one shore (through
+`_crossings`), and are the oracles for the other way: `cut_shore_sets`
+folds every nontrivial odd shore at once, one pass over the matchings,
+into bitsets indexed by the shores in `decomposition._odd_shores(n)`
+order (see `_shore_table`).
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .covered import _Witnesses, is_matching_covered, pm_table
 from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
 from .errors import VertexOutOfRangeError
-from .multigraph import Multigraph, bits, mask_of
+from .multigraph import Multigraph, _bits, bits, mask_of
 
 _BARRIER_MAX_N = int(os.environ.get("MATCHCOV_MAX_BARRIER_N", "16"))
 
@@ -98,6 +105,66 @@ def is_separating(g: Multigraph, shore: Iterable[int]) -> bool:
     table, once, twice = _crossings(g, x)
     exactly_once = once & ~twice
     return all(column & exactly_once for column in table.columns)
+
+
+@lru_cache(maxsize=None)
+def _shore_table(n: int) -> tuple[int, ...]:
+    """member[v] for the shores of `decomposition._odd_shores(n)`: bit i
+    says whether the i-th shore holds v. member[0] has every bit."""
+    memo: dict[tuple[int, int], tuple[int, list[int]]] = {}
+
+    def subsets(lo: int, k: int) -> tuple[int, list[int]]:
+        # (count, member) over the k-subsets of lo..n-1 in lexicographic
+        # order: those holding lo, then those without it.
+        if k == 0 or k > n - lo:
+            return int(k == 0), [0] * n
+        if (lo, k) not in memo:
+            first, holding = subsets(lo + 1, k - 1)
+            rest, missing = subsets(lo + 1, k)
+            member = [a | b << first for a, b in zip(holding, missing)]
+            member[lo] = (1 << first) - 1
+            memo[lo, k] = first + rest, member
+        return memo[lo, k]
+
+    member = [0] * n
+    offset = 0
+    for size in range(3, n - 2, 2):
+        count, block = subsets(1, size - 1)
+        for v in range(1, n):
+            member[v] |= block[v] << offset
+        offset += count
+    member[0] = (1 << offset) - 1
+    return tuple(member)
+
+
+def cut_shore_sets(g: Multigraph) -> tuple[int, int]:
+    """(tight, separating) bitsets of the shores of
+    `decomposition._odd_shores(g.n)`; g must be matching covered.
+
+    A matching crosses an odd shore an odd number of times, so a shore it
+    does not cross twice or more it crosses exactly once.
+    """
+    table = pm_table(g)
+    member = _shore_table(g.n)
+    every = member[0]
+    crossing = [member[a] ^ member[b] for a, b in table.pairs]
+    crossed_twice = 0
+    # reach[c]: the shores crossed exactly once by some matching holding c
+    reach = [0] * len(crossing)
+    for pm in table.pool:
+        classes = list(_bits(pm))
+        once = twice = 0
+        for c in classes:
+            twice |= once & crossing[c]
+            once |= crossing[c]
+        crossed_twice |= twice
+        exactly_once = every & ~twice
+        for c in classes:
+            reach[c] |= exactly_once
+    separating = every
+    for shores in reach:
+        separating &= shores
+    return every & ~crossed_twice, separating
 
 
 def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:

@@ -7,18 +7,23 @@ and braces (bipartite) whose multiset, up to isomorphism, does not depend
 on the cuts chosen. The default policy picks the lexicographically least
 tight shore; a seeded policy shuffles the choice to let callers check the
 independence claim.
+
+Tight shores, braces and solidity come from one fold over every
+nontrivial odd shore (`cuts.cut_shore_sets`), as bitsets in `_odd_shores`
+order; `_shores_in` turns the bits back into shores. `cuts.is_tight` and
+`cuts.is_separating` remain for one shore.
 """
 from __future__ import annotations
 
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, Optional
 
 from .canon import canonical_form
 from .covered import is_matching_covered
-from .cuts import contractions, is_separating, is_tight
+from .cuts import contractions, cut_shore_sets
 from .errors import BoundExceededError, NotMatchingCoveredError
 from .multigraph import Multigraph
 
@@ -39,6 +44,11 @@ def _odd_shores(n: int) -> Iterator[tuple[int, ...]]:
             yield (0,) + combo
 
 
+def _shores_in(n: int, shore_set: int) -> Iterator[tuple[int, ...]]:
+    """The shores of `_odd_shores(n)` whose bits are set in `shore_set`."""
+    return compress(_odd_shores(n), map("1".__eq__, bin(shore_set)[:1:-1]))
+
+
 def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
     """Every tight shore X with 3 <= |X| <= n - 3, one per cut.
 
@@ -47,7 +57,7 @@ def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
     """
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
-    return tuple(frozenset(x) for x in _odd_shores(g.n) if is_tight(g, x))
+    return tuple(frozenset(x) for x in _shores_in(g.n, cut_shore_sets(g)[0]))
 
 
 def find_nontrivial_tight_cut(
@@ -100,7 +110,7 @@ def is_brace(g: Multigraph) -> bool:
         raise NotMatchingCoveredError("braces are matching covered")
     if not g.is_bipartite():
         return False
-    return not any(is_tight(g, x) for x in _odd_shores(g.n))
+    return not cut_shore_sets(g)[0]
 
 
 def is_solid(g: Multigraph) -> bool:
@@ -109,7 +119,8 @@ def is_solid(g: Multigraph) -> bool:
         raise BoundExceededError(f"solidity check capped at {_SOLID_MAX_N} vertices")
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("solidity is defined on matching covered graphs")
-    return not any(is_separating(g, x) and not is_tight(g, x) for x in _odd_shores(g.n))
+    tight, separating = cut_shore_sets(g)
+    return not separating & ~tight
 
 
 def decomposition_multiset(g: Multigraph, seed: Optional[int] = None) -> tuple[bytes, ...]:

@@ -15,6 +15,7 @@ Conventions fixed here and relied on by the test suite and the CLI:
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -546,10 +547,15 @@ def g_family_closure(
             frontier.append((wheel, WheelLeaf(spec)))
 
     partners = [(w, s, _orbit_reps(w)) for w, _h, s in base]
+    # The catalog ascends in wheel size, so the partners that fit one left
+    # graph, 8 <= left.n + wheel.n - 2 <= max_n, form one slice.
+    sizes = [w.n for w, _s, _reps in partners]
     while frontier:
         next_frontier: list[tuple[Multigraph, GCertificate]] = []
         for left, left_cert in frontier:
-            fits = [p for p in partners if 8 <= left.n + p[0].n - 2 <= max_n]
+            fits = partners[
+                bisect_left(sizes, 10 - left.n) : bisect_right(sizes, max_n + 2 - left.n)
+            ]
             if not fits:
                 continue
             u_reps = _orbit_reps(left)

@@ -1,8 +1,12 @@
 """Bipartite removability certificates and P-sets."""
 
+from itertools import combinations
+
 import pytest
 
 from matchcov import (
+    Multigraph,
+    PSet,
     bipartition,
     enumerate_connected_graphs,
     is_matching_covered,
@@ -10,6 +14,7 @@ from matchcov import (
     is_removable_edge,
     minimum_P_set,
 )
+from matchcov.bipartite import all_P_sets, is_P_set
 from matchcov.errors import NotBipartiteMCError
 from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph
 
@@ -131,3 +136,39 @@ def test_minimum_p_set():
             if smallest:
                 break
         assert len(verts) == smallest
+
+
+def _p_sets_by_definition(g):
+    """Balanced proper subsets with one edge out of their A-side or one
+    into their B-side, in (size, sorted vertices) order."""
+    a, _ = bipartition(g)
+    out = []
+    for size in range(2, g.n, 2):
+        for x in combinations(range(g.n), size):
+            verts = set(x)
+            if 2 * len(verts & a) != size:
+                continue
+            out_a, in_b = _single_crossing_directions(g, verts, a)
+            if out_a == 1 or in_b == 1:
+                out.append(PSet(frozenset(x), out_a == 1, in_b == 1))
+    return out
+
+
+def test_p_sets_match_definition():
+    graphs = [g for n in (2, 4, 6, 8) for g in _bipartite_mc(n)]
+    # multigraphs: C4 and C6 with parallel edges, K33 with one doubled edge
+    graphs += [
+        Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)]),
+        Multigraph(6, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 5), (0, 5)]),
+        Multigraph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)] + [(0, 3)]),
+    ]
+    with_p_sets = set()
+    for g in graphs:
+        expect = _p_sets_by_definition(g)
+        assert list(all_P_sets(g)) == expect, g.edges
+        by_vertices = {p.vertices: p for p in expect}
+        for size in range(1, g.n + 1):
+            for x in combinations(range(g.n), size):
+                assert is_P_set(g, x) == by_vertices.get(frozenset(x)), (g.edges, x)
+        with_p_sets.add(bool(expect))
+    assert with_p_sets == {True, False}

@@ -4,14 +4,17 @@ import json
 
 import pytest
 
-from matchcov import campaigns
+from matchcov import Multigraph, campaigns, enumerate_connected_graphs, is_brick, is_robust
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
+    _has_robust_cut,
+    analyze_graph,
     report_json,
     run_campaign,
     run_corpus,
 )
+from matchcov.decomposition import _odd_shores
 from matchcov.errors import BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
@@ -237,3 +240,33 @@ def test_corpus_unsupported_campaign():
 def test_corpus_bound():
     with pytest.raises(BoundExceededError):
         run_corpus("thm-1.1", [cycle_graph(12)])
+
+
+def test_robust_cut_read_from_shore_sets():
+    seen = set()
+    for g in enumerate_connected_graphs(6, min_degree=3):
+        if is_brick(g):
+            walked = any(is_robust(g, x) for x in _odd_shores(g.n))
+            assert _has_robust_cut(g) == walked, g.edges
+            seen.add(walked)
+    assert seen == {True, False}
+
+
+def _odd_prism(k):
+    """Two k-cycles joined by a perfect matching: cubic, and for odd k a
+    brick that is not bipartite."""
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return Multigraph(2 * k, rims + [(i, k + i) for i in range(k)])
+
+
+def test_analyze_skips_brace_above_pm_cap():
+    rep = analyze_graph(cycle_graph(26))
+    assert rep["status"] == "ok" and rep["bipartite"] and rep["matching_covered"]
+    assert rep["brace"] is None
+    assert rep["skipped"] == ["brace: n > 24", "solid: n > 14", "barriers: n > 16"]
+    # at the cap the verdict is still made; off the bipartite side it needs
+    # no perfect matching
+    assert analyze_graph(cycle_graph(24))["brace"] is False
+    rep = analyze_graph(_odd_prism(13))
+    assert rep["brace"] is False and not rep["bipartite"]
+    assert "brace: n > 24" not in rep["skipped"]

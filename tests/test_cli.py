@@ -68,6 +68,14 @@ def test_analyze_not_matching_covered():
     assert rep["status"] == "not matching covered"
 
 
+def test_analyze_bipartite_above_pm_cap():
+    code, out, _ = run_cli(["analyze", "-"], stdin=format_mg(cycle_graph(26)))
+    assert code == EXIT_PASS
+    rep = json.loads(out)
+    assert rep["status"] == "ok" and rep["brace"] is None
+    assert "brace: n > 24" in rep["skipped"]
+
+
 def test_analyze_malformed_input():
     code, _, err = run_cli(["analyze", "-"], stdin="garbage here\n")
     assert code == EXIT_USAGE

@@ -3,20 +3,26 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
 
 from matchcov import (
     barriers,
     edge_cut,
+    enumerate_connected_graphs,
+    is_brace,
     is_matching_covered,
     is_robust,
     is_separating,
+    is_solid,
     is_tight,
     maximal_barriers,
     two_separations,
 )
+from matchcov.cuts import _shore_table, cut_shore_sets
+from matchcov.decomposition import _odd_shores, _shores_in, nontrivial_tight_shores
 from matchcov.errors import EmptyShoreError
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
-from conftest import brute_perfect_matchings
+from conftest import brute_perfect_matchings, multigraphs
 
 
 def _proper_shores(n):
@@ -148,3 +154,50 @@ def test_separating_cut_in_c6():
     assert is_separating(g, [0, 1, 2])
     h, _ = g.contract([0, 1, 2])
     assert h.n == 4 and is_matching_covered(h)
+
+
+def test_shore_table_matches_odd_shores():
+    for n in range(1, 15):
+        shores = list(_odd_shores(n))
+        member = _shore_table(n)
+        assert len(member) == n
+        for v in range(n):
+            assert member[v] == sum(1 << i for i, x in enumerate(shores) if v in x), (n, v)
+    assert len(shores) == 4082
+
+
+def check_shore_sets(g):
+    """The fold over every nontrivial odd shore against the per-shore
+    queries, and what is read from it; returns (solid, brace)."""
+    shores = list(_odd_shores(g.n))
+    tight, separating = cut_shore_sets(g)
+    assert tight >> len(shores) == separating >> len(shores) == 0
+    for i, x in enumerate(shores):
+        assert tight >> i & 1 == is_tight(g, x), x
+        assert separating >> i & 1 == is_separating(g, x), x
+    tight_list = [x for i, x in enumerate(shores) if tight >> i & 1]
+    assert list(_shores_in(g.n, tight)) == tight_list
+    assert nontrivial_tight_shores(g) == tuple(frozenset(x) for x in tight_list)
+    solid = not any(separating >> i & 1 and not tight >> i & 1 for i in range(len(shores)))
+    brace = g.is_bipartite() and not tight_list
+    assert is_solid(g) == solid
+    assert is_brace(g) == brace
+    return solid, brace
+
+
+def test_shore_sets_match_per_shore_queries():
+    seen = set()
+    for n in range(2, 9, 2):
+        for g in enumerate_connected_graphs(n, min_degree=2):
+            if is_matching_covered(g):
+                seen.add(check_shore_sets(g))
+    # solid and not, brace and not: both sides of each verdict occur
+    assert {solid for solid, _ in seen} == {True, False}
+    assert {brace for _, brace in seen} == {True, False}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(multigraphs(8, even=True))
+def test_shore_sets_match_per_shore_queries_on_multigraphs(g):
+    assume(is_matching_covered(g))
+    check_shore_sets(g)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from matchcov import (
     barriers,
+    is_brace,
     is_matching_covered,
     is_separating,
     is_solid,
@@ -48,6 +49,7 @@ def check_cuts(g):
     assert is_solid(g) == solid
     expect = [x for x in tight if tight[x] and 0 in x and 2 <= len(x) <= g.n - 2]
     assert nontrivial_tight_shores(g) == tuple(frozenset(x) for x in expect)
+    assert is_brace(g) == (g.is_bipartite() and not expect)
     return solid, bool(expect)
 
 
@@ -58,7 +60,7 @@ def check_maximal_barriers(g):
 
 
 def check_refused(g):
-    for fn in (is_solid, nontrivial_tight_shores, maximal_barriers):
+    for fn in (is_solid, is_brace, nontrivial_tight_shores, maximal_barriers):
         with pytest.raises(NotMatchingCoveredError):
             fn(g)
     if g.n >= 2:
