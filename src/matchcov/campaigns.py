@@ -826,13 +826,15 @@ def _fig_r8_fold(rows, ctx: dict) -> dict:
 
 
 def _has_robust_cut(g: Multigraph) -> bool:
-    from .cuts import cut_shore_sets, is_robust
-    from .decomposition import _shores_in
+    from .cuts import _shores_in, cut_shore_sets, is_robust
 
     # A cut is robust from either shore, so one shore per cut will do; a
     # robust cut is separating and not tight.
-    tight, separating = cut_shore_sets(g)
-    return any(is_robust(g, x) for x in _shores_in(g.n, separating & ~tight))
+    return any(
+        is_robust(g, x)
+        for size, tight, separating in cut_shore_sets(g)
+        for x in _shores_in(g.n, size, separating & ~tight)
+    )
 
 
 def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:

@@ -9,22 +9,23 @@ bricks I", JCTB 2002).
 
 Two ways in. `is_tight` and `is_separating` answer for one shore (through
 `_crossings`), and are the oracles for the other way: `cut_shore_sets`
-folds every nontrivial odd shore at once, one pass over the matchings,
-into bitsets indexed by the shores in `decomposition._odd_shores(n)`
-order (see `_shore_table`).
+folds all nontrivial odd shores of one size at once, one pass over the
+matchings per size, into bitsets indexed by the shores in
+`_shores_of_size` order (see `_shore_block`); `_shores_in` turns the
+bits back into shores.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from .covered import _Witnesses, is_matching_covered, pm_table
 from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
 from .errors import VertexOutOfRangeError
-from .multigraph import Multigraph, _bits, bits, mask_of
+from .multigraph import Multigraph, bits, mask_of
 
 _BARRIER_MAX_N = int(os.environ.get("MATCHCOV_MAX_BARRIER_N", "16"))
 
@@ -107,64 +108,80 @@ def is_separating(g: Multigraph, shore: Iterable[int]) -> bool:
     return all(column & exactly_once for column in table.columns)
 
 
-@lru_cache(maxsize=None)
-def _shore_table(n: int) -> tuple[int, ...]:
-    """member[v] for the shores of `decomposition._odd_shores(n)`: bit i
-    says whether the i-th shore holds v. member[0] has every bit."""
-    memo: dict[tuple[int, int], tuple[int, list[int]]] = {}
+def _odd_shores(n: int) -> Iterator[tuple[int, ...]]:
+    """One shore X per nontrivial odd cut, 3 <= |X| <= n - 3: the one
+    holding vertex 0, in (size, sorted vertex tuple) order."""
+    for size in range(3, n - 2, 2):
+        yield from _shores_of_size(n, size)
 
-    def subsets(lo: int, k: int) -> tuple[int, list[int]]:
-        # (count, member) over the k-subsets of lo..n-1 in lexicographic
-        # order: those holding lo, then those without it.
-        if k == 0 or k > n - lo:
-            return int(k == 0), [0] * n
-        if (lo, k) not in memo:
-            first, holding = subsets(lo + 1, k - 1)
-            rest, missing = subsets(lo + 1, k)
+
+def _shores_of_size(n: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The shores of `_odd_shores(n)` of one size, in the order that
+    `_shore_block(n, size)` numbers them."""
+    return ((0,) + combo for combo in combinations(range(1, n), size - 1))
+
+
+def _shores_in(n: int, size: int, shore_set: int) -> Iterator[tuple[int, ...]]:
+    """The shores of `_shores_of_size(n, size)` whose bits are set in
+    `shore_set`."""
+    return compress(_shores_of_size(n, size), map("1".__eq__, bin(shore_set)[:1:-1]))
+
+
+@lru_cache(maxsize=16)
+def _shore_block(n: int, size: int) -> tuple[int, ...]:
+    """member[v] over `_shores_of_size(n, size)`: bit i says whether the
+    i-th shore holds v. member[0] has every bit.
+
+    The 16 blocks kept hold every size of every even order up to 14, the
+    solidity cap; at n = 24 one block is up to 4 MB.
+    """
+    k = size - 1
+    # col[lo]: (count, member) over the j-subsets of lo..n-1 in
+    # lexicographic order, those holding lo before those without it. Only
+    # the lo a k-subset of 1..n-1 reaches are filled; j runs up to k.
+    col = [(1, [0] * n)] * (n + 1)
+    for j in range(1, k + 1):
+        prev, col = col, [(0, [0] * n)] * (n + 1)
+        for lo in range(n - j, k - j, -1):
+            first, holding = prev[lo + 1]
+            rest, missing = col[lo + 1]
             member = [a | b << first for a, b in zip(holding, missing)]
             member[lo] = (1 << first) - 1
-            memo[lo, k] = first + rest, member
-        return memo[lo, k]
-
-    member = [0] * n
-    offset = 0
-    for size in range(3, n - 2, 2):
-        count, block = subsets(1, size - 1)
-        for v in range(1, n):
-            member[v] |= block[v] << offset
-        offset += count
-    member[0] = (1 << offset) - 1
-    return tuple(member)
+            col[lo] = first + rest, member
+    count, member = col[1]
+    return ((1 << count) - 1,) + tuple(member[1:])
 
 
-def cut_shore_sets(g: Multigraph) -> tuple[int, int]:
-    """(tight, separating) bitsets of the shores of
-    `decomposition._odd_shores(g.n)`; g must be matching covered.
+def cut_shore_sets(g: Multigraph) -> Iterator[tuple[int, int, int]]:
+    """(size, tight, separating) per shore size, ascending: bitsets over
+    `_shores_of_size(g.n, size)`; g must be matching covered. One size at
+    a time, so a caller stops at the first size that answers it.
 
     A matching crosses an odd shore an odd number of times, so a shore it
     does not cross twice or more it crosses exactly once.
     """
     table = pm_table(g)
-    member = _shore_table(g.n)
-    every = member[0]
-    crossing = [member[a] ^ member[b] for a, b in table.pairs]
-    crossed_twice = 0
-    # reach[c]: the shores crossed exactly once by some matching holding c
-    reach = [0] * len(crossing)
-    for pm in table.pool:
-        classes = list(_bits(pm))
-        once = twice = 0
-        for c in classes:
-            twice |= once & crossing[c]
-            once |= crossing[c]
-        crossed_twice |= twice
-        exactly_once = every & ~twice
-        for c in classes:
-            reach[c] |= exactly_once
-    separating = every
-    for shores in reach:
-        separating &= shores
-    return every & ~crossed_twice, separating
+    pms = [bits(pm) for pm in table.pool]
+    for size in range(3, g.n - 2, 2):
+        member = _shore_block(g.n, size)
+        every = member[0]
+        crossing = [member[a] ^ member[b] for a, b in table.pairs]
+        crossed_twice = 0
+        # reach[c]: the shores crossed exactly once by some matching holding c
+        reach = [0] * len(crossing)
+        for classes in pms:
+            once = twice = 0
+            for c in classes:
+                twice |= once & crossing[c]
+                once |= crossing[c]
+            crossed_twice |= twice
+            exactly_once = every & ~twice
+            for c in classes:
+                reach[c] |= exactly_once
+        separating = every
+        for shores in reach:
+            separating &= shores
+        yield size, every & ~crossed_twice, separating
 
 
 def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:

@@ -8,22 +8,22 @@ on the cuts chosen. The default policy picks the lexicographically least
 tight shore; a seeded policy shuffles the choice to let callers check the
 independence claim.
 
-Tight shores, braces and solidity come from one fold over every
-nontrivial odd shore (`cuts.cut_shore_sets`), as bitsets in `_odd_shores`
-order; `_shores_in` turns the bits back into shores. `cuts.is_tight` and
-`cuts.is_separating` remain for one shore.
+Tight shores, braces and solidity come from one fold per shore size over
+every nontrivial odd shore of that size (`cuts.cut_shore_sets`), smallest
+size first, so a brace test or the least tight shore stops at the first
+size with a tight shore. `cuts.is_tight` and `cuts.is_separating` remain
+for one shore.
 """
 from __future__ import annotations
 
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations, compress
 from typing import Iterator, Optional
 
 from .canon import canonical_form
 from .covered import is_matching_covered
-from .cuts import contractions, cut_shore_sets
+from .cuts import _shores_in, contractions, cut_shore_sets
 from .errors import BoundExceededError, NotMatchingCoveredError
 from .multigraph import Multigraph
 
@@ -36,17 +36,12 @@ class DecompResult:
     cut_shores: tuple[frozenset[int], ...]  # shores used, in recursion order
 
 
-def _odd_shores(n: int) -> Iterator[tuple[int, ...]]:
-    """One shore X per nontrivial odd cut, 3 <= |X| <= n - 3: the one
-    holding vertex 0, in (size, sorted vertex tuple) order."""
-    for size in range(3, n - 2, 2):
-        for combo in combinations(range(1, n), size - 1):
-            yield (0,) + combo
-
-
-def _shores_in(n: int, shore_set: int) -> Iterator[tuple[int, ...]]:
-    """The shores of `_odd_shores(n)` whose bits are set in `shore_set`."""
-    return compress(_odd_shores(n), map("1".__eq__, bin(shore_set)[:1:-1]))
+def _tight_shores(g: Multigraph) -> Iterator[frozenset[int]]:
+    """The nontrivial tight shores in order, folded one size at a time."""
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
+    for size, tight, _separating in cut_shore_sets(g):
+        yield from map(frozenset, _shores_in(g.n, size, tight))
 
 
 def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
@@ -55,20 +50,18 @@ def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
     Each cut {X, complement} is reported through the shore containing
     vertex 0; order is (size, sorted vertex tuple).
     """
-    if not is_matching_covered(g):
-        raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
-    return tuple(frozenset(x) for x in _shores_in(g.n, cut_shore_sets(g)[0]))
+    return tuple(_tight_shores(g))
 
 
 def find_nontrivial_tight_cut(
     g: Multigraph, rng: Optional[random.Random] = None
 ) -> Optional[frozenset[int]]:
     """Least nontrivial tight shore, or a seeded-random one; None if none."""
+    if rng is None:
+        return next(_tight_shores(g), None)
     shores = nontrivial_tight_shores(g)
     if not shores:
         return None
-    if rng is None:
-        return shores[0]
     return shores[rng.randrange(len(shores))]
 
 
@@ -110,7 +103,7 @@ def is_brace(g: Multigraph) -> bool:
         raise NotMatchingCoveredError("braces are matching covered")
     if not g.is_bipartite():
         return False
-    return not cut_shore_sets(g)[0]
+    return not any(tight for _size, tight, _separating in cut_shore_sets(g))
 
 
 def is_solid(g: Multigraph) -> bool:
@@ -119,8 +112,7 @@ def is_solid(g: Multigraph) -> bool:
         raise BoundExceededError(f"solidity check capped at {_SOLID_MAX_N} vertices")
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("solidity is defined on matching covered graphs")
-    tight, separating = cut_shore_sets(g)
-    return not separating & ~tight
+    return not any(separating & ~tight for _size, tight, separating in cut_shore_sets(g))
 
 
 def decomposition_multiset(g: Multigraph, seed: Optional[int] = None) -> tuple[bytes, ...]:

@@ -14,7 +14,7 @@ from matchcov.campaigns import (
     run_campaign,
     run_corpus,
 )
-from matchcov.decomposition import _odd_shores
+from matchcov.cuts import _odd_shores
 from matchcov.errors import BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph

@@ -1,11 +1,13 @@
 """Edge cuts, tightness, barriers, 2-separations."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 
 from matchcov import (
+    Multigraph,
     barriers,
     edge_cut,
     enumerate_connected_graphs,
@@ -18,8 +20,9 @@ from matchcov import (
     maximal_barriers,
     two_separations,
 )
-from matchcov.cuts import _shore_table, cut_shore_sets
-from matchcov.decomposition import _odd_shores, _shores_in, nontrivial_tight_shores
+from matchcov.covered import pm_table
+from matchcov.cuts import _odd_shores, _shore_block, _shores_in, _shores_of_size, cut_shore_sets
+from matchcov.decomposition import nontrivial_tight_shores
 from matchcov.errors import EmptyShoreError
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
 from conftest import brute_perfect_matchings, multigraphs
@@ -156,29 +159,37 @@ def test_separating_cut_in_c6():
     assert h.n == 4 and is_matching_covered(h)
 
 
-def test_shore_table_matches_odd_shores():
+def test_shore_blocks_match_odd_shores():
     for n in range(1, 15):
         shores = list(_odd_shores(n))
-        member = _shore_table(n)
-        assert len(member) == n
-        for v in range(n):
-            assert member[v] == sum(1 << i for i, x in enumerate(shores) if v in x), (n, v)
+        blocks = [list(_shores_of_size(n, size)) for size in range(3, n - 2, 2)]
+        assert shores == sorted(shores, key=lambda x: (len(x), x))
+        assert shores == [x for block in blocks for x in block]
+        for block in blocks:
+            member = _shore_block(n, len(block[0]))
+            assert len(member) == n
+            for v in range(n):
+                assert member[v] == sum(1 << i for i, x in enumerate(block) if v in x), (n, v)
     assert len(shores) == 4082
 
 
 def check_shore_sets(g):
-    """The fold over every nontrivial odd shore against the per-shore
-    queries, and what is read from it; returns (solid, brace)."""
-    shores = list(_odd_shores(g.n))
-    tight, separating = cut_shore_sets(g)
-    assert tight >> len(shores) == separating >> len(shores) == 0
-    for i, x in enumerate(shores):
-        assert tight >> i & 1 == is_tight(g, x), x
-        assert separating >> i & 1 == is_separating(g, x), x
-    tight_list = [x for i, x in enumerate(shores) if tight >> i & 1]
-    assert list(_shores_in(g.n, tight)) == tight_list
+    """The folds over the nontrivial odd shores of each size against the
+    per-shore queries, and what is read from them; returns (solid, brace)."""
+    sets = list(cut_shore_sets(g))
+    assert [size for size, _t, _s in sets] == list(range(3, g.n - 2, 2))
+    tight_list = []
+    for size, tight, separating in sets:
+        shores = list(_shores_of_size(g.n, size))
+        assert tight >> len(shores) == separating >> len(shores) == 0
+        for i, x in enumerate(shores):
+            assert tight >> i & 1 == is_tight(g, x), x
+            assert separating >> i & 1 == is_separating(g, x), x
+        tight_here = [x for i, x in enumerate(shores) if tight >> i & 1]
+        assert list(_shores_in(g.n, size, tight)) == tight_here
+        tight_list += tight_here
     assert nontrivial_tight_shores(g) == tuple(frozenset(x) for x in tight_list)
-    solid = not any(separating >> i & 1 and not tight >> i & 1 for i in range(len(shores)))
+    solid = all(is_tight(g, x) or not is_separating(g, x) for x in _odd_shores(g.n))
     brace = g.is_bipartite() and not tight_list
     assert is_solid(g) == solid
     assert is_brace(g) == brace
@@ -201,3 +212,25 @@ def test_shore_sets_match_per_shore_queries():
 def test_shore_sets_match_per_shore_queries_on_multigraphs(g):
     assume(is_matching_covered(g))
     check_shore_sets(g)
+
+
+def test_brace_at_the_pm_cap_folds_one_size_at_a_time():
+    # n = 24 has 2^22 odd shores through vertex 0, about 12 MB as bitsets
+    # over all of them. A non-brace stops at its first size with a tight
+    # shore; a brace reads every size, one fold at a time.
+    k = 12
+    ladder = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    ladder = Multigraph(2 * k, ladder + [(i, k + i) for i in range(k)])
+    nauru = [(i, (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)]
+    nauru = Multigraph(2 * k, nauru + [(k + i, k + (i + 5) % k) for i in range(k)])
+    for g, brace, mb in ((cycle_graph(24), False, 1), (ladder, False, 1), (nauru, True, 40)):
+        pm_table(g)
+        _shore_block.cache_clear()
+        tracemalloc.start()
+        try:
+            verdict = is_brace(g)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+            _shore_block.cache_clear()
+        assert verdict == brace and peak < mb, (g.edges, verdict, peak)
