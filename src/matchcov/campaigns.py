@@ -46,7 +46,7 @@ from .covered import (
 )
 from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
 from .errors import BadSpecError, BoundExceededError, UnknownCampaignError
-from .generate import enumerate_connected_graphs, multiplicity_classes, multiplicity_sweep
+from .generate import enumerate_connected_graphs, multiplicity_classes
 from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph
@@ -59,6 +59,7 @@ from .wheels import (
     is_wheel_like,
     make_wheel,
     odd_wheel_rim,
+    parallels_at_hub,
     splice,
     spoke_vectors,
     build_from_certificate,
@@ -207,29 +208,24 @@ def _thm11_fold(rows, ctx: dict) -> dict:
 
 # =============================================================================
 # thm-1.4: a minimal matching covered graph on >= 4 vertices has minimum
-# degree 2 or 3.  Simple graphs to max_n, multigraphs to mult_n.
+# degree 2 or 3.  Simple graphs to max_n: no multigraph is minimal.
 # =============================================================================
 
 
 def _thm14_population(ctx: dict) -> Iterator[Multigraph]:
-    # Matching covered graphs on >= 4 vertices have no degree-1 vertex, and
-    # multiplicities never add neighbours, so the floor of 2 loses nothing.
+    # Matching covered graphs on >= 4 vertices have no degree-1 vertex, so
+    # the floor of 2 loses nothing.
     for n in range(4, ctx["max_n"] + 1, 2):
         yield from enumerate_connected_graphs(n, min_degree=2)
-    for n in range(4, ctx["mult_n"] + 1, 2):
-        for base in enumerate_connected_graphs(n, min_degree=2):
-            for g in multiplicity_sweep(base, ctx["mult_bound"]):
-                if not g.is_simple():  # simple sweep members are covered above
-                    yield g
 
 
 def _thm14_claim(g: Multigraph, ctx: dict):
     """Minimal means no removable edge. In a matching covered graph a
     parallel copy is always removable: deleting it leaves the underlying
     simple graph as it was, and matching coverage depends on nothing else.
-    So no multigraph with a parallel class is minimal, and the multigraph
-    slice of the population never reaches the degree test.
-    tests/test_covered_properties.py checks the lemma.
+    So no multigraph with a parallel class is minimal, and the population
+    holds simple graphs only; a multigraph in a corpus stops at its first
+    removable edge. tests/test_covered_properties.py checks the lemma.
     """
     # K2 is matching covered and minimal but has minimum degree 1: the
     # claim concerns graphs on at least four vertices.
@@ -523,19 +519,6 @@ def _lemma218_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _w5_with_hub_parallels(g: Multigraph) -> bool:
-    simple = g.underlying_simple()
-    hubs = [v for v in range(g.n) if simple.degree(v) == g.n - 1]
-    if len(hubs) != 1:
-        return False
-    h = hubs[0]
-    if odd_wheel_rim(simple, h) is None:
-        return False
-    return all(
-        h in pair for pair, cls in g.parallel_classes.items() if len(cls) > 1
-    )
-
-
 def _lemma36_population(ctx: dict) -> Iterator[Multigraph]:
     bases = list(_simple_bricks(6, min_n=6))
     ctx["simple_brick_bases"] = len(bases)
@@ -548,7 +531,8 @@ def _lemma36_claim(g: Multigraph, ctx: dict):
     if g.n != 6 or not is_brick(g):
         return None
     wl = bool(is_wheel_like(g))
-    rhs = _w5_with_hub_parallels(g)
+    # On six vertices only the 5-wheel is an odd wheel, with one hub.
+    rhs = any(odd_wheel_rim(g, h) is not None and parallels_at_hub(g, h) for h in range(g.n))
     if wl == rhs:
         return wl, []
     return wl, [{"wheel_like": wl, "w5_hub_parallels": rhs, "failed": "equivalence"}]
@@ -1018,7 +1002,7 @@ CAMPAIGNS: dict[str, Campaign] = {
         _thm14_population,
         _thm14_claim,
         _thm14_fold,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        {"max_n": 8},
         lambda p: {**p, "min_n": 4},
         corpus=True,
     ),

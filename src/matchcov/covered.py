@@ -12,6 +12,12 @@ matching that avoids some classes D. Class f depends on D when none does
 of perfect matchings answers them: see `_Witnesses`. Filled to every
 perfect matching, the same pool is the table that cuts are read from: see
 `pm_table`.
+
+A miss in the pool runs `multigraph.pm_search`, the one perfect-matching
+search, and reads the matching it found off its memo (`pm_pairs`). With no
+class dropped the memo is the graph's own, the one `Multigraph.has_pm_mask`
+reads, so coverage, bicriticality and the maximal barriers share
+subproblems.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .errors import BoundExceededError, NotMatchingCoveredError
-from .multigraph import Multigraph, _bits, _reach, _two_coloring, per_graph
+from .multigraph import Multigraph, _bits, _reach, _two_coloring, per_graph, pm_pairs, pm_search
 
 _PM_ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_PM_ENUM_N", "24"))
 
@@ -37,39 +43,6 @@ class Doubleton:
 
 
 RemovableClass = Union[Single, Doubleton]
-
-
-def _matching(adj: list[int], index: dict, mask: int, dead: set[int]) -> Optional[int]:
-    """Class bitset of a perfect matching of the vertices in `mask`, or None.
-
-    Depth-first, matching the lowest vertex first, with an explicit stack so
-    that no order of graph meets the recursion limit. `dead` gathers the
-    masks proven to have no perfect matching, so it must only be shared
-    between searches over the same adjacency.
-    """
-    frames: list[list[int]] = []  # [mask, untried partners, class taken]
-    while True:
-        if not mask:
-            found = 0
-            for frame in frames:
-                found |= frame[2]
-            return found
-        if mask not in dead:
-            low = mask & -mask
-            frames.append([mask, adj[low.bit_length() - 1] & (mask ^ low), 0])
-        while frames:
-            top = frames[-1]
-            if top[1]:
-                u_bit = top[1] & -top[1]
-                v_bit = top[0] & -top[0]
-                top[1] ^= u_bit
-                top[2] = 1 << index[v_bit.bit_length() - 1, u_bit.bit_length() - 1]
-                mask = top[0] ^ v_bit ^ u_bit
-                break
-            dead.add(top[0])
-            frames.pop()
-        else:
-            return None
 
 
 def _all_matchings(adj: list[int], index: dict, mask: int, memo: dict) -> list[int]:
@@ -107,6 +80,7 @@ class _Witnesses:
         self.edge_class = [self.index[pair] for pair in g.edges]
         self.sizes = [len(ids) for ids in g.parallel_classes.values()]
         self.adj = g.adj_masks
+        self.memo = g._pm_memo
         self.full = g.full_mask
         self.pool: list[int] = []
         self.complete = False
@@ -156,18 +130,22 @@ class _Witnesses:
         if self.complete:
             out, missing = missing, 0
         if missing:
-            adj = self.adjacency_without(drop)
-            dead: set[int] = set()
+            # With no class dropped the adjacency is g's own, and so is the memo.
+            adj = self.adjacency_without(drop) if drop else self.adj
+            memo = {0: 0} if drop else self.memo
             while missing:
                 low = missing & -missing
                 a, b = self.pairs[low.bit_length() - 1]
-                pm = _matching(adj, self.index, self.full ^ (1 << a) ^ (1 << b), dead)
-                if pm is None:
+                mask = self.full ^ (1 << a) ^ (1 << b)
+                if not pm_search(adj, mask, memo):
                     out |= low
                     missing ^= low
-                else:
-                    self.pool.append(pm | low)
-                    missing &= ~pm & ~low
+                    continue
+                pm = low
+                for pair in pm_pairs(mask, memo):
+                    pm |= 1 << self.index[pair]
+                self.pool.append(pm)
+                missing &= ~pm
         self._dependents[drop] = out
         return out
 

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 from .covered import _Witnesses, is_matching_covered, pm_table
 from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
 from .errors import VertexOutOfRangeError
+from .matching import has_perfect_matching
 from .multigraph import Multigraph, bits, mask_of
 
 _BARRIER_MAX_N = int(os.environ.get("MATCHCOV_MAX_BARRIER_N", "16"))
@@ -213,7 +214,7 @@ def barriers(g: Multigraph) -> Iterator[Barrier]:
     """
     if g.n > _BARRIER_MAX_N:
         raise BoundExceededError(f"barrier enumeration capped at {_BARRIER_MAX_N} vertices")
-    if not g.has_perfect_matching():
+    if not has_perfect_matching(g):
         raise NotMatchingCoveredError("barriers are defined for graphs with a perfect matching")
     for size in range(1, g.n // 2 + 1):
         for combo in combinations(range(g.n), size):

@@ -15,33 +15,31 @@ def _g6_size(text: str) -> tuple[int, int]:
     """(n, index of first payload char)."""
     if not text:
         raise MalformedGraph6Error("empty graph6 string")
-    c = ord(text[0])
-    if c == 126:  # '~'
-        if len(text) >= 2 and ord(text[1]) == 126:
-            if len(text) < 8:
-                raise MalformedGraph6Error("truncated long-form size")
-            vals = [ord(ch) - 63 for ch in text[2:8]]
-            if any(not 0 <= v <= 63 for v in vals):
-                raise MalformedGraph6Error("size characters out of range")
-            n = 0
-            for v in vals:
-                n = (n << 6) | v
-            return n, 8
-        if len(text) < 4:
-            raise MalformedGraph6Error("truncated medium-form size")
-        vals = [ord(ch) - 63 for ch in text[1:4]]
-        if any(not 0 <= v <= 63 for v in vals):
-            raise MalformedGraph6Error("size characters out of range")
-        n = 0
-        for v in vals:
-            n = (n << 6) | v
-        if n < 63:
-            raise MalformedGraph6Error("medium-form size below 63")
-        return n, 4
-    n = c - 63
+    if text.startswith("~~"):
+        return _g6_size_field(text[2:8], 6, 258048), 8
+    if text.startswith("~"):
+        return _g6_size_field(text[1:4], 3, 63), 4
+    n = ord(text[0]) - 63
     if not 0 <= n <= 62:
         raise MalformedGraph6Error(f"size character {text[0]!r} out of range")
     return n, 1
+
+
+def _g6_size_field(field: str, width: int, least: int) -> int:
+    """The size spelled by the `width` characters after a `~` or `~~`,
+    6 bits each, high bits first. A size below `least` fits a shorter
+    header, so spelling it this way is malformed."""
+    if len(field) < width:
+        raise MalformedGraph6Error("truncated size header")
+    n = 0
+    for ch in field:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise MalformedGraph6Error("size characters out of range")
+        n = n << 6 | v
+    if n < least:
+        raise MalformedGraph6Error(f"size {n} below {least} in a {width}-character size field")
+    return n
 
 
 def decode_graph6(text: str) -> Multigraph:

@@ -3,9 +3,12 @@
 The general engine is augmenting-path search with blossom shrinking on the
 underlying simple graph; parallel edges never change matchability, so a
 matched pair is lifted back to the lowest edge id of its parallel class.
-Perfect-matching existence queries go through the memoized bitmask kernel
-on the graph object instead; the removability questions, and enumeration,
-through the pool of perfect matchings in `covered`.
+Whether a vertex set has a perfect matching is asked of one depth-first
+search, `multigraph.pm_search`, through `Multigraph.has_pm_mask` and the
+graph's memo, which maps a vertex mask to the partner of its lowest vertex
+in a perfect matching, or to -1 when there is none. The removability
+questions, and enumeration, go through the pool of perfect matchings in
+`covered`, whose searches run that kernel on that memo.
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ stays valid for the graph's lifetime, and it goes when the graph goes.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     EdgeOutOfRangeError,
@@ -168,52 +168,13 @@ class Multigraph:
     # -- perfect matching kernel --------------------------------------------
 
     @cached_property
-    def _pm_memo(self) -> dict[int, bool]:
-        return {0: True}
+    def _pm_memo(self) -> dict[int, int]:
+        """The `pm_search` memo over `adj_masks`."""
+        return {0: 0}
 
     def has_pm_mask(self, mask: int) -> bool:
-        """Does the induced subgraph on `mask` have a perfect matching?
-
-        Memoized per graph; repeated queries (every vertex pair, for
-        bicriticality) share subproblems.
-        """
-        memo = self._pm_memo
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        adj = self.adj_masks
-        # Iterative DFS with an explicit stack of (mask, candidate-set).
-        stack = [(mask, None)]
-        while stack:
-            cur, cand = stack[-1]
-            if cand is None:
-                hit = memo.get(cur)
-                if hit is not None:
-                    stack.pop()
-                    continue
-                v = (cur & -cur).bit_length() - 1
-                cand = adj[v] & cur
-                stack[-1] = (cur, cand)
-            if cand == 0:
-                memo[cur] = False
-                stack.pop()
-                continue
-            v_bit = cur & -cur
-            u_bit = cand & -cand
-            stack[-1] = (cur, cand ^ u_bit)
-            child = cur ^ v_bit ^ u_bit
-            known = memo.get(child)
-            if known is None:
-                stack.append((child, None))
-            elif known:
-                # Propagate success: everything on the stack succeeds.
-                for frame_mask, _ in stack:
-                    memo[frame_mask] = True
-                return True
-        return memo[mask]
-
-    def has_perfect_matching(self) -> bool:
-        return self.has_pm_mask(self.full_mask)
+        """Does the induced subgraph on `mask` have a perfect matching?"""
+        return pm_search(self.adj_masks, mask, self._pm_memo)
 
     # -- derived graphs ------------------------------------------------------
 
@@ -279,6 +240,54 @@ class Multigraph:
     def relabeled(self, perm: Sequence[int]) -> "Multigraph":
         """Image under vertex permutation (perm[v] is the new id of v)."""
         return Multigraph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
+
+
+def pm_search(adj: Sequence[int], mask: int, memo: dict[int, int]) -> bool:
+    """Does the vertex set `mask` have a perfect matching over the adjacency
+    masks `adj`?
+
+    Depth-first, matching the lowest vertex first, with an explicit stack so
+    that no order of graph meets the recursion limit. `memo` maps a vertex
+    mask to the partner of its lowest vertex in a perfect matching found, or
+    to -1 when it has none; it starts as {0: 0} and may only be shared
+    between searches over one adjacency. Following partners down from a
+    solved mask spells out its matching: see `pm_pairs`.
+    """
+    known = memo.get(mask)
+    if known is not None:
+        return known >= 0
+    low = mask & -mask
+    frames = [[mask, adj[low.bit_length() - 1] & mask, 0]]  # mask, untried partners, partner bit
+    while frames:
+        top = frames[-1]
+        cur, untried = top[0], top[1]
+        if not untried:
+            memo[cur] = -1
+            frames.pop()
+            continue
+        u_bit = untried & -untried
+        top[1] = untried ^ u_bit
+        top[2] = u_bit
+        child = cur ^ (cur & -cur) ^ u_bit
+        known = memo.get(child)
+        if known is None:
+            low = child & -child
+            frames.append([child, adj[low.bit_length() - 1] & child, 0])
+        elif known >= 0:
+            for cur, _, u_bit in frames:
+                memo[cur] = u_bit.bit_length() - 1
+            return True
+    return False
+
+
+def pm_pairs(mask: int, memo: dict[int, int]) -> Iterator[tuple[int, int]]:
+    """The pairs (v, partner) of the perfect matching of `mask` that
+    `pm_search` found and left in `memo`, lowest vertex first."""
+    while mask:
+        v_bit = mask & -mask
+        u = memo[mask]
+        yield v_bit.bit_length() - 1, u
+        mask ^= v_bit | 1 << u
 
 
 def _reach(adj: Sequence[int], start: int, within: int) -> int:

@@ -173,6 +173,11 @@ def is_wheel_like(g: Multigraph) -> frozenset[int]:
     return frozenset(cands)
 
 
+def parallels_at_hub(g: Multigraph, hub: int) -> bool:
+    """Does every parallel class of g have `hub` as an end?"""
+    return all(hub in pair for pair, ids in g.parallel_classes.items() if len(ids) > 1)
+
+
 def check_odd_wheel_splice(
     g: Multigraph,
     hub_g: int,
@@ -206,13 +211,8 @@ def check_odd_wheel_splice(
         if hub_side.n < 6:
             violations.append("1")
 
-    for graph, hub in ((g, hub_g), (h, hub_h)):
-        if any(
-            len(ids) > 1 and hub not in pair
-            for pair, ids in graph.parallel_classes.items()
-        ):
-            violations.append("2")
-            break
+    if not (parallels_at_hub(g, hub_g) and parallels_at_hub(h, hub_h)):
+        violations.append("2")
 
     if u_is_hub != v_is_hub:
         if u_is_hub:
@@ -261,12 +261,9 @@ def g1_hub_designations(g: Multigraph) -> frozenset[int]:
     """Hubs h making g an odd wheel with parallels only at h; empty when g is
     not a wheel-like odd wheel of that shape (the base family membership
     test)."""
-    shapes = set()
-    for hub in range(g.n):
-        if odd_wheel_rim(g, hub) is None:
-            continue
-        if all(hub in pair for pair, ids in g.parallel_classes.items() if len(ids) > 1):
-            shapes.add(hub)
+    shapes = {
+        hub for hub in range(g.n) if odd_wheel_rim(g, hub) is not None and parallels_at_hub(g, hub)
+    }
     if not shapes:
         return frozenset()
     if not is_brick(g) or not is_wheel_like(g):

@@ -95,7 +95,7 @@ def test_03_brick_removable_class_lower_bound():
 
 
 def test_04_minimal_graphs_have_degree_two_or_three():
-    rep = run_campaign("thm-1.4", max_n=8, mult_n=6, mult_bound=2)
+    rep = run_campaign("thm-1.4", max_n=8)
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["minimal"] >= 6

@@ -81,8 +81,9 @@ def test_thm_1_1_reduced():
 
 
 def test_thm_1_4_reduced():
-    rep = run_campaign("thm-1.4", max_n=6, mult_n=4)
+    rep = run_campaign("thm-1.4", max_n=6)
     _check_shape(rep, "thm-1.4")
+    assert rep["parameters"] == {"max_n": 6, "min_n": 4}
     assert rep["summary"]["status"] == "pass"
     assert rep["summary"]["minimal"] >= 1
     assert rep["graphs_checked"] >= rep["summary"]["matching_covered"]

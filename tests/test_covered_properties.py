@@ -100,8 +100,9 @@ def test_brick_matches_connectivity_oracle(g):
 @PROPERTY_SETTINGS
 @given(multigraphs(8, even=True))
 def test_multigraph_verdicts_follow_the_underlying_simple_graph(g):
-    # Populations test matching coverage once per base, and thm-1.4 relies
-    # on a parallel copy of a matching covered graph being removable.
+    # Populations test matching coverage once per base, and thm-1.4 leaves
+    # multigraphs out because a parallel copy of a matching covered graph is
+    # removable, so no multigraph is minimal.
     simple = g.underlying_simple()
     covered = is_matching_covered(g)
     assert covered == is_matching_covered(simple)

@@ -56,6 +56,12 @@ def test_graph6_malformed():
         decode_graph6("")
     with pytest.raises(MalformedGraph6Error):
         decode_graph6("C~ C~")
+    # Sizes spelled in a longer header than they need: the long form for
+    # n = 0 and the medium form for n = 62.
+    with pytest.raises(MalformedGraph6Error):
+        decode_graph6("~~??????")
+    with pytest.raises(MalformedGraph6Error):
+        decode_graph6("~??}" + "?" * 316)
 
 
 def test_mg_round_trip_with_multiplicity():

@@ -24,7 +24,7 @@ from matchcov.zoo import (
 FULL_RUNS = {
     "thm-1.1": ({"max_n": 6}, "00784995a6e1ee006150ddd799d1e640a0349474d4888bd92273b60aef4a857a"),
     "thm-1.3": ({"max_n": 6, "mult_n": 4}, "dc8eb0b7faf45a0287350337bd78c78c57605d04c2265e7d0d9ee283609022db"),
-    "thm-1.4": ({"max_n": 6, "mult_n": 4}, "6f0c6d08d69d9dd10bfd4450eba828617b336cf73cf21b2e0b7b07d497a0bb23"),
+    "thm-1.4": ({"max_n": 6}, "2d791a9d4a90e8f5ae7f63c183c96892565528101a712c3dc36779dfe6c61e4e"),
     "lemma-2.16": ({"max_n": 6, "sample_n": 8, "samples": 5}, "b8d02d606dc52543ba965e09bf42310ff720d671b2b02a64d0b25555d79aaf78"),
     "lemma-2.17": ({"max_n": 6}, "f8e6bc07bbddbf5ccf951082da278156f6bdebda9c5cf97619cff183ce065902"),
     "lemma-2.18": ({"max_n": 6}, "e151dd264a04ed05b01b61eb371cdf4cdf213f02434d497d253288026fea74b7"),
