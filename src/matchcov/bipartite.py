@@ -3,6 +3,7 @@ certificates.
 
 Everything here fixes the bipartition (A, B) as the two color classes with
 vertex 0 in A; inputs must be connected bipartite matching covered graphs.
+A certificate (A1, B1) is searched over A1 alone: B1 = N(A1) - v is forced.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Iterator, Optional
 
 from .covered import is_matching_covered, is_removable_edge
 from .errors import BoundExceededError, NotBipartiteMCError
-from .multigraph import Multigraph, mask_of, per_graph
+from .multigraph import Multigraph, bits, mask_of, per_graph
 
 _PSET_MAX_N = int(os.environ.get("MATCHCOV_MAX_PSET_N", "14"))
 
@@ -114,33 +115,26 @@ class RemovabilityCertificate:
 def _certificate_search(
     g: Multigraph, e: int, a: frozenset[int], b: frozenset[int]
 ) -> Optional[RemovabilityCertificate]:
+    """The first A1 holding u, in (size, sorted) order, that certifies e.
+
+    B1 is forced: E[A1, B - B1] = {uv} puts every neighbour of A1 but v
+    in B1, and a vertex of B1 with no neighbour in A1 would leave
+    G[A1 + B1] without a perfect matching. So B1 = N(A1) - v.
+    """
     u, v = g.endpoints(e)
     if u in b:
         u, v = v, u
-    a_rest = sorted(a)
-    b_rest = sorted(b - {v})
+    adj = g.adj_masks
     for ka in range(1, len(a)):
-        for a1 in combinations(a_rest, ka):
-            if u not in a1:
+        for a1 in combinations(sorted(a), ka):
+            if adj[v] & mask_of(a1) != 1 << u:  # u in A1, and v's only neighbour there
                 continue
-            a1set = frozenset(a1)
-            # E[A1, B - B1] = {uv} forces B1 to contain every other
-            # B-neighbor of A1 except v; b1 must also keep |B1| = |A1| for
-            # the subgraph to be coverable, so search same-size subsets.
-            for b1 in combinations(b_rest, ka):
-                b1set = frozenset(b1)
-                crossing = [
-                    (x, y)
-                    for (x, y) in g.edges
-                    if (x in a1set and y in b - b1set) or (y in a1set and x in b - b1set)
-                ]
-                if len(crossing) != g.multiplicity(u, v):
-                    continue
-                if not all(set(pair) == {u, v} for pair in crossing):
-                    continue
-                sub = g.induced(sorted(a1set | b1set))
-                if is_matching_covered(sub):
-                    return RemovabilityCertificate(a1set, b1set)
+            b1_mask = 0
+            for x in a1:
+                b1_mask |= adj[x]
+            b1 = frozenset(bits(b1_mask & ~(1 << v)))
+            if len(b1) == ka and is_matching_covered(g.induced(sorted(b1.union(a1)))):
+                return RemovabilityCertificate(frozenset(a1), b1)
     return None
 
 
@@ -148,8 +142,8 @@ def is_removable_bipartite(g: Multigraph, e: int) -> tuple[bool, Optional[Remova
     """(removable?, non-removability certificate when not removable).
 
     `is_removable_edge` decides removability; the certificate is found
-    by subset search over same-size class pairs and is None exactly when the
-    edge is removable.
+    by a search over the sets A1 holding an end of e, and is None exactly
+    when the edge is removable.
     """
     a, b = bipartition(g)
     if is_removable_edge(g, e):

@@ -55,6 +55,7 @@ from .wheels import (
     WheelSpec,
     boundary_classes,
     check_odd_wheel_splice,
+    closure_holding,
     g_family_closure,
     is_wheel_like,
     make_wheel,
@@ -260,23 +261,9 @@ def _thm13_population(ctx: dict) -> list[Multigraph]:
 
 
 def _thm13_prepare(graphs: Sequence[Multigraph], ctx: dict) -> None:
-    """Build, once, the family closure that the claim looks graphs up in.
-
-    The closure must hold every wheel-like brick the claim will see, so its
-    bound is their largest order, and its leaf caps cover their largest
-    multiplicity. The splice catalog needs spokes up to bound - 3: a splice
-    deletes the vertex carrying a heavy spoke, and the surviving endpoint
-    keeps degree m + 2 <= bound - 1.
-    """
+    """Build, once, the closure the claim looks the wheel-like bricks up in."""
     wheel_like = [g for g in graphs if is_brick(g) and is_wheel_like(g)]
-    bound = max((g.n for g in wheel_like), default=4)
-    mult = max((len(c) for g in wheel_like for c in g.parallel_classes.values()), default=1)
-    ctx["closure_bound"] = bound
-    ctx["splice_cap"] = max(mult, bound - 3)
-    if wheel_like:
-        ctx["closure"] = g_family_closure(
-            bound, k3_cap=max(3, mult), cap=max(2, mult), splice_cap=ctx["splice_cap"]
-        )
+    ctx["closure"], ctx["closure_bound"], ctx["splice_cap"] = closure_holding(wheel_like)
 
 
 def _thm13_claim(g: Multigraph, ctx: dict):
@@ -303,7 +290,7 @@ def _thm13_fold(rows, ctx: dict) -> dict:
             verdicts.append({"canon": _canon_hex(g), "n": g.n, "m": g.m, "certified": True})
     return {
         "wheel_like_bricks": checked,
-        "closure_size": len(ctx.get("closure", ())),
+        "closure_size": len(ctx["closure"]),
         "closure_bound": ctx["closure_bound"],
         "splice_cap": ctx["splice_cap"],
     }
@@ -739,6 +726,8 @@ def _prop313_fold(rows, ctx: dict) -> dict:
 
 
 def _decomp_population(ctx: dict) -> Iterator[Multigraph]:
+    if ctx["seeds"] < 2:
+        raise BadSpecError(f"seeds must be at least 2, got {ctx['seeds']}")
     for n in range(6, ctx["max_n"] + 1, 2):
         yield from enumerate_connected_graphs(n, min_degree=2)
 
@@ -1137,7 +1126,7 @@ def _run(
 
     def rows() -> Iterator[tuple]:
         nonlocal checked
-        for g, verdict in _verdicts(claim, ctx, graphs, jobs or 1):
+        for g, verdict in _verdicts(claim, ctx, graphs, jobs):
             checked += 1
             if verdict:
                 counterexamples.extend(_counterexample(g, **p) for p in verdict[1])
@@ -1163,13 +1152,19 @@ def _run(
     return report
 
 
+def _jobs(jobs: Optional[int]) -> int:
+    if jobs is not None and jobs < 1:
+        raise BadSpecError(f"jobs must be at least 1, got {jobs}")
+    return jobs or 1
+
+
 def run_campaign(name: str, **params) -> dict:
     if name not in CAMPAIGNS:
         known = ", ".join(sorted(CAMPAIGNS))
         raise UnknownCampaignError(f"unknown campaign {name!r} (known: {known})")
     campaign = CAMPAIGNS[name]
     kwargs = dict(campaign.defaults)
-    jobs = params.pop("jobs", None) or 1
+    jobs = _jobs(params.pop("jobs", None))
     for key, value in params.items():
         if value is None:
             continue
@@ -1206,6 +1201,9 @@ def run_corpus(
         raise UnknownCampaignError(
             f"campaign {name!r} has no corpus mode (supported: {known})"
         )
+    jobs = _jobs(jobs)
+    if seeds < 2:
+        raise BadSpecError(f"seeds must be at least 2, got {seeds}")
     started = time.monotonic()
     for g in graphs:
         if g.n > _CORPUS_MAX_N:

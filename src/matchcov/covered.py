@@ -16,15 +16,17 @@ perfect matching, the same pool is the table that cuts are read from: see
 A miss in the pool runs `multigraph.pm_search`, the one perfect-matching
 search, and reads the matching it found off its memo (`pm_pairs`). With no
 class dropped the memo is the graph's own, the one `Multigraph.has_pm_mask`
-reads, so coverage, bicriticality and the maximal barriers share
-subproblems.
+reads, and so it is shared with `pm_pair_groups`, the one walk over vertex
+pairs that asks for perfect matchings (bicriticality, maximal barriers);
+`separating_pairs` is the one that asks for connectivity (bricks,
+2-separations).
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import BoundExceededError, NotMatchingCoveredError
 from .multigraph import Multigraph, _bits, _reach, _two_coloring, per_graph, pm_pairs, pm_search
@@ -227,16 +229,38 @@ def removable_classes(g: Multigraph) -> tuple[RemovableClass, ...]:
     return singles + doubletons
 
 
+@per_graph
+def pm_pair_groups(g: Multigraph) -> tuple[int, ...]:
+    """Vertex masks: the lowest vertex u in no earlier group, with each such
+    v that leaves G - u - v without a perfect matching; the only such scan."""
+    full = rest = g.full_mask
+    out = []
+    while rest:
+        group = low = rest & -rest
+        for v in _bits(rest ^ low):
+            if not g.has_pm_mask(full ^ low ^ (1 << v)):
+                group |= 1 << v
+        rest ^= group
+        out.append(group)
+    return tuple(out)
+
+
+def separating_pairs(g: Multigraph) -> Iterator[tuple[int, int]]:
+    """Pairs x < y with G - x - y disconnected, in lexicographic order: the
+    only scan of vertex pairs for connectivity."""
+    adj, full = g.adj_masks, g.full_mask
+    for x, y in combinations(range(g.n), 2):
+        within = full ^ (1 << x) ^ (1 << y)
+        if within and _reach(adj, (within & -within).bit_length() - 1, within) != within:
+            yield x, y
+
+
+@per_graph
 def is_bicritical(g: Multigraph) -> bool:
-    """G - u - v has a perfect matching for every vertex pair; needs n >= 4."""
+    """Every G - u - v has a perfect matching (each group one vertex); n >= 4."""
     if g.n < 4 or g.n % 2:
         return False
-    full = g.full_mask
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_pm_mask(full & ~(1 << u) & ~(1 << v)):
-                return False
-    return True
+    return all(group & group - 1 == 0 for group in pm_pair_groups(g))
 
 
 @per_graph
@@ -247,16 +271,7 @@ def is_brick(g: Multigraph) -> bool:
     vertex and a vertex of one component leaves some component odd), so
     3-connectivity only asks that no two vertices separate it.
     """
-    if not is_bicritical(g):
-        return False
-    adj, full = g.adj_masks, g.full_mask
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            within = full ^ (1 << x) ^ (1 << y)
-            start = (within & -within).bit_length() - 1
-            if _reach(adj, start, within) != within:
-                return False
-    return True
+    return is_bicritical(g) and next(separating_pairs(g), None) is None
 
 
 def is_minimal_mc(g: Multigraph) -> bool:

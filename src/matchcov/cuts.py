@@ -12,7 +12,9 @@ Two ways in. `is_tight` and `is_separating` answer for one shore (through
 folds all nontrivial odd shores of one size at once, one pass over the
 matchings per size, into bitsets indexed by the shores in
 `_shores_of_size` order (see `_shore_block`); `_shores_in` turns the
-bits back into shores.
+bits back into shores. Maximal barriers and 2-separations walk no vertex
+pairs of their own: they read `covered.pm_pair_groups` and
+`covered.separating_pairs`, and `barriers` stays the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Iterator
 
-from .covered import _Witnesses, is_matching_covered, pm_table
+from .covered import _Witnesses, is_matching_covered, pm_pair_groups, pm_table, separating_pairs
 from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
 from .errors import VertexOutOfRangeError
 from .matching import has_perfect_matching
@@ -231,15 +233,7 @@ def maximal_barriers(g: Multigraph) -> tuple[Barrier, ...]:
         raise BoundExceededError(f"barrier enumeration capped at {_BARRIER_MAX_N} vertices")
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("maximal barriers are read off matching covered graphs")
-    full = rest = g.full_mask
-    out = []
-    while rest:
-        s_mask = low = rest & -rest
-        for v in bits(rest ^ low):
-            if not g.has_pm_mask(full ^ low ^ (1 << v)):
-                s_mask |= 1 << v
-        rest ^= s_mask
-        out.append(_barrier(g, s_mask))
+    out = [_barrier(g, group) for group in pm_pair_groups(g)]
     return tuple(sorted(out, key=lambda b: (len(b.vertices), sorted(b.vertices))))
 
 
@@ -256,11 +250,8 @@ def two_separations(g: Multigraph) -> tuple[frozenset[int], ...]:
     """All pairs {u, v} with G - u - v disconnected into even components."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("2-separations live in matching covered graphs")
-    out = []
-    full = g.full_mask
-    for u, v in combinations(range(g.n), 2):
-        within = full & ~(1 << u) & ~(1 << v)
-        comps = g.component_masks(within)
-        if len(comps) >= 2 and all(c.bit_count() % 2 == 0 for c in comps):
-            out.append(frozenset((u, v)))
-    return tuple(out)
+    return tuple(
+        frozenset((u, v))
+        for u, v in separating_pairs(g)
+        if all(c.bit_count() % 2 == 0 for c in g.component_masks(g.full_mask ^ 1 << u ^ 1 << v))
+    )

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .canon import canonical_form, vertex_orbits
 from .covered import is_brick, is_removable_edge, removable_doubletons, removable_edges
@@ -124,15 +124,8 @@ def splice(g: Multigraph, u: int, h: Multigraph, v: int, theta: dict[int, int]) 
         base = g.n - 1
         return base + (y if y < v else y - 1)
 
-    edges = []
-    for e, (a, b) in enumerate(g.edges):
-        if u in (a, b):
-            continue
-        edges.append((remap_g(a), remap_g(b)))
-    for e, (a, b) in enumerate(h.edges):
-        if v in (a, b):
-            continue
-        edges.append((remap_h(a), remap_h(b)))
+    edges = [(remap_g(a), remap_g(b)) for a, b in g.edges if u not in (a, b)]
+    edges += [(remap_h(a), remap_h(b)) for a, b in h.edges if v not in (a, b)]
     for e in boundary_slots(h, v):
         a, b = h.endpoints(e)
         y = b if a == v else a
@@ -593,17 +586,25 @@ def _slot_permutation(
     return tuple(pos_g[theta[e]] for e in slots_h)
 
 
-def search_G_certificate(g: Multigraph, max_n: Optional[int] = None) -> Optional[GCertificate]:
-    """Certificate for membership in the splice family, by forward closure.
+def closure_holding(graphs: Sequence[Multigraph]) -> tuple[dict, int, int]:
+    """(closure, bound, splice_cap): the family closure up to the largest
+    order among `graphs`, leaf caps at their largest multiplicity, and
+    empty for no graphs. Splice spokes go up to bound - 3: a splice deletes
+    the vertex of a heavy spoke, and its other end keeps degree m + 2."""
+    bound = max((g.n for g in graphs), default=4)
+    mult = max((len(c) for g in graphs for c in g.parallel_classes.values()), default=1)
+    splice_cap = max(mult, bound - 3)
+    if graphs:
+        return g_family_closure(bound, max(3, mult), max(2, mult), splice_cap), bound, splice_cap
+    return {}, bound, splice_cap
 
-    Complete within the closure's vertex bound and multiplicity caps; None
-    means no certificate exists inside those bounds.
-    """
+
+def search_G_certificate(g: Multigraph) -> Optional[GCertificate]:
+    """Certificate for membership in the splice family, looked up in the
+    forward closure `closure_holding` sizes for g: complete for simple g."""
     if not is_brick(g):
         raise NotABrickError("certificate search expects a brick")
-    bound = g.n if max_n is None else max_n
-    members = g_family_closure(bound)
-    hit = members.get(canonical_form(g))
+    hit = closure_holding([g])[0].get(canonical_form(g))
     return hit[1] if hit else None
 
 

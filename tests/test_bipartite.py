@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matchcov import (
     Multigraph,
@@ -14,7 +16,7 @@ from matchcov import (
     is_removable_edge,
     minimum_P_set,
 )
-from matchcov.bipartite import all_P_sets, is_P_set
+from matchcov.bipartite import RemovabilityCertificate, _certificate_search, all_P_sets, is_P_set
 from matchcov.errors import NotBipartiteMCError
 from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph
 
@@ -52,6 +54,56 @@ def test_removability_agrees_with_direct_check():
                     assert cert is None
                 else:
                     assert cert is not None
+
+
+def nested_certificate_search(g, e, a, b):
+    """Every same-size pair (A1, B1) with u in A1 and v outside B1, A1 in
+    (size, sorted) order and B1 sorted under it: the first that isolates
+    uv and spans a matching covered subgraph."""
+    u, v = g.endpoints(e)
+    if u in b:
+        u, v = v, u
+    for ka in range(1, len(a)):
+        for a1 in combinations(sorted(a), ka):
+            if u not in a1:
+                continue
+            for b1 in combinations(sorted(b - {v}), ka):
+                rest = b - set(b1)
+                crossing = [
+                    (x, y) for x, y in g.edges if (x in a1 and y in rest) or (y in a1 and x in rest)
+                ]
+                if crossing != [(min(u, v), max(u, v))] * g.multiplicity(u, v):
+                    continue
+                if is_matching_covered(g.induced(sorted(a1 + b1))):
+                    return RemovabilityCertificate(frozenset(a1), frozenset(b1))
+    return None
+
+
+@st.composite
+def pm_unions(draw):
+    """Connected unions of 1 to 4 perfect matchings of a bipartite graph on
+    up to 10 vertices, labels shuffled: bipartite matching covered
+    multigraphs."""
+    half = draw(st.integers(1, 5))
+    label = draw(st.permutations(range(2 * half)))
+    edges = []
+    for _ in range(draw(st.integers(1, 4))):
+        right = draw(st.permutations(range(half, 2 * half)))
+        edges += [(label[x], label[y]) for x, y in zip(range(half), right)]
+    g = Multigraph(2 * half, edges)
+    assume(g.is_connected())
+    return g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pm_unions())
+def test_certificate_search_matches_nested_search(g):
+    # B1 is forced to N(A1) - v; the search over every same-size B1 finds
+    # the same first certificate, in both orientations.
+    a, b = bipartition(g)
+    for e in range(g.m):
+        for x, y in ((a, b), (b, a)):
+            assert _certificate_search(g, e, x, y) == nested_certificate_search(g, e, x, y)
 
 
 def test_certificate_contents():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from matchcov import Multigraph, campaigns, enumerate_connected_graphs, is_brick, is_robust
+from matchcov import Multigraph, campaigns, enumerate_connected_graphs, is_brick, is_robust, wheels
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
@@ -185,7 +185,7 @@ def test_corpus_skips_inapplicable(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("closure built for a corpus without wheel-like bricks")
 
-    monkeypatch.setattr(campaigns, "g_family_closure", no_closure)
+    monkeypatch.setattr(wheels, "g_family_closure", no_closure)
     rep = run_corpus("thm-1.3", [prism_graph()])
     assert rep["summary"]["applied"] == 0
     assert rep["summary"]["skipped_hypotheses"] == 1

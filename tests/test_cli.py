@@ -117,6 +117,32 @@ def test_verify_lemma39_bad_parameters(flags):
     assert main(["verify", "lemma-3.9", "--jobs", "1", *flags]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_job(jobs):
+    # Every run honours --jobs or refuses it, rather than run serially unrecorded.
+    code, _, err = run_cli(["verify", "thm-1.1", "--max-n", "4", "--jobs", jobs])
+    assert code == EXIT_USAGE
+    assert "jobs" in err
+
+
+@pytest.mark.parametrize("seeds", ["1", "0"])
+def test_verify_decomp_refuses_fewer_than_two_seeds(seeds):
+    # One seed compares no two decompositions, so the gate would test nothing.
+    argv = ["verify", "decomp-unique", "--max-n", "6", "--jobs", "1", "--seeds", seeds]
+    code, _, err = run_cli(argv)
+    assert code == EXIT_USAGE
+    assert "seeds" in err
+
+
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--seeds", "-5"], ["--seeds", "1"]])
+def test_verify_corpus_refuses_ignored_parameters(tmp_path, flags):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(encode_graph6(cycle_graph(6)) + "\n")
+    code, _, err = run_cli(["verify", "decomp-unique", "--corpus", str(corpus), *flags])
+    assert code == EXIT_USAGE
+    assert flags[0][2:] in err
+
+
 def test_verify_counterexample_exit(monkeypatch):
     import matchcov.cli as cli_mod
 

@@ -281,6 +281,20 @@ def test_certificate_search():
     assert search_G_certificate(prism_graph()) is None
 
 
+def test_certificate_search_reaches_heavy_spoke_splices():
+    # A simple 8-vertex wheel-like brick whose splice goes through a wheel
+    # with a spoke heavier than the default leaf caps: the closure must be
+    # sized the way thm-1.3 sizes it, or the search misses it.
+    edges = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (0, 6)]
+    edges += [(1, 6), (2, 6), (3, 6), (4, 6), (0, 7), (5, 7), (6, 7)]
+    g = new_multigraph(8, edges)
+    assert is_brick(g) and is_wheel_like(g)
+    assert canonical_form(g) not in g_family_closure(8)
+    cert = search_G_certificate(g)
+    assert cert is not None and verify_certificate(cert)[0]
+    assert canonical_form(build_from_certificate(cert)) == canonical_form(g)
+
+
 def test_certificate_json_round_trip():
     members = g_family_closure(8)
     done = 0
