@@ -3,73 +3,133 @@
 Canonical labeling runs iterative color refinement and then backtracks over
 individualizations of the first smallest non-singleton cell, taking the
 lexicographically least edge encoding over all discrete leaves. Each
-vertex's (neighbour, multiplicity) list is built once per graph and serves
-every refinement round of the search; `automorphisms` starts from the same
+vertex's neighbour list is built once per graph and serves every
+refinement round of the search; `automorphisms` starts from the same
 refinement. Edge multiplicities are folded into the initial invariant, the
 refinement signatures, and the leaf encoding, so two multigraphs share a
 canonical form exactly when they are isomorphic as multigraphs.
 
+Refinement ranks per cell. A round's new colors are, by definition, the
+ranks of the distinct signatures (color, *sorted packed neighbours) over
+all vertices. Every signature starts with the vertex's color, so that
+global order sorts by old cell first: a vertex's new color is the number
+of parts that earlier cells split into (a running offset) plus its rank
+within its own cell. So each cell is ranked on its own, without the color
+prefix, and a singleton cell, which cannot split, needs no signature at
+all. A neighbour is packed as color * scale + multiplicity; in a simple
+graph that is 2 * color + 1, which orders like the color, so the plain
+neighbour colors serve.
+
+Leaves compare as integers. Every leaf of one graph has one triple per
+adjacent pair, so when every multiplicity is below 255 all forms have the
+same length and fixed-width triples, and the sorted list of
+i << 16 | j << 8 | multiplicity orders the leaves exactly as their bytes
+do; the bytes are built once, for the winning leaf. A multiplicity of 255
+or more takes the escaped byte encoding, and such graphs compare bytes.
+
 The only search pruning is the twin test: if two cell members have
 identical multiplicity rows, their transposition is an automorphism and
 one branch is skipped. That keeps complete and near-complete graphs linear
-instead of factorial without touching correctness.
+instead of factorial without touching correctness. Row u against row w
+with its entries u and w swapped is one list comparison.
 """
 from __future__ import annotations
+
+from itertools import repeat
 
 from .errors import BoundExceededError
 from .multigraph import Multigraph, per_graph
 
 
-def _equitable(nbrs: list, colors: list[int], scale: int) -> list[int]:
-    """Refine dense colors until no cell splits.
+def _equitable(
+    nbrs: list, colors: list[int], cells: list, scale: int
+) -> tuple[list[int], list | None]:
+    """Refine dense colors until no cell splits: (colors, cells in color
+    order, or None once the colors are discrete).
 
-    A vertex's signature is its color, then its neighbours' (color,
-    multiplicity) pairs in sorted order, each packed as color * scale +
-    multiplicity (scale exceeds every multiplicity, so the packing keeps
-    the pair order). New colors rank the distinct signatures.
+    cells lists each color's members in ascending order; colors is
+    updated in place. Only members of non-singleton cells get a signature:
+    their neighbours' colors in sorted order, each packed as color * scale
+    + multiplicity (plain colors for simple graphs). A split cell is
+    replaced by its parts in signature order, so a part's new color is
+    its index in `out`: the running offset plus its rank in the cell.
     """
-    cells = len(set(colors))
-    while cells < len(colors):
-        packed = [c * scale for c in colors]
-        sigs = [
-            (colors[v], *sorted([packed[u] + cnt for u, cnt in around]))
-            for v, around in enumerate(nbrs)
-        ]
-        order = sorted(set(sigs))
-        if len(order) == cells:
-            break
-        rank = {s: i for i, s in enumerate(order)}
-        colors = [rank[s] for s in sigs]
-        cells = len(order)
-    return colors
+    n = len(colors)
+    while len(cells) < n:
+        out: list[list[int]] = []
+        first = -1
+        for members in cells:
+            if len(members) == 1:
+                out.append(members)
+                continue
+            if scale == 2:
+                sigs = [sorted(map(colors.__getitem__, nbrs[v])) for v in members]
+            else:
+                sigs = [sorted([colors[u] * scale + cnt for u, cnt in nbrs[v]]) for v in members]
+            if sigs.count(sigs[0]) == len(sigs):
+                out.append(members)
+                continue
+            if first < 0:
+                first = len(out)
+            prev = None
+            for sig, v in sorted(zip(sigs, members)):
+                if sig != prev:
+                    prev = sig
+                    part = [v]
+                    out.append(part)
+                else:
+                    part.append(v)
+        if first < 0:
+            return colors, cells
+        for c in range(first, len(out)):
+            for v in out[c]:
+                colors[v] = c
+        cells = out
+    return colors, None
 
 
-def _start(g: Multigraph) -> tuple[list, int, list[int]]:
-    """(neighbour lists, packing scale, equitable initial colors).
+def _start(g: Multigraph) -> tuple[list, int, list[int], list | None]:
+    """(neighbour lists, packing scale, equitable initial colors, cells).
 
     The initial invariant is the degree, then the sorted incident
-    multiplicities.
+    multiplicities. A simple graph (scale 2) keeps plain neighbour lists,
+    a multigraph (neighbour, multiplicity) pairs.
     """
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (u, v), cnt in g._mult.items():
-        nbrs[u].append((v, cnt))
-        nbrs[v].append((u, cnt))
-    scale = max(g._mult.values(), default=0) + 1
-    keys = [(g.degrees[v], tuple(sorted(c for _, c in nbrs[v]))) for v in range(g.n)]
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return nbrs, scale, _equitable(nbrs, [rank[k] for k in keys], scale)
-
-
-def _twins(g: Multigraph, u: int, w: int) -> bool:
     mult = g._mult
-    for x in range(g.n):
-        if x == u or x == w:
-            continue
-        a = mult.get((u, x) if u < x else (x, u), 0)
-        b = mult.get((w, x) if w < x else (x, w), 0)
-        if a != b:
-            return False
-    return True
+    scale = max(mult.values(), default=0) + 1
+    nbrs: list[list] = [[] for _ in range(g.n)]
+    if scale == 2:
+        for u, v in mult:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        keys: list = [len(around) for around in nbrs]
+    else:
+        for (u, v), cnt in mult.items():
+            nbrs[u].append((v, cnt))
+            nbrs[v].append((u, cnt))
+        keys = [(g.degrees[v], tuple(sorted(c for _, c in nbrs[v]))) for v in range(g.n)]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    colors = [rank[k] for k in keys]
+    cells: list[list[int]] = [[] for _ in rank]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return (nbrs, scale, *_equitable(nbrs, colors, cells, scale))
+
+
+def _rows(g: Multigraph) -> list[list[int]]:
+    """The multiplicity matrix as one row per vertex."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for (u, v), cnt in g._mult.items():
+        rows[u][v] = rows[v][u] = cnt
+    return rows
+
+
+def _twins(rows: list[list[int]], u: int, w: int) -> bool:
+    """u and w have equal multiplicities to every other vertex: row u
+    equals row w with its entries u and w swapped."""
+    swapped = rows[w][:]
+    swapped[u], swapped[w] = swapped[w], swapped[u]
+    return swapped == rows[u]
 
 
 def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
@@ -84,39 +144,58 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
         return (), bytes([0])
     if n > 255:
         raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
-    nbrs, scale, start = _start(g)
-    rows = [
-        (u, v, bytes((cnt,)) if cnt < 255 else b"\xff" + cnt.to_bytes(8, "big"))
-        for (u, v), cnt in g._mult.items()
-    ]
+    nbrs, scale, start, start_cells = _start(g)
+    wide = scale > 255
+    if wide:
+        edges = [
+            (u, v, bytes((cnt,)) if cnt < 255 else b"\xff" + cnt.to_bytes(8, "big"))
+            for (u, v), cnt in g._mult.items()
+        ]
+    else:
+        edges = [(u, v, cnt) for (u, v), cnt in g._mult.items()]
     best: list = [None, None]
+    # Twin rows are needed only when the search branches.
+    rows = [] if start_cells is None else _rows(g)
 
-    def rec(colors: list[int]) -> None:
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
-            triples = sorted(
-                (colors[u], colors[v], t) if colors[u] < colors[v] else (colors[v], colors[u], t)
-                for u, v, t in rows
-            )
-            cand = bytes([n]) + b"".join(bytes((i, j)) + t for i, j, t in triples)
+    def rec(colors: list[int], cells: list | None) -> None:
+        if cells is None:
+            if wide:
+                triples = sorted(
+                    (colors[u], colors[v], t) if colors[u] < colors[v] else (colors[v], colors[u], t)
+                    for u, v, t in edges
+                )
+                cand = bytes([n]) + b"".join(bytes((i, j)) + t for i, j, t in triples)
+            else:
+                cand = sorted([
+                    (a << 16 | b << 8 if (a := colors[u]) < (b := colors[v]) else b << 16 | a << 8)
+                    | t
+                    for u, v, t in edges
+                ])
             if best[1] is None or cand < best[1]:
                 best[0] = tuple(colors)
                 best[1] = cand
             return
-        target = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
+        target = min((len(members), c) for c, members in enumerate(cells) if len(members) > 1)[1]
+        members = cells[target]
+        # v gets a cell of its own, just before the rest of its old cell.
+        base = [c + (c > target) for c in colors]
+        for x in members:
+            base[x] += 1
         reps: list[int] = []
-        for v in cells[target]:
-            if any(_twins(g, v, w) for w in reps):
+        for v in members:
+            if any(_twins(rows, v, w) for w in reps):
                 continue
             reps.append(v)
-            # v gets a cell of its own, just before the rest of its old cell.
-            split = [c + (c > target or (c == target and x != v)) for x, c in enumerate(colors)]
-            rec(_equitable(nbrs, split, scale))
+            split = base[:]
+            split[v] = target
+            parts = [[v], [x for x in members if x != v]]
+            rec(*_equitable(nbrs, split, cells[:target] + parts + cells[target + 1 :], scale))
 
-    rec(start)
-    return best[0], best[1]
+    rec(start, start_cells)
+    perm, key = best
+    if wide:
+        return perm, key
+    return perm, bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big")))
 
 
 @per_graph

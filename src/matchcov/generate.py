@@ -8,7 +8,11 @@ are removed per level by canonical form, keeping the first child seen.
 Twin-swap pruning skips attach sets that cannot give a new first child: if
 u < w are twins of the parent, the swap (u w) is an automorphism, so an
 attach set holding w but not u gives the same child as the smaller set with
-w traded for u, which was tried earlier.
+w traded for u, which was tried earlier. A degree floor is applied per
+parent, not per vertex of each attach set: a parent with a vertex that
+misses the floor even with the new edge gives no child, and the vertices
+that reach it only with the new edge form one mask that every attach set
+must hold.
 
 Multigraphs are laid over simple underlying graphs as multiplicity
 vectors. `multiplicity_sweep` gives every labelled vector over a base;
@@ -23,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .canon import _twins, canonical_form
+from .canon import _rows, _twins, canonical_form
 from .errors import BoundExceededError
 from .multigraph import Multigraph
 
@@ -36,7 +40,9 @@ def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[Multigraph
 
     min_degree prunes augmentations that can never recover: a vertex gains
     at most one edge per future vertex, so deg(v) + (target_n - n) must
-    reach min_degree already.
+    reach min_degree already. A parent vertex short of that even with the
+    new edge rules the parent out; one short of it without the new edge
+    is in `need`, which every attach mask must cover.
     """
     if n == 1:
         return (Multigraph(1, []),)
@@ -45,26 +51,22 @@ def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[Multigraph
     for parent in _connected_level(n - 1, min_degree, target_n):
         pedges = parent.edges
         pdeg = parent.degrees
+        if min(pdeg) + 1 + slack < min_degree:
+            continue
+        need = sum(1 << v for v, d in enumerate(pdeg) if d + slack < min_degree)
+        rows = _rows(parent)
         twins = [
             (1 << u, 1 << w)
             for u in range(n - 1)
             for w in range(u + 1, n - 1)
-            if _twins(parent, u, w)
+            if _twins(rows, u, w)
         ]
         for attach_mask in range(1, 1 << (n - 1)):
-            if attach_mask.bit_count() + slack < min_degree:
+            if attach_mask & need != need or attach_mask.bit_count() + slack < min_degree:
                 continue
             if any(attach_mask & wb and not attach_mask & ub for ub, wb in twins):
                 continue
             attach = [v for v in range(n - 1) if (attach_mask >> v) & 1]
-            ok = True
-            for v in range(n - 1):
-                bonus = 1 if (attach_mask >> v) & 1 else 0
-                if pdeg[v] + bonus + slack < min_degree:
-                    ok = False
-                    break
-            if not ok:
-                continue
             g = Multigraph(n, pedges + tuple((v, n - 1) for v in attach))
             key = canonical_form(g)
             if key not in out:

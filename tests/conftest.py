@@ -14,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from matchcov import Multigraph, new_multigraph
+from matchcov.errors import BoundExceededError
 
 # acceptance verdicts, keyed by criterion number; printed after the run
 ACCEPTANCE: dict[int, str] = {}
@@ -175,6 +176,110 @@ def labeled_connected_multigraphs(n: int, mult_bound: int):
         g = new_multigraph(n, edges)
         if g.is_connected():
             yield g
+
+
+# The canonical-labelling kernel as it stood before refinement was done per
+# cell and leaves were compared as integers, kept verbatim as the oracle for
+# `canon.canonical_labeling`: both must return the same (permutation, form).
+
+
+def _equitable(nbrs: list, colors: list[int], scale: int) -> list[int]:
+    """Refine dense colors until no cell splits.
+
+    A vertex's signature is its color, then its neighbours' (color,
+    multiplicity) pairs in sorted order, each packed as color * scale +
+    multiplicity (scale exceeds every multiplicity, so the packing keeps
+    the pair order). New colors rank the distinct signatures.
+    """
+    cells = len(set(colors))
+    while cells < len(colors):
+        packed = [c * scale for c in colors]
+        sigs = [
+            (colors[v], *sorted([packed[u] + cnt for u, cnt in around]))
+            for v, around in enumerate(nbrs)
+        ]
+        order = sorted(set(sigs))
+        if len(order) == cells:
+            break
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[s] for s in sigs]
+        cells = len(order)
+    return colors
+
+
+def _start(g: Multigraph) -> tuple[list, int, list[int]]:
+    """(neighbour lists, packing scale, equitable initial colors).
+
+    The initial invariant is the degree, then the sorted incident
+    multiplicities.
+    """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (u, v), cnt in g._mult.items():
+        nbrs[u].append((v, cnt))
+        nbrs[v].append((u, cnt))
+    scale = max(g._mult.values(), default=0) + 1
+    keys = [(g.degrees[v], tuple(sorted(c for _, c in nbrs[v]))) for v in range(g.n)]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return nbrs, scale, _equitable(nbrs, [rank[k] for k in keys], scale)
+
+
+def _twins(g: Multigraph, u: int, w: int) -> bool:
+    mult = g._mult
+    for x in range(g.n):
+        if x == u or x == w:
+            continue
+        a = mult.get((u, x) if u < x else (x, u), 0)
+        b = mult.get((w, x) if w < x else (x, w), 0)
+        if a != b:
+            return False
+    return True
+
+
+def reference_canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
+    """(position permutation old->new, canonical byte form).
+
+    The form is n, then one (i, j, multiplicity) byte triple per adjacent
+    position pair i < j in ascending order; a multiplicity of 255 or more
+    is written as the byte 255 followed by the count in 8 bytes.
+    """
+    n = g.n
+    if n == 0:
+        return (), bytes([0])
+    if n > 255:
+        raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
+    nbrs, scale, start = _start(g)
+    rows = [
+        (u, v, bytes((cnt,)) if cnt < 255 else b"\xff" + cnt.to_bytes(8, "big"))
+        for (u, v), cnt in g._mult.items()
+    ]
+    best: list = [None, None]
+
+    def rec(colors: list[int]) -> None:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            triples = sorted(
+                (colors[u], colors[v], t) if colors[u] < colors[v] else (colors[v], colors[u], t)
+                for u, v, t in rows
+            )
+            cand = bytes([n]) + b"".join(bytes((i, j)) + t for i, j, t in triples)
+            if best[1] is None or cand < best[1]:
+                best[0] = tuple(colors)
+                best[1] = cand
+            return
+        target = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
+        reps: list[int] = []
+        for v in cells[target]:
+            if any(_twins(g, v, w) for w in reps):
+                continue
+            reps.append(v)
+            # v gets a cell of its own, just before the rest of its old cell.
+            split = [c + (c > target or (c == target and x != v)) for x, c in enumerate(colors)]
+            rec(_equitable(nbrs, split, scale))
+
+    rec(start)
+    return best[0], best[1]
 
 
 # Pair multiplicities 0 and 1 four times as often as 2 and 3: at n <= 8,

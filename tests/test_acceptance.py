@@ -100,6 +100,8 @@ def test_04_minimal_graphs_have_degree_two_or_three():
     assert rep["counterexamples"] == []
     assert rep["summary"]["minimal"] >= 6
     assert all(ex["delta"] in (2, 3) for ex in rep["summary"]["minimal_examples"])
+    # Both degrees must occur, or the claim was only tested on one side.
+    assert {ex["delta"] for ex in rep["summary"]["minimal_examples"]} == {2, 3}
     assert rep["wall_clock_seconds"] < 600
     _announce(
         4,

@@ -15,9 +15,10 @@ from matchcov import (
     new_multigraph,
     vertex_orbits,
 )
+from matchcov.canon import _rows, _twins
 from matchcov.errors import BoundExceededError
 from matchcov.zoo import complete_graph, cycle_graph, path_graph, star_graph
-from conftest import naive_isomorphic
+from conftest import naive_isomorphic, reference_canonical_labeling
 
 
 def test_canonical_form_invariant_under_relabeling(connected_simple_upto_6):
@@ -37,6 +38,21 @@ def test_canonical_form_separates_up_to_n5():
     for g, h in combinations(pool, 2):
         same_canon = canonical_form(g) == canonical_form(h)
         assert same_canon == naive_isomorphic(g, h)
+
+
+def test_canonical_labeling_matches_reference_kernel_up_to_n7():
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            assert canonical_labeling(g) == reference_canonical_labeling(g)
+
+
+def test_twins_adjacent_or_not():
+    # 0 and 1 are adjacent twins, 2 and 3 non-adjacent ones; 0 and 2 differ.
+    g = new_multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)] + [(0, 1)] * 2)
+    rows = _rows(g)
+    assert _twins(rows, 0, 1) and _twins(rows, 1, 0)
+    assert _twins(rows, 2, 3)
+    assert not _twins(rows, 0, 2)
 
 
 def test_canonical_form_sees_multiplicity():

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcov import canonical_form, new_multigraph
-from conftest import naive_isomorphic
+from matchcov import canonical_form, canonical_labeling, new_multigraph
+from conftest import naive_isomorphic, reference_canonical_labeling
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -39,3 +39,32 @@ def test_canonical_form_equality_matches_naive_isomorphism(data):
         cnt = data.draw(st.integers(0, 3))
         h = new_multigraph(g.n, [e for e in h.edges if e != (u, v)] + [(u, v)] * cnt)
     assert (canonical_form(g) == canonical_form(h)) == naive_isomorphic(g, h)
+
+
+@st.composite
+def oracle_multigraphs(draw):
+    """Multigraphs on 1..14 vertices: pair multiplicities 1..3, sometimes
+    254..300 (the escaped byte form), sometimes a relabelled circulant,
+    whose search branches."""
+    n = draw(st.integers(1, 14))
+    wide = draw(st.integers(0, 4)) == 0
+    if n > 2 and draw(st.integers(0, 3)) == 0:
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+        cnt = draw(st.integers(254, 300) if wide else st.integers(1, 3))
+        edges = {(u, (u + j) % n) for u in range(n) for j in jumps}
+        perm = draw(st.permutations(range(n)))
+        pairs = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+        return new_multigraph(n, [pair for pair in sorted(pairs) for _ in range(cnt)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if wide:
+        present = st.one_of(st.just(0), st.integers(1, 3), st.integers(254, 300))
+    else:
+        present = st.sampled_from([0, 0, 0, 1, 1, 2, 3])
+    mults = draw(st.lists(present, min_size=len(pairs), max_size=len(pairs)))
+    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
+
+
+@PROPERTY_SETTINGS
+@given(oracle_multigraphs())
+def test_canonical_labeling_matches_reference_kernel(g):
+    assert canonical_labeling(g) == reference_canonical_labeling(g)
