@@ -28,11 +28,10 @@ import random
 import time
 from collections import deque
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
-from .canon import automorphisms, canonical_form
+from .canon import automorphisms, canonical_form, least_in_orbit
 from .covered import (
     Single,
     has_two_nonadjacent_removable_edges,
@@ -550,24 +549,6 @@ def _lemma36_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _flat_transforms(transforms, rows: int, cols: int) -> list[itemgetter]:
-    """Each (rperm, cperm, transpose) as a getter that reads the transformed
-    matrix off a rows x cols matrix, both row-major: source entry (i, j), or
-    (j, i) when transposed, goes to (rperm[i], cperm[j])."""
-    getters = []
-    for rperm, cperm, transpose in transforms:
-        index = [0] * (rows * cols)
-        for i, j in itertools.product(range(rows), range(cols)):
-            index[rperm[i] * cols + cperm[j]] = j * cols + i if transpose else i * cols + j
-        getters.append(itemgetter(*index))
-    return getters
-
-
-def _orbit_minimal(flat: tuple[int, ...], getters: list[itemgetter]) -> bool:
-    # Rows share one length, so row-major tuples order as the matrices do.
-    return not any(get(flat) < flat for get in getters)
-
-
 class _SpliceSite(NamedTuple):
     """A splice vertex of one wheel, with what every splice there reuses."""
 
@@ -597,6 +578,21 @@ def _splice_sites(k: int, vec: tuple[int, ...]) -> Iterator[_SpliceSite]:
         yield _SpliceSite(k, vec, vertex, wheel, hub, sizes, sorted(actions))
 
 
+def _matrix_symmetries(sg: _SpliceSite, sh: _SpliceSite) -> list[tuple[int, ...]]:
+    """Each pair of class actions (and transpose, for a self-splice) as a
+    position permutation of a row-major matrix, rows the classes at sh:
+    entry (i, j), or (j, i) when transposed, goes to (rperm[i], cperm[j])."""
+    rows, cols = len(sh.class_sizes), len(sg.class_sizes)
+    perms = []
+    flips = (False, True) if sh is sg else (False,)
+    for rperm, cperm, transpose in itertools.product(sh.actions, sg.actions, flips):
+        index = [0] * (rows * cols)
+        for i, j in itertools.product(range(rows), range(cols)):
+            index[rperm[i] * cols + cperm[j]] = j * cols + i if transpose else i * cols + j
+        perms.append(tuple(index))
+    return perms
+
+
 def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
     """Splice results, one per theta orbit; the splice that built each
     result, with its condition verdict, queues in ctx["splices"]."""
@@ -621,14 +617,12 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
             if sum(sg.class_sizes) != sum(sh.class_sizes):
                 continue
             ctx["tasks"] += 1
-            transforms = [(rp, cp, False) for rp in sh.actions for cp in sg.actions]
-            if sh is sg:
-                transforms += [(rp, cp, True) for rp, cp, _ in transforms]
-            getters = _flat_transforms(transforms, len(sh.class_sizes), len(sg.class_sizes))
+            keep = least_in_orbit(_matrix_symmetries(sg, sh))
             gw, u, hw, v = sg.wheel, sg.vertex, sh.wheel, sh.vertex
             for matrix in theta_class_matrices(sh.class_sizes, sg.class_sizes):
                 ctx["theta_matrices"] += 1
-                if not _orbit_minimal(tuple(itertools.chain.from_iterable(matrix)), getters):
+                # Rows share one length, so row-major tuples order as the matrices do.
+                if not keep(tuple(itertools.chain.from_iterable(matrix))):
                     continue
                 theta = theta_from_class_matrix(gw, u, hw, v, matrix)
                 result = splice(gw, u, hw, v, theta)

@@ -20,12 +20,11 @@ all. A neighbour is packed as color * scale + multiplicity; in a simple
 graph that is 2 * color + 1, which orders like the color, so the plain
 neighbour colors serve.
 
-Leaves compare as integers. Every leaf of one graph has one triple per
-adjacent pair, so when every multiplicity is below 255 all forms have the
-same length and fixed-width triples, and the sorted list of
-i << 16 | j << 8 | multiplicity orders the leaves exactly as their bytes
-do; the bytes are built once, for the winning leaf. A multiplicity of 255
-or more takes the escaped byte encoding, and such graphs compare bytes.
+Leaves compare as integers: a leaf is the sorted list of one
+i << (8 + lo) | j << lo | multiplicity per adjacent pair, lo = max(8, bit
+length of the top multiplicity + 1). That orders leaves as their bytes even
+with the escape: the byte 255 sorts above any smaller multiplicity, and the
+8 big-endian bytes after it sort numerically. Only the winner is encoded.
 
 The only search pruning is the twin test: if two cell members have
 identical multiplicity rows, their transposition is an automorphism and
@@ -36,6 +35,8 @@ with its entries u and w swapped is one list comparison.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import BoundExceededError
 from .multigraph import Multigraph, per_graph
@@ -145,32 +146,19 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
     if n > 255:
         raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
     nbrs, scale, start, start_cells = _start(g)
-    wide = scale > 255
-    if wide:
-        edges = [
-            (u, v, bytes((cnt,)) if cnt < 255 else b"\xff" + cnt.to_bytes(8, "big"))
-            for (u, v), cnt in g._mult.items()
-        ]
-    else:
-        edges = [(u, v, cnt) for (u, v), cnt in g._mult.items()]
+    lo = max(8, scale.bit_length())
+    hi = lo + 8
+    edges = [(u, v, cnt) for (u, v), cnt in g._mult.items()]
     best: list = [None, None]
     # Twin rows are needed only when the search branches.
     rows = [] if start_cells is None else _rows(g)
 
     def rec(colors: list[int], cells: list | None) -> None:
         if cells is None:
-            if wide:
-                triples = sorted(
-                    (colors[u], colors[v], t) if colors[u] < colors[v] else (colors[v], colors[u], t)
-                    for u, v, t in edges
-                )
-                cand = bytes([n]) + b"".join(bytes((i, j)) + t for i, j, t in triples)
-            else:
-                cand = sorted([
-                    (a << 16 | b << 8 if (a := colors[u]) < (b := colors[v]) else b << 16 | a << 8)
-                    | t
-                    for u, v, t in edges
-                ])
+            cand = sorted([
+                (a << hi | b << lo if (a := colors[u]) < (b := colors[v]) else b << hi | a << lo) | t
+                for u, v, t in edges
+            ])
             if best[1] is None or cand < best[1]:
                 best[0] = tuple(colors)
                 best[1] = cand
@@ -193,9 +181,14 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
 
     rec(start, start_cells)
     perm, key = best
-    if wide:
-        return perm, key
-    return perm, bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big")))
+    if lo == 8:  # every triple is three plain bytes
+        return perm, bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big")))
+    low = (1 << lo) - 1
+    return perm, bytes([n]) + b"".join(
+        (x >> lo).to_bytes(2, "big")
+        + (bytes((x & low,)) if x & low < 255 else b"\xff" + (x & low).to_bytes(8, "big"))
+        for x in key
+    )
 
 
 @per_graph
@@ -254,6 +247,15 @@ def automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
 
     extend(0)
     return out
+
+
+def least_in_orbit(perms: Iterable[Sequence[int]]) -> Callable[[tuple], bool]:
+    """The test "x is the lexicographically least of its images" under a
+    group given by position permutations; p maps x to x[p[0]], x[p[1]], ...,
+    and p and its inverse give the same images over a group. Duplicates and
+    the identity (with it itemgetter(i), which returns a scalar) are dropped."""
+    getters = [itemgetter(*p) for p in sorted(set(map(tuple, perms))) if p != tuple(range(len(p)))]
+    return lambda x: not any(get(x) < x for get in getters)
 
 
 def vertex_orbits(g: Multigraph) -> list[frozenset[int]]:

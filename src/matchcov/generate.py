@@ -18,7 +18,8 @@ Multigraphs are laid over simple underlying graphs as multiplicity
 vectors. `multiplicity_sweep` gives every labelled vector over a base;
 `multiplicity_classes` keeps the first sweep member of each isomorphism
 class, the one place where a multigraph population is quotiented by
-isomorphism.
+isomorphism: by `canon.least_in_orbit` under the base's automorphisms, not
+by labelling each vector (orderly generation; Read 1978, McKay 1998).
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .canon import _rows, _twins, canonical_form
-from .errors import BoundExceededError
+from .canon import _rows, _twins, automorphisms, canonical_form, least_in_orbit
+from .errors import BadSpecError, BoundExceededError
 from .multigraph import Multigraph
 
 _ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_ENUM_N", "10"))
@@ -99,28 +100,30 @@ def multiplicity_sweep(g: Multigraph, mult_bound: int) -> Iterator[Multigraph]:
     first; isomorphic duplicates are kept (`multiplicity_classes` drops
     them).
     """
-    base = g.edges
-    for vec in product(range(1, mult_bound + 1), repeat=len(base)):
-        edges = []
-        for pair, cnt in zip(base, vec):
-            edges.extend([pair] * cnt)
-        yield Multigraph(g.n, tuple(edges))
+    for vec in product(range(1, mult_bound + 1), repeat=g.m):
+        yield Multigraph(g.n, [pair for pair, cnt in zip(g.edges, vec) for _ in range(cnt)])
 
 
 def multiplicity_classes(g: Multigraph, mult_bound: int) -> Iterator[Multigraph]:
     """The first `multiplicity_sweep` member of each isomorphism class of
-    multigraphs over g, in sweep order.
+    multigraphs over the simple graph g, in sweep order.
 
-    A seen set per base suffices: isomorphic multigraphs have isomorphic
-    underlying simple graphs, so bases from one enumeration (one per
-    isomorphism class) never share a multigraph class.
+    Two multigraphs over g are isomorphic only through an automorphism of
+    g, so a class is a vector's orbit under the induced edge permutations,
+    and its first member is its least vector. Bases from one enumeration
+    (one per isomorphism class) never share a class.
     """
-    seen: set[bytes] = set()
-    for h in multiplicity_sweep(g, mult_bound):
-        key = canonical_form(h)
-        if key not in seen:
-            seen.add(key)
-            yield h
+    if mult_bound < 1:
+        raise BadSpecError(f"mult_bound must be at least 1, got {mult_bound}")
+    if not g.is_simple():
+        raise BadSpecError("multiplicity classes are taken over a simple base")
+    position = {pair: e for e, pair in enumerate(g.edges)}
+    keep = least_in_orbit(
+        [position[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in g.edges]
+        for p in automorphisms(g)
+    )
+    for vec in filter(keep, product(range(1, mult_bound + 1), repeat=g.m)):
+        yield Multigraph(g.n, [pair for pair, cnt in zip(g.edges, vec) for _ in range(cnt)])
 
 
 def enumerate_multigraphs(

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
 
-from .canon import canonical_form, vertex_orbits
+from .canon import automorphisms, canonical_form, least_in_orbit, vertex_orbits
 from .covered import is_brick, is_removable_edge, removable_doubletons, removable_edges
 from .errors import (
     BadSpecError,
@@ -475,12 +475,11 @@ def theta_from_class_matrix(
 
 def spoke_vectors(k: int, mult_bound: int) -> Iterator[tuple[int, ...]]:
     """Spoke multiplicity vectors of the k-wheel, each entry 1..mult_bound,
-    one per class under rim rotation and reflection: the lexicographically
-    least member of each, in ascending order."""
-    for vec in product(range(1, mult_bound + 1), repeat=k):
-        rotations = [vec[s:] + vec[:s] for s in range(k)]
-        if vec == min(rotations + [rot[::-1] for rot in rotations]):
-            yield vec
+    one per class under the hub-fixing symmetries of the simple k-wheel
+    (spoke i ends at rim vertex i): the least member of each, ascending."""
+    wheel, hub = simple_wheel(k)
+    keep = least_in_orbit(p[:k] for p in automorphisms(wheel) if p[hub] == hub)
+    return filter(keep, product(range(1, mult_bound + 1), repeat=k))
 
 
 def _g1_catalog(max_n: int, k3_cap: int, cap: int) -> list[tuple[Multigraph, int, WheelSpec]]:

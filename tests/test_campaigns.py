@@ -145,6 +145,27 @@ def test_lemma_3_9_population_with_heavy_spokes():
     assert len(ctx["splices"]) == reps
 
 
+def test_lemma_3_9_keeps_one_matrix_per_orbit_by_burnside():
+    # Burnside: a task's orbits number its (matrix, symmetry) pairs with
+    # the symmetry fixing the matrix, over the group order. Fixed points
+    # are counted here without the population's orbit filter.
+    ctx = {"wheels": (3, 5, 7), "mult_bound": 2, "doubles": 1}
+    tasks = {}
+    for _ in CAMPAIGNS["lemma-3.9"].population(ctx):
+        sg, sh = ctx["splices"][-1][:2]
+        tasks.setdefault((id(sg), id(sh)), [sg, sh, 0])[2] += 1
+    # Every task keeps at least one matrix, so all of them are seen here.
+    assert len(tasks) == ctx["tasks"]
+    assert sum(kept for _, _, kept in tasks.values()) == 1711
+    for sg, sh, kept in tasks.values():
+        perms = set(campaigns._matrix_symmetries(sg, sh))
+        fixed = 0
+        for matrix in wheels.theta_class_matrices(sh.class_sizes, sg.class_sizes):
+            flat = [x for row in matrix for x in row]
+            fixed += sum(all(flat[p[j]] == x for j, x in enumerate(flat)) for p in perms)
+        assert fixed == kept * len(perms)
+
+
 def test_fig_nonsolid_6():
     rep = run_campaign("fig-nonsolid-6")
     _check_shape(rep, "fig-nonsolid-6")

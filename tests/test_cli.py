@@ -117,6 +117,15 @@ def test_verify_lemma39_bad_parameters(flags):
     assert main(["verify", "lemma-3.9", "--jobs", "1", *flags]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("campaign", ["lemma-3.6", "lemma-2.17"])
+def test_verify_refuses_mult_bound_below_one(campaign):
+    # No multiplicity vector has entries below 1, so the multigraph
+    # population would be empty and the gate would test nothing.
+    code, _, err = run_cli(["verify", campaign, "--jobs", "1", "--mult-bound", "0"])
+    assert code == EXIT_USAGE
+    assert "mult_bound" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_refuses_fewer_than_one_job(jobs):
     # Every run honours --jobs or refuses it, rather than run serially unrecorded.

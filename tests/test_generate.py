@@ -1,11 +1,18 @@
 """Exhaustive generators against labeled brute-force enumeration."""
 
+import pytest
+
 from matchcov import (
+    automorphisms,
     canonical_form,
     enumerate_connected_graphs,
     enumerate_multigraphs,
+    is_brick,
     multiplicity_sweep,
+    new_multigraph,
 )
+from matchcov.errors import BadSpecError
+from matchcov.generate import multiplicity_classes
 from matchcov.zoo import complete_graph, cycle_graph
 from conftest import labeled_connected_multigraphs, labeled_connected_simple
 
@@ -71,11 +78,51 @@ def test_multiplicity_sweep_includes_base():
 
 
 def test_multiplicity_classes_keep_first_sweep_member_per_class():
-    from matchcov.generate import multiplicity_classes
-
-    for base in (complete_graph(4), cycle_graph(4)):
+    # Canonical-form dedup of the labelled sweep is the reference.
+    cases = [(base, 2) for n in range(1, 6) for base in enumerate_connected_graphs(n)]
+    for base, bound in cases + [(complete_graph(4), 3), (cycle_graph(4), 3)]:
         first = {}
-        for g in multiplicity_sweep(base, 3):
+        for g in multiplicity_sweep(base, bound):
             first.setdefault(canonical_form(g), g.edges)
-        got = [g.edges for g in multiplicity_classes(base, 3)]
+        got = [g.edges for g in multiplicity_classes(base, bound)]
         assert got == list(first.values())
+
+
+def _cycle_count(perm):
+    seen = set()
+    count = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+    return count
+
+
+def test_multiplicity_classes_count_orbits_by_burnside():
+    # Burnside: the orbits number the mean count of vectors that a group
+    # element fixes. A vector is fixed exactly when it is constant on each
+    # cycle of the element's edge permutation: mult_bound ** cycles.
+    total = 0
+    for base in enumerate_connected_graphs(6, min_degree=3):
+        if not is_brick(base):
+            continue
+        position = {pair: e for e, pair in enumerate(base.edges)}
+        auts = automorphisms(base)
+        fixed = sum(
+            2 ** _cycle_count([position[tuple(sorted((p[u], p[v])))] for u, v in base.edges])
+            for p in auts
+        )
+        kept = sum(1 for _ in multiplicity_classes(base, 2))
+        assert fixed == kept * len(auts)
+        total += kept
+    assert total == 7738
+
+
+def test_multiplicity_classes_refuse_bad_input():
+    with pytest.raises(BadSpecError):
+        list(multiplicity_classes(cycle_graph(4), 0))
+    with pytest.raises(BadSpecError):
+        list(multiplicity_classes(new_multigraph(2, [(0, 1), (0, 1)]), 2))
