@@ -7,7 +7,6 @@ A certificate (A1, B1) is searched over A1 alone: B1 = N(A1) - v is forced.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
@@ -16,7 +15,7 @@ from .covered import is_matching_covered, is_removable_edge
 from .errors import BoundExceededError, NotBipartiteMCError
 from .multigraph import Multigraph, bits, mask_of, per_graph
 
-_PSET_MAX_N = int(os.environ.get("MATCHCOV_MAX_PSET_N", "14"))
+_PSET_MAX_N = 14
 
 
 @per_graph

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
 from collections import deque
@@ -52,20 +51,19 @@ from .multigraph import Multigraph
 from .wheels import (
     SpliceNode,
     WheelSpec,
+    _walk_certificate,
     boundary_classes,
     check_odd_wheel_splice,
     closure_holding,
     g_family_closure,
     is_wheel_like,
     make_wheel,
-    odd_wheel_rim,
+    odd_wheel_hubs,
     parallels_at_hub,
     splice,
     spoke_vectors,
-    build_from_certificate,
     theta_class_matrices,
     theta_from_class_matrix,
-    verify_certificate,
 )
 from .zoo import complete_graph, prism_graph
 
@@ -75,7 +73,7 @@ SCHEMA_VERSION = 1
 # enough to read; beyond this the rows are dropped and only counted.
 VERDICT_CAP = 2000
 
-_CORPUS_MAX_N = int(os.environ.get("MATCHCOV_MAX_CORPUS_N", "10"))
+_CORPUS_MAX_N = 10
 
 # Graphs handed to a worker pool at a time.
 _POOL_CHUNK = 20000
@@ -272,10 +270,10 @@ def _thm13_claim(g: Multigraph, ctx: dict):
     entry = ctx["closure"].get(key)
     if entry is None:
         return False, [{"failed": "no certificate in closure"}]
-    ok, problems = verify_certificate(entry[1])
-    if not ok:
+    built, problems = _walk_certificate(entry[1])
+    if problems:
         return False, [{"failed": "certificate rejected", "detail": list(problems)}]
-    if canonical_form(build_from_certificate(entry[1])) != key:
+    if canonical_form(built) != key:
         return False, [{"failed": "certificate builds a different graph"}]
     return True, []
 
@@ -518,7 +516,7 @@ def _lemma36_claim(g: Multigraph, ctx: dict):
         return None
     wl = bool(is_wheel_like(g))
     # On six vertices only the 5-wheel is an odd wheel, with one hub.
-    rhs = any(odd_wheel_rim(g, h) is not None and parallels_at_hub(g, h) for h in range(g.n))
+    rhs = any(parallels_at_hub(g, h) for h in odd_wheel_hubs(g))
     if wl == rhs:
         return wl, []
     return wl, [{"wheel_like": wl, "w5_hub_parallels": rhs, "failed": "equivalence"}]
@@ -626,7 +624,7 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
                     continue
                 theta = theta_from_class_matrix(gw, u, hw, v, matrix)
                 result = splice(gw, u, hw, v, theta)
-                conds = check_odd_wheel_splice(gw, sg.hub, u, hw, sh.hub, v, theta)
+                conds = check_odd_wheel_splice(gw, u, hw, v, theta)
                 splices.append((sg, sh, matrix, conds))
                 yield result
 

@@ -151,7 +151,7 @@ def cmd_generate(args) -> int:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.splice}: not valid JSON: {exc}") from exc
         cert = cert_from_obj(obj)
-        graphs = [build_from_certificate(cert, check=True)]
+        graphs = [build_from_certificate(cert)]
     _emit_graphs(graphs, args.format, args.out)
     return EXIT_PASS
 

@@ -23,7 +23,6 @@ pairs that asks for perfect matchings (bicriticality, maximal barriers);
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Union
@@ -31,7 +30,7 @@ from typing import Iterator, Optional, Union
 from .errors import BoundExceededError, NotMatchingCoveredError
 from .multigraph import Multigraph, _bits, _reach, _two_coloring, per_graph, pm_pairs, pm_search
 
-_PM_ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_PM_ENUM_N", "24"))
+_PM_ENUM_MAX_N = 24
 
 
 @dataclass(frozen=True)

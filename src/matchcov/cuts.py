@@ -18,7 +18,6 @@ pairs of their own: they read `covered.pm_pair_groups` and
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
@@ -30,7 +29,7 @@ from .errors import VertexOutOfRangeError
 from .matching import has_perfect_matching
 from .multigraph import Multigraph, bits, mask_of
 
-_BARRIER_MAX_N = int(os.environ.get("MATCHCOV_MAX_BARRIER_N", "16"))
+_BARRIER_MAX_N = 16
 
 
 @dataclass(frozen=True)

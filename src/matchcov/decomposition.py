@@ -16,7 +16,6 @@ for one shore.
 """
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -27,7 +26,7 @@ from .cuts import _shores_in, contractions, cut_shore_sets
 from .errors import BoundExceededError, NotMatchingCoveredError
 from .multigraph import Multigraph
 
-_SOLID_MAX_N = int(os.environ.get("MATCHCOV_MAX_SOLID_N", "14"))
+_SOLID_MAX_N = 14
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ by labelling each vector (orderly generation; Read 1978, McKay 1998).
 """
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
@@ -32,7 +31,7 @@ from .canon import _rows, _twins, automorphisms, canonical_form, least_in_orbit
 from .errors import BadSpecError, BoundExceededError
 from .multigraph import Multigraph
 
-_ENUM_MAX_N = int(os.environ.get("MATCHCOV_MAX_ENUM_N", "10"))
+_ENUM_MAX_N = 10
 
 
 @lru_cache(maxsize=None)
@@ -82,10 +81,7 @@ def enumerate_connected_graphs(n: int, min_degree: int = 0) -> Iterator[Multigra
     canonical form.
     """
     if n > _ENUM_MAX_N:
-        raise BoundExceededError(
-            f"connected-graph enumeration capped at {_ENUM_MAX_N} vertices "
-            f"(override via MATCHCOV_MAX_ENUM_N)"
-        )
+        raise BoundExceededError(f"connected-graph enumeration capped at {_ENUM_MAX_N} vertices")
     if n < 1:
         return
     for g in _connected_level(n, min_degree, n):

@@ -14,7 +14,6 @@ Conventions fixed here and relied on by the test suite and the CLI:
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .multigraph import Multigraph, per_graph
 
-_GFAMILY_MAX_N = int(os.environ.get("MATCHCOV_MAX_GFAMILY_N", "14"))
+_GFAMILY_MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -66,36 +65,30 @@ def simple_wheel(k: int) -> tuple[Multigraph, int]:
     return make_wheel(WheelSpec(k, (1,) * k))
 
 
-def odd_wheel_rim(g: Multigraph, hub: int) -> Optional[tuple[int, ...]]:
-    """Rim cycle order when g is an odd wheel with the given hub, else None.
-
-    Parallel edges are allowed anywhere; only the underlying shape is tested.
-    """
+@per_graph
+def odd_wheel_hubs(g: Multigraph) -> tuple[int, ...]:
+    """The vertices h, ascending, for which g's underlying simple graph is
+    an odd wheel with hub h: all four of an underlying K4, otherwise at
+    most the one vertex adjacent to all others.  Parallel edges are allowed
+    anywhere; only the underlying shape is tested."""
     n = g.n
-    if not (0 <= hub < n) or n < 4 or n % 2 != 0:
-        return None
-    others = [w for w in range(n) if w != hub]
-    if any(g.multiplicity(hub, w) == 0 for w in others):
-        return None
-    rim_adj = {}
-    for w in others:
-        nbrs = [x for x in others if x != w and g.multiplicity(w, x) > 0]
-        if len(nbrs) != 2:
-            return None
-        rim_adj[w] = nbrs
-    start = others[0]
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        step = [x for x in rim_adj[cur] if x != prev]
-        nxt = step[0] if prev is not None else min(step)
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-    if len(cycle) != n - 1:
-        return None
-    return tuple(cycle)
+    if n < 4 or n % 2 != 0:
+        return ()
+    nbrs = [g.neighbors(w) for w in range(n)]
+    for hub in range(n):
+        if len(nbrs[hub]) != n - 1:
+            continue
+        # The rim must be one cycle through all n - 1 other vertices.
+        if any(len(nbrs[w]) != 3 for w in range(n) if w != hub):
+            return ()
+        start = cur = min(nbrs[hub])
+        prev, length = hub, 1
+        while (step := min(nbrs[cur] - {hub, prev})) != start:
+            prev, cur, length = cur, step, length + 1
+        if length != n - 1:
+            return ()
+        return tuple(range(4)) if n == 4 else (hub,)
+    return ()
 
 
 def boundary_slots(g: Multigraph, v: int) -> tuple[int, ...]:
@@ -172,28 +165,35 @@ def parallels_at_hub(g: Multigraph, hub: int) -> bool:
 
 
 def check_odd_wheel_splice(
-    g: Multigraph,
-    hub_g: int,
-    u: int,
-    h: Multigraph,
-    hub_h: int,
-    v: int,
-    theta: dict[int, int],
+    g: Multigraph, u: int, h: Multigraph, v: int, theta: dict[int, int]
 ) -> tuple[bool, tuple[str, ...]]:
     """Evaluate the three syntactic splice conditions for two odd wheels.
 
-    Returns (all hold, violated condition ids).  Condition 1: exactly one
-    splice vertex is its wheel's hub and the hub-side wheel has >= 6
+    Returns (all hold, violated condition ids).  The conditions hold when
+    they all hold under some pair of hub designations (`odd_wheel_hubs`:
+    K4 has four); otherwise the violations reported are those of the pair
+    with the fewest, the least such pair on ties.
+    """
+    hubs_g, hubs_h = odd_wheel_hubs(g), odd_wheel_hubs(h)
+    if not hubs_g or not hubs_h:
+        raise NotOddWheelsError("both inputs must be odd wheels")
+    _validate_theta(g, u, h, v, theta)
+    fewest = min(
+        (_splice_violations(g, a, u, h, b, v, theta) for a, b in product(hubs_g, hubs_h)),
+        key=len,
+    )
+    return (not fewest, fewest)
+
+
+def _splice_violations(
+    g: Multigraph, hub_g: int, u: int, h: Multigraph, hub_h: int, v: int, theta: dict[int, int]
+) -> tuple[str, ...]:
+    """Violated conditions under one hub designation.  Condition 1: exactly
+    one splice vertex is its wheel's hub and the hub-side wheel has >= 6
     vertices.  Condition 2: all parallels sit at the hubs.  Condition 3: the
     two rim edges at the non-hub splice vertex land on distinct,
     non-adjacent rim vertices of the hub-side wheel.
     """
-    rim_g = odd_wheel_rim(g, hub_g)
-    rim_h = odd_wheel_rim(h, hub_h)
-    if rim_g is None or rim_h is None:
-        raise NotOddWheelsError("both inputs must be odd wheels with the designated hubs")
-    _validate_theta(g, u, h, v, theta)
-
     violations = []
     u_is_hub = u == hub_g
     v_is_hub = v == hub_h
@@ -233,7 +233,7 @@ def check_odd_wheel_splice(
         if not ok3:
             violations.append("3")
 
-    return (not violations, tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +250,12 @@ def is_k4_plus(g: Multigraph) -> bool:
     return len(fat) <= 1
 
 
-def g1_hub_designations(g: Multigraph) -> frozenset[int]:
-    """Hubs h making g an odd wheel with parallels only at h; empty when g is
-    not a wheel-like odd wheel of that shape (the base family membership
-    test)."""
-    shapes = {
-        hub for hub in range(g.n) if odd_wheel_rim(g, hub) is not None and parallels_at_hub(g, hub)
-    }
-    if not shapes:
-        return frozenset()
-    if not is_brick(g) or not is_wheel_like(g):
-        return frozenset()
-    return frozenset(shapes)
-
-
 def is_g1_member(g: Multigraph) -> bool:
-    return bool(g1_hub_designations(g))
+    """Is g an odd wheel with its parallels only at a hub, and a wheel-like
+    brick (the base family membership test)?"""
+    if not any(parallels_at_hub(g, hub) for hub in odd_wheel_hubs(g)):
+        return False
+    return is_brick(g) and bool(is_wheel_like(g))
 
 
 def family_splice_violations(
@@ -339,17 +329,26 @@ def _theta_from_slots(g: Multigraph, u: int, h: Multigraph, v: int, perm: tuple[
     return {slots_h[i]: slots_g[perm[i]] for i in range(len(slots_h))}
 
 
-def build_from_certificate(cert: GCertificate, check: bool = False) -> Multigraph:
-    if check:
-        ok, report = verify_certificate(cert)
-        if not ok:
-            raise ConditionViolatedError("; ".join(report))
-    if isinstance(cert, WheelLeaf):
-        return make_wheel(cert.spec)[0]
-    left = build_from_certificate(cert.left)
-    wheel, _hub = make_wheel(cert.wheel)
-    theta = _theta_from_slots(left, cert.u, wheel, cert.v, cert.theta)
-    return splice(left, cert.u, wheel, cert.v, theta)
+def build_from_certificate(cert: GCertificate) -> Multigraph:
+    """The graph a certificate builds; ConditionViolatedError when any node
+    of it fails a check of `verify_certificate`."""
+    graph, problems = _walk_certificate(cert)
+    if problems:
+        raise ConditionViolatedError("; ".join(problems))
+    return graph
+
+
+def verify_certificate(cert: GCertificate) -> tuple[bool, tuple[str, ...]]:
+    problems = _walk_certificate(cert)[1]
+    return (not problems, problems)
+
+
+def _walk_certificate(cert: GCertificate) -> tuple[Optional[Multigraph], tuple[str, ...]]:
+    """(graph, problems) in one walk: every node's checks, and the graph
+    built, None when a node could not be built."""
+    report: list[str] = []
+    graph = _verify(cert, "root", report)
+    return graph, tuple(report)
 
 
 def _verify(cert: GCertificate, path: str, report: list[str]) -> Optional[Multigraph]:
@@ -388,12 +387,6 @@ def _verify(cert: GCertificate, path: str, report: list[str]) -> Optional[Multig
         else:
             report.append(f"{path}: family condition {cond} violated")
     return splice(left, cert.u, wheel, cert.v, theta)
-
-
-def verify_certificate(cert: GCertificate) -> tuple[bool, tuple[str, ...]]:
-    report: list[str] = []
-    _verify(cert, "root", report)
-    return (not report, tuple(report))
 
 
 def theta_class_matrices(

@@ -130,10 +130,18 @@ def test_06_splice_condition_equivalence():
     assert rep["counterexamples"] == []
     assert rep["summary"]["brick_results"] > 0
     assert rep["wall_clock_seconds"] < 600
+    # Spokes of multiplicity 3 reach splices on both sides of the
+    # equivalence: wheel-like bricks and bricks that are not.
+    wide = run_campaign("lemma-3.9", wheels=(3, 5), mult_bound=3, doubles=2)
+    assert wide["summary"]["status"] == "pass"
+    assert wide["summary"]["wheel_like"] > 0
+    assert wide["summary"]["brick_results"] > wide["summary"]["wheel_like"]
     _announce(
         6,
         f"{rep['summary']['orbit_representatives']} splice orbits, "
-        f"{rep['summary']['brick_results']} bricks, {rep['wall_clock_seconds']:.0f}s",
+        f"{rep['summary']['brick_results']} bricks, {rep['wall_clock_seconds']:.0f}s; "
+        f"widened: {wide['summary']['wheel_like']} of {wide['summary']['brick_results']} "
+        f"bricks wheel-like",
     )
 
 

@@ -145,6 +145,16 @@ def test_lemma_3_9_population_with_heavy_spokes():
     assert len(ctx["splices"]) == reps
 
 
+def test_lemma_3_9_checks_k4_splices_under_every_hub():
+    # K4 with spokes (1, 1, 3), spliced at vertex 3 to the W5 hub, is
+    # wheel-like: vertex 2 is a hub of K4 too, and makes vertex 3 a rim
+    # vertex, under which designation the conditions hold.
+    rep = run_campaign("lemma-3.9", wheels=(3, 5), mult_bound=3, doubles=1)
+    _check_shape(rep, "lemma-3.9")
+    assert rep["summary"]["status"] == "pass"
+    assert rep["summary"]["wheel_like"] == rep["summary"]["conditions_true"] == 3
+
+
 def test_lemma_3_9_keeps_one_matrix_per_orbit_by_burnside():
     # Burnside: a task's orbits number its (matrix, symmetry) pairs with
     # the symmetry fixing the matrix, over the group order. Fixed points

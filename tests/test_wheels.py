@@ -38,6 +38,7 @@ from matchcov.wheels import (
     is_k4_plus,
     spoke_vectors,
     theta_class_matrices,
+    theta_from_class_matrix,
 )
 from matchcov.zoo import complete_graph, prism_graph
 
@@ -160,7 +161,7 @@ def test_splice_conditions_positive_instance():
 
     # rim vertices 0 and 2 are non-adjacent on the 5-cycle
     theta = _theta_by_slots(g, u, h, v, [(spoke_to(0), u_rim[0]), (spoke_to(2), u_rim[1])])
-    ok, violations = check_odd_wheel_splice(g, hub_g, u, h, hub_h, v, theta)
+    ok, violations = check_odd_wheel_splice(g, u, h, v, theta)
     assert ok and violations == ()
     res = splice(g, u, h, v, theta)
     assert res.is_simple() and is_brick(res)
@@ -180,7 +181,7 @@ def test_splice_conditions_adjacent_rim_violation():
 
     # rim vertices 0 and 1 are adjacent: condition 3 must fail
     theta = _theta_by_slots(g, u, h, v, [(spoke_to(0), u_rim[0]), (spoke_to(1), u_rim[1])])
-    ok, violations = check_odd_wheel_splice(g, hub_g, u, h, hub_h, v, theta)
+    ok, violations = check_odd_wheel_splice(g, u, h, v, theta)
     assert not ok and "3" in violations
     res = splice(g, u, h, v, theta)
     if is_brick(res):
@@ -192,7 +193,7 @@ def test_splice_conditions_hub_hub_violation():
     g, hub_g = make_wheel(WheelSpec(5, (1, 1, 1, 1, 1)))
     h, hub_h = make_wheel(WheelSpec(5, (1, 1, 1, 1, 1)))
     theta = _theta_by_slots(g, hub_g, h, hub_h, [])
-    ok, violations = check_odd_wheel_splice(g, hub_g, hub_g, h, hub_h, hub_h, theta)
+    ok, violations = check_odd_wheel_splice(g, hub_g, h, hub_h, theta)
     assert not ok and "1" in violations
 
 
@@ -207,15 +208,30 @@ def test_splice_conditions_rim_parallel_violation():
     assert g.degree(hub_g) == 5 == h.degree(v)
     theta = _theta_by_slots(h, v, g, hub_g, [])
     # orientation: the non-hub splice vertex v sits on h, the hub side is g
-    ok, violations = check_odd_wheel_splice(h, hub_h, v, g, hub_g, hub_g, theta)
+    ok, violations = check_odd_wheel_splice(h, v, g, hub_g, theta)
     assert not ok and "2" in violations
+
+
+def test_splice_conditions_k4_every_hub():
+    # K4 may take any vertex as its hub.  With the triple spoke at vertex
+    # 2, vertex 2 is a hub that carries every parallel, and the splice
+    # vertex 3 is then a rim vertex: the conditions hold under that
+    # designation, and the splice is wheel-like.
+    g, hub_g = make_wheel(WheelSpec(3, (1, 1, 3)))
+    h, hub_h = simple_wheel(5)
+    matrix = ((0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 0, 1), (1, 0, 0))
+    theta = theta_from_class_matrix(g, hub_g, h, hub_h, matrix)
+    ok, violations = check_odd_wheel_splice(g, hub_g, h, hub_h, theta)
+    assert ok and violations == ()
+    res = splice(g, hub_g, h, hub_h, theta)
+    assert is_brick(res) and is_wheel_like(res)
 
 
 def test_check_rejects_non_wheels():
     k4 = complete_graph(4)
     pr = prism_graph()
     with pytest.raises(NotOddWheelsError):
-        check_odd_wheel_splice(pr, 0, 0, k4, 3, 3, {})
+        check_odd_wheel_splice(pr, 0, k4, 3, {})
 
 
 def test_is_k4_plus():
