@@ -11,16 +11,20 @@ Conventions fixed here and relied on by the test suite and the CLI:
   boundary edge ids of u in G; each mapped pair fuses to a single new edge.
 * Certificates serialize theta as a permutation of boundary slot indices,
   slots sorted by edge id.
+* One splice-class rule: splice only at the `splice_sites` of a group of
+  automorphisms, with the least class matrix of each `matrix_symmetries`
+  orbit (`canon.least_in_orbit`).  lemma-3.9 passes each wheel's
+  hub-fixing group, `g_family_closure` every graph's full group.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Optional, Sequence, Union
 
-from .canon import automorphisms, canonical_form, least_in_orbit, vertex_orbits
+from .canon import automorphisms, canonical_form, least_in_orbit
 from .covered import is_brick, is_removable_edge, removable_doubletons, removable_edges
 from .errors import (
     BadSpecError,
@@ -443,6 +447,49 @@ def _boundary_classes(g: Multigraph) -> tuple:
     return tuple(tuple(tuple(at[w]) for w in sorted(at)) for at in groups)
 
 
+@dataclass(frozen=True)
+class SpliceSite:
+    """A splice vertex of `graph`, with what every splice there reuses."""
+
+    graph: Multigraph
+    vertex: int
+    class_sizes: tuple[int, ...]
+    # Permutations of the boundary classes at `vertex` (class i goes to
+    # action[i]) induced by the group elements fixing `vertex`.
+    actions: tuple[tuple[int, ...], ...]
+
+
+def splice_sites(g: Multigraph, group: Sequence[Sequence[int]]) -> list[SpliceSite]:
+    """The least vertex of each orbit of `group`, a group of automorphisms
+    of g, ascending: the splice sites that stand for all of g's."""
+    sites = []
+    for vertex in range(g.n):
+        if any(p[vertex] < vertex for p in group):
+            continue
+        sizes = tuple(len(c) for c in boundary_classes(g, vertex))
+        # boundary_classes orders the classes by their other endpoint.
+        index = {w: i for i, w in enumerate(sorted(g.neighbors(vertex)))}
+        actions = {tuple(index[p[w]] for w in index) for p in group if p[vertex] == vertex}
+        sites.append(SpliceSite(g, vertex, sizes, tuple(sorted(actions))))
+    return sites
+
+
+def matrix_symmetries(a: SpliceSite, b: SpliceSite) -> list[tuple[int, ...]]:
+    """Position permutations of a row-major class matrix of the splice at
+    a with b (rows the classes at b, columns those at a) that build an
+    isomorphic splice: each pair of class actions sends entry (i, j) to
+    (rperm[i], cperm[j]), and for a self-splice (a is b) entry (j, i) too."""
+    rows, cols = len(b.class_sizes), len(a.class_sizes)
+    perms = []
+    flips = (False, True) if a is b else (False,)
+    for rperm, cperm, transpose in product(b.actions, a.actions, flips):
+        index = [0] * (rows * cols)
+        for i, j in product(range(rows), range(cols)):
+            index[rperm[i] * cols + cperm[j]] = j * cols + i if transpose else i * cols + j
+        perms.append(tuple(index))
+    return perms
+
+
 def theta_from_class_matrix(
     g: Multigraph, u: int, h: Multigraph, v: int, matrix: tuple[tuple[int, ...], ...]
 ) -> dict[int, int]:
@@ -475,16 +522,17 @@ def spoke_vectors(k: int, mult_bound: int) -> Iterator[tuple[int, ...]]:
     return filter(keep, product(range(1, mult_bound + 1), repeat=k))
 
 
-def _g1_catalog(max_n: int, k3_cap: int, cap: int) -> list[tuple[Multigraph, int, WheelSpec]]:
-    """Base-family wheels up to max_n vertices: (graph, hub, spec) per
-    `spoke_vectors` class."""
-    out = []
-    for k in range(3, max_n, 2):
-        for mults in spoke_vectors(k, k3_cap if k == 3 else cap):
-            spec = WheelSpec(k, mults)
-            wheel, hub = make_wheel(spec)
-            out.append((wheel, hub, spec))
-    return out
+def _g1_catalog(max_n: int, k3_cap: int, cap: int) -> list[tuple[Multigraph, WheelSpec]]:
+    """Base-family wheels up to max_n vertices, (graph, spec) per
+    `spoke_vectors` class, so no two are isomorphic: a K4's spokes name
+    its multiset of multiplicities, and a longer wheel's isomorphisms fix
+    its hub."""
+    specs = [
+        WheelSpec(k, mults)
+        for k in range(3, max_n, 2)
+        for mults in spoke_vectors(k, k3_cap if k == 3 else cap)
+    ]
+    return [(make_wheel(spec)[0], spec) for spec in specs]
 
 
 def g_family_closure(
@@ -508,30 +556,16 @@ def g_family_closure(
     if max_n > _GFAMILY_MAX_N:
         raise BoundExceededError(f"family closure capped at {_GFAMILY_MAX_N} vertices")
     leaves = _g1_catalog(max_n, k3_cap, cap)
-    if splice_cap is None:
-        sk3, sc = k3_cap, cap
-    else:
-        sk3 = sc = splice_cap
+    sk3, sc = (k3_cap, cap) if splice_cap is None else (splice_cap, splice_cap)
     # Only wheels small enough to splice inside max_n (smallest partner has
     # four vertices) belong in the splice catalog.
     base = _g1_catalog(max_n - 2, sk3, sc)
-    members: dict[bytes, tuple[Multigraph, GCertificate]] = {}
-    for wheel, _hub, spec in leaves:
-        key = canonical_form(wheel)
-        if key not in members:
-            members[key] = (wheel, WheelLeaf(spec))
-    frontier: list[tuple[Multigraph, GCertificate]] = []
-    frontier_seen: set[bytes] = set()
-    for wheel, _hub, spec in base:
-        key = canonical_form(wheel)
-        if key not in frontier_seen:
-            frontier_seen.add(key)
-            frontier.append((wheel, WheelLeaf(spec)))
-
-    partners = [(w, s, _orbit_reps(w)) for w, _h, s in base]
+    members = {canonical_form(w): (w, WheelLeaf(s)) for w, s in leaves}
+    frontier: list[tuple[Multigraph, GCertificate]] = [(w, WheelLeaf(s)) for w, s in base]
+    partners = [(w, s, splice_sites(w, automorphisms(w))) for w, s in base]
     # The catalog ascends in wheel size, so the partners that fit one left
     # graph, 8 <= left.n + wheel.n - 2 <= max_n, form one slice.
-    sizes = [w.n for w, _s, _reps in partners]
+    sizes = [w.n for w, _s, _sites in partners]
     while frontier:
         next_frontier: list[tuple[Multigraph, GCertificate]] = []
         for left, left_cert in frontier:
@@ -540,16 +574,20 @@ def g_family_closure(
             ]
             if not fits:
                 continue
-            u_reps = _orbit_reps(left)
-            for wheel, spec, v_reps in fits:
-                for u in u_reps:
-                    du = left.degree(u)
-                    for v in v_reps:
+            left_sites = splice_sites(left, automorphisms(left))
+            for wheel, spec, wheel_sites in fits:
+                for a in left_sites:
+                    u, du = a.vertex, left.degree(a.vertex)
+                    for b in wheel_sites:
+                        v = b.vertex
                         if wheel.degree(v) != du or splice_site_violations(left, u, wheel, v):
                             continue
-                        row_sums = tuple(len(c) for c in boundary_classes(wheel, v))
-                        col_sums = tuple(len(c) for c in boundary_classes(left, u))
-                        for matrix in theta_class_matrices(row_sums, col_sums):
+                        # The least matrix of an orbit comes first and builds
+                        # the same graph under the same conditions.
+                        keep = least_in_orbit(matrix_symmetries(a, b))
+                        for matrix in theta_class_matrices(b.class_sizes, a.class_sizes):
+                            if not keep(tuple(chain.from_iterable(matrix))):
+                                continue
                             theta = theta_from_class_matrix(left, u, wheel, v, matrix)
                             if theta_violations(left, u, wheel, v, theta):
                                 continue
@@ -563,10 +601,6 @@ def g_family_closure(
                             next_frontier.append((built, cert))
         frontier = next_frontier
     return members
-
-
-def _orbit_reps(g: Multigraph) -> list[int]:
-    return sorted(min(orbit) for orbit in vertex_orbits(g))
 
 
 def _slot_permutation(

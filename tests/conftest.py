@@ -282,6 +282,63 @@ def reference_canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]
     return best[0], best[1]
 
 
+def reference_family_closure(max_n: int, k3_cap: int = 3, cap: int = 2, splice_cap=None):
+    """The splice-family closure with no matrix pruning: every class matrix
+    at every pair of vertex-orbit representatives, the first certificate
+    kept per canonical form, in the library's sweep order."""
+    from matchcov import wheels as w
+    from matchcov.canon import canonical_form, vertex_orbits
+
+    def catalog(bound, k3, c):
+        specs = [
+            w.WheelSpec(k, mults)
+            for k in range(3, bound, 2)
+            for mults in w.spoke_vectors(k, k3 if k == 3 else c)
+        ]
+        return [(w.make_wheel(spec)[0], spec) for spec in specs]
+
+    def reps(g):
+        return sorted(min(orbit) for orbit in vertex_orbits(g))
+
+    sk3, sc = (k3_cap, cap) if splice_cap is None else (splice_cap, splice_cap)
+    base = catalog(max_n - 2, sk3, sc)
+    members = {}
+    for wheel, spec in catalog(max_n, k3_cap, cap):
+        members.setdefault(canonical_form(wheel), (wheel, w.WheelLeaf(spec)))
+    frontier, seen = [], set()
+    for wheel, spec in base:
+        if canonical_form(wheel) not in seen:
+            seen.add(canonical_form(wheel))
+            frontier.append((wheel, w.WheelLeaf(spec)))
+    while frontier:
+        next_frontier = []
+        for left, left_cert in frontier:
+            for wheel, spec in base:
+                if not 8 <= left.n + wheel.n - 2 <= max_n:
+                    continue
+                for u, v in product(reps(left), reps(wheel)):
+                    if wheel.degree(v) != left.degree(u):
+                        continue
+                    if w.splice_site_violations(left, u, wheel, v):
+                        continue
+                    rows = [len(c) for c in w.boundary_classes(wheel, v)]
+                    cols = [len(c) for c in w.boundary_classes(left, u)]
+                    for matrix in w.theta_class_matrices(tuple(rows), tuple(cols)):
+                        theta = w.theta_from_class_matrix(left, u, wheel, v, matrix)
+                        if w.theta_violations(left, u, wheel, v, theta):
+                            continue
+                        built = w.splice(left, u, wheel, v, theta)
+                        if canonical_form(built) in members:
+                            continue
+                        slots = w.boundary_slots(left, u)
+                        perm = tuple(slots.index(theta[e]) for e in w.boundary_slots(wheel, v))
+                        cert = w.SpliceNode(left_cert, spec, u, v, perm)
+                        members[canonical_form(built)] = (built, cert)
+                        next_frontier.append((built, cert))
+        frontier = next_frontier
+    return members
+
+
 # Pair multiplicities 0 and 1 four times as often as 2 and 3: at n <= 8,
 # uniform draws are so dense that doubletons and near-bipartite graphs
 # hardly occur.

@@ -166,6 +166,9 @@ def test_08_bipartite_removability_certificates():
     assert rep["summary"]["edges_tested"] > 0
     assert rep["summary"]["certificates_validated"] > 0
     assert rep["summary"]["sampled_graphs"] > 0
+    # Both sides occur: nonremovable edges, each with a validated
+    # certificate, and removable edges, which have none.
+    assert 0 < rep["summary"]["certificates_validated"] < rep["summary"]["edges_tested"]
     assert rep["wall_clock_seconds"] < 300
     _announce(
         8,
@@ -181,6 +184,8 @@ def test_09_decomposition_uniqueness():
     assert rep["counterexamples"] == []
     assert rep["summary"]["seeds_per_graph"] == 20
     assert rep["summary"]["with_nontrivial_tight_cut"] > 0
+    # Graphs with and without a nontrivial tight cut both occur.
+    assert 0 < rep["summary"]["with_nontrivial_tight_cut"] < rep["summary"]["matching_covered"]
     assert rep["wall_clock_seconds"] < 300
     _announce(
         9,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from matchcov import Multigraph, campaigns, enumerate_connected_graphs, is_brick, is_robust, wheels
+from matchcov import Multigraph, enumerate_connected_graphs, is_brick, is_robust, wheels
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
@@ -168,7 +168,7 @@ def test_lemma_3_9_keeps_one_matrix_per_orbit_by_burnside():
     assert len(tasks) == ctx["tasks"]
     assert sum(kept for _, _, kept in tasks.values()) == 1711
     for sg, sh, kept in tasks.values():
-        perms = set(campaigns._matrix_symmetries(sg, sh))
+        perms = set(wheels.matrix_symmetries(sg, sh))
         fixed = 0
         for matrix in wheels.theta_class_matrices(sh.class_sizes, sg.class_sizes):
             flat = [x for row in matrix for x in row]

@@ -152,6 +152,23 @@ def test_verify_corpus_refuses_ignored_parameters(tmp_path, flags):
     assert flags[0][2:] in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["lemma-3.9", "--wheels", ","],
+        ["thm-1.4", "--max-n", "2"],
+        ["prop-3.13", "--max-n", "3"],
+        ["thm-1.1", "--max-n", "2"],
+    ],
+)
+def test_verify_empty_run_fails(flags):
+    # A run that checks no graph has tested nothing, so it cannot pass.
+    code, out, _ = run_cli(["verify", *flags, "--jobs", "1"])
+    rep = json.loads(out)
+    assert code == EXIT_COUNTEREXAMPLE
+    assert rep["graphs_checked"] == 0 and rep["summary"]["status"] == "fail"
+
+
 def test_verify_counterexample_exit(monkeypatch):
     import matchcov.cli as cli_mod
 

@@ -42,6 +42,8 @@ from matchcov.wheels import (
 )
 from matchcov.zoo import complete_graph, prism_graph
 
+from conftest import reference_family_closure
+
 # sha256 over g_family_closure(8) and g_family_closure(8, splice_cap=4):
 # each member's canonical key, (n, edges) and certificate, in dict order.
 # Taken before the splice search checked its site conditions once per site.
@@ -343,8 +345,9 @@ def test_verify_certificate_rejects_tampering():
 def test_spoke_vectors_one_per_wheel_class():
     # Beyond the 3-wheel the hub is the one vertex of top degree, so two
     # spoke vectors give isomorphic wheels exactly when a rim rotation or
-    # reflection maps one onto the other.
-    for k, bound in ((5, 2), (5, 3), (7, 2)):
+    # reflection maps one onto the other. A K4's spoke vector names its
+    # multiset of multiplicities. The family closure relies on both.
+    for k, bound in ((3, 4), (5, 2), (5, 3), (7, 2)):
         vecs = list(spoke_vectors(k, bound))
         assert vecs == sorted(vecs)
         forms = [canonical_form(make_wheel(WheelSpec(k, v))[0]) for v in vecs]
@@ -367,6 +370,16 @@ def _closure_digest(members):
 def test_closure_members_and_certificates_pinned():
     assert _closure_digest(g_family_closure(8)) == CLOSURE_8_DIGEST
     assert _closure_digest(g_family_closure(8, splice_cap=4)) == CLOSURE_8_CAP4_DIGEST
+
+
+def test_closure_matches_unpruned_reference():
+    # fig-g3's default bound; the pinned digests cover bound 8 only. The
+    # closure keeps the least class matrix of each symmetry class, and the
+    # reference tries them all: same members, order and certificates.
+    got, want = g_family_closure(10), reference_family_closure(10)
+    assert list(got) == list(want)
+    for key, (graph, cert) in want.items():
+        assert (got[key][0].n, got[key][0].edges, got[key][1]) == (graph.n, graph.edges, cert)
 
 
 def _class_matrices_oracle(row_sums, col_sums):
