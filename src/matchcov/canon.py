@@ -4,10 +4,12 @@ Canonical labeling runs iterative color refinement and then backtracks over
 individualizations of the first smallest non-singleton cell, taking the
 lexicographically least edge encoding over all discrete leaves. Each
 vertex's neighbour list is built once per graph and serves every
-refinement round of the search; `automorphisms` starts from the same
-refinement. Edge multiplicities are folded into the initial invariant, the
-refinement signatures, and the leaf encoding, so two multigraphs share a
-canonical form exactly when they are isomorphic as multigraphs.
+refinement round of the search. That search is the only one: the leaves
+that tie the best one and the twin swaps that pruned branches generate
+the automorphism group (see `automorphisms`). Edge multiplicities are
+folded into the initial invariant, the refinement signatures, and the leaf
+encoding, so two multigraphs share a canonical form exactly when they are
+isomorphic as multigraphs.
 
 Refinement ranks per cell. A round's new colors are, by definition, the
 ranks of the distinct signatures (color, *sorted packed neighbours) over
@@ -28,9 +30,10 @@ with the escape: the byte 255 sorts above any smaller multiplicity, and the
 
 The only search pruning is the twin test: if two cell members have
 identical multiplicity rows, their transposition is an automorphism and
-one branch is skipped. That keeps complete and near-complete graphs linear
-instead of factorial without touching correctness. Row u against row w
-with its entries u and w swapped is one list comparison.
+one branch is skipped; the search records the swap as a generator. That
+keeps complete and near-complete graphs linear instead of factorial
+without touching correctness. Row u against row w with its entries u and
+w swapped is one list comparison.
 """
 from __future__ import annotations
 
@@ -133,23 +136,21 @@ def _twins(rows: list[list[int]], u: int, w: int) -> bool:
     return swapped == rows[u]
 
 
-def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
-    """(position permutation old->new, canonical byte form).
-
-    The form is n, then one (i, j, multiplicity) byte triple per adjacent
-    position pair i < j in ascending order; a multiplicity of 255 or more
-    is written as the byte 255 followed by the count in 8 bytes.
-    """
+def _search(g: Multigraph) -> tuple[tuple[int, ...], bytes, list, list]:
+    """`canonical_labeling`'s search: (best leaf, its byte form, the other
+    leaves with its encoding, each twin swap (v, w) whose branch v was
+    skipped for w's). A leaf is a color list, old position -> new."""
     n = g.n
     if n == 0:
-        return (), bytes([0])
+        return (), bytes([0]), [], []
     if n > 255:
         raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
     nbrs, scale, start, start_cells = _start(g)
     lo = max(8, scale.bit_length())
     hi = lo + 8
     edges = [(u, v, cnt) for (u, v), cnt in g._mult.items()]
-    best: list = [None, None]
+    best: list = [None, None, []]
+    swaps: list[tuple[int, int]] = []
     # Twin rows are needed only when the search branches.
     rows = [] if start_cells is None else _rows(g)
 
@@ -160,8 +161,9 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
                 for u, v, t in edges
             ])
             if best[1] is None or cand < best[1]:
-                best[0] = tuple(colors)
-                best[1] = cand
+                best[:] = tuple(colors), cand, []
+            elif cand == best[1]:
+                best[2].append(colors)
             return
         target = min((len(members), c) for c, members in enumerate(cells) if len(members) > 1)[1]
         members = cells[target]
@@ -171,24 +173,37 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
             base[x] += 1
         reps: list[int] = []
         for v in members:
-            if any(_twins(rows, v, w) for w in reps):
-                continue
-            reps.append(v)
-            split = base[:]
-            split[v] = target
-            parts = [[v], [x for x in members if x != v]]
-            rec(*_equitable(nbrs, split, cells[:target] + parts + cells[target + 1 :], scale))
+            for w in reps:
+                if _twins(rows, v, w):
+                    swaps.append((v, w))
+                    break
+            else:
+                reps.append(v)
+                split = base[:]
+                split[v] = target
+                parts = [[v], [x for x in members if x != v]]
+                rec(*_equitable(nbrs, split, cells[:target] + parts + cells[target + 1 :], scale))
 
     rec(start, start_cells)
-    perm, key = best
+    perm, key, ties = best
     if lo == 8:  # every triple is three plain bytes
-        return perm, bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big")))
+        return perm, bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big"))), ties, swaps
     low = (1 << lo) - 1
     return perm, bytes([n]) + b"".join(
         (x >> lo).to_bytes(2, "big")
         + (bytes((x & low,)) if x & low < 255 else b"\xff" + (x & low).to_bytes(8, "big"))
         for x in key
-    )
+    ), ties, swaps
+
+
+def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
+    """(position permutation old->new, canonical byte form).
+
+    The form is n, then one (i, j, multiplicity) byte triple per adjacent
+    position pair i < j in ascending order; a multiplicity of 255 or more
+    is written as the byte 255 followed by the count in 8 bytes.
+    """
+    return _search(g)[:2]
 
 
 @per_graph
@@ -205,48 +220,35 @@ def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
 
 
 def automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
-    """All color-respecting adjacency-preserving vertex permutations.
+    """Every automorphism as a position permutation (v -> image of v), in
+    ascending order; the full list is materialized.
 
-    Intended for the small graphs (wheels, splice factors) where orbit
-    reductions happen; the full list is materialized.
+    The group comes from the canonical labelling's search: each leaf that
+    ties the best leaf b gives b^-1 composed with that leaf, and each twin
+    swap gives its transposition; their closure under composition is the
+    group. Why that is all of it: an automorphism maps b to a leaf with the
+    same encoding. Walk that leaf's path down from the root. Where it
+    enters a branch the search skipped for a twin, the recorded swap fixes
+    every vertex individualized so far and moves the path into the kept
+    sibling. The walk ends at an explored leaf that ties b, so the
+    automorphism is a product of swaps and one tie.
+
+    Like `canonical_labeling`, this covers at most 255 vertices
+    (BoundExceededError).
     """
-    n = g.n
-    if n == 0:
-        return [()]
-    colors = _start(g)[2]
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    mult = g._mult
-
-    out: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            out.append(tuple(image))
-            return
-        for w in by_color[colors[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for u in range(v):
-                a = mult.get((u, v) if u < v else (v, u), 0)
-                iu, iw = image[u], w
-                b = mult.get((iu, iw) if iu < iw else (iw, iu), 0)
-                if a != b:
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                image[v] = w
-                extend(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    extend(0)
-    return out
+    best, _, ties, swaps = _search(g)
+    identity = tuple(range(g.n))
+    inverse = sorted(identity, key=best.__getitem__)
+    gens = {tuple([inverse[c] for c in leaf]) for leaf in ties}
+    for v, w in swaps:
+        p = list(identity)
+        p[v], p[w] = w, v
+        gens.add(tuple(p))
+    group, new = {identity}, {identity}
+    while new:
+        new = {tuple([p[i] for i in s]) for p in new for s in gens} - group
+        group |= new
+    return sorted(group)
 
 
 def least_in_orbit(perms: Iterable[Sequence[int]]) -> Callable[[tuple], bool]:
@@ -259,20 +261,6 @@ def least_in_orbit(perms: Iterable[Sequence[int]]) -> Callable[[tuple], bool]:
 
 
 def vertex_orbits(g: Multigraph) -> list[frozenset[int]]:
-    parent = list(range(g.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for perm in automorphisms(g):
-        for v, w in enumerate(perm):
-            ra, rb = find(v), find(w)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(s) for s in sorted(groups.values(), key=min)]
+    """The orbits of the automorphism group, by least member: the images
+    of v over the group are column v of `automorphisms`."""
+    return sorted({frozenset(images) for images in zip(*automorphisms(g))}, key=min)

@@ -282,6 +282,61 @@ def reference_canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]
     return best[0], best[1]
 
 
+def reference_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
+    """Every automorphism as a position permutation, in lexicographic
+    order, by backtracking over images vertex by vertex within the
+    equitable initial colors. `canon.automorphisms` reads the group off the
+    canonical labelling's search instead; both must return the same list.
+    """
+    n = g.n
+    if n == 0:
+        return [()]
+    colors = _start(g)[2]
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    mult = g._mult
+
+    out: list[tuple[int, ...]] = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v: int) -> None:
+        if v == n:
+            out.append(tuple(image))
+            return
+        for w in by_color[colors[v]]:
+            if used[w]:
+                continue
+            ok = True
+            for u in range(v):
+                a = mult.get((u, v) if u < v else (v, u), 0)
+                iu, iw = image[u], w
+                b = mult.get((iu, iw) if iu < iw else (iw, iu), 0)
+                if a != b:
+                    ok = False
+                    break
+            if ok:
+                used[w] = True
+                image[v] = w
+                extend(v + 1)
+                used[w] = False
+                image[v] = -1
+
+    extend(0)
+    return out
+
+
+def reference_vertex_orbits(g: Multigraph) -> list[frozenset[int]]:
+    """The orbits of `reference_automorphisms`, by least member."""
+    perms = reference_automorphisms(g)
+    orbits: list[frozenset[int]] = []
+    for v in range(g.n):
+        if all(v not in orbit for orbit in orbits):
+            orbits.append(frozenset(p[v] for p in perms))
+    return orbits
+
+
 def reference_family_closure(max_n: int, k3_cap: int = 3, cap: int = 2, splice_cap=None):
     """The splice-family closure with no matrix pruning: every class matrix
     at every pair of vertex-orbit representatives, the first certificate

@@ -116,6 +116,10 @@ def test_05_six_vertex_wheel_like_classification():
     assert rep["counterexamples"] == []
     assert rep["summary"]["distinct_multigraphs"] == 7738
     assert rep["summary"]["wheel_like"] == 8
+    # Both sides of the equivalence occur: wheel-like bricks and bricks
+    # that are not.
+    summary = rep["summary"]
+    assert 0 < summary["wheel_like"] < summary["distinct_multigraphs"] - summary["non_bricks"]
     assert rep["wall_clock_seconds"] < 180
     _announce(
         5,

@@ -18,6 +18,7 @@ from matchcov.cuts import _odd_shores
 from matchcov.errors import BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
+from test_report_digests import CORPUS, FULL_RUNS
 
 REPORT_KEYS = {
     "schema",
@@ -249,11 +250,22 @@ def _untimed(report):
 
 @pytest.mark.parametrize(
     "name, params",
-    [("lemma-2.17", {"max_n": 6, "mult_n": 4}), ("fig-nonsolid-6", {})],
+    [
+        ("lemma-2.17", {"max_n": 6, "mult_n": 4}),
+        ("fig-nonsolid-6", {}),
+        *((name, params) for name, (params, _) in sorted(FULL_RUNS.items())),
+    ],
 )
 def test_jobs_do_not_change_reports(name, params):
     serial = run_campaign(name, jobs=1, **params)
     pooled = run_campaign(name, jobs=2, **params)
+    assert _untimed(pooled) == _untimed(serial)
+
+
+@pytest.mark.parametrize("name", ["thm-1.3", "decomp-unique"])
+def test_jobs_do_not_change_corpus_reports(name):
+    serial = run_corpus(name, CORPUS, seeds=3, jobs=1)
+    pooled = run_corpus(name, CORPUS, seeds=3, jobs=2)
     assert _untimed(pooled) == _untimed(serial)
 
 

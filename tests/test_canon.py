@@ -18,7 +18,12 @@ from matchcov import (
 from matchcov.canon import _rows, _twins
 from matchcov.errors import BoundExceededError
 from matchcov.zoo import complete_graph, cycle_graph, path_graph, star_graph
-from conftest import naive_isomorphic, reference_canonical_labeling
+from conftest import (
+    naive_isomorphic,
+    reference_automorphisms,
+    reference_canonical_labeling,
+    reference_vertex_orbits,
+)
 
 
 def test_canonical_form_invariant_under_relabeling(connected_simple_upto_6):
@@ -118,6 +123,37 @@ def test_vertex_orbits():
         assert not (set(o) & seen)
         seen |= set(o)
     assert seen == set(range(5))
+
+
+def test_automorphisms_and_orbits_match_reference_up_to_n7():
+    # Same lists in the same order, the empty graph included.
+    pool = [Multigraph(0, [])]
+    for n in range(1, 8):
+        pool.extend(enumerate_connected_graphs(n))
+    for g in pool:
+        assert automorphisms(g) == reference_automorphisms(g), g.edges
+        assert vertex_orbits(g) == reference_vertex_orbits(g), g.edges
+
+
+def _random_cubic(n: int, seed: int) -> Multigraph:
+    """A connected simple cubic graph from the seeded pairing model."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            g = new_multigraph(n, sorted(edges))
+            if g.is_connected():
+                return g
+
+
+def test_automorphisms_match_reference_on_random_cubic_graph():
+    # Refinement leaves a random cubic graph almost discrete; a backtrack
+    # that refines nothing beyond the initial colors is exponential here.
+    g = _random_cubic(16, 16)
+    assert automorphisms(g) == reference_automorphisms(g)
+    assert vertex_orbits(g) == reference_vertex_orbits(g)
 
 
 def test_is_isomorphic_agrees_with_canon():

@@ -3,8 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcov import canonical_form, canonical_labeling, new_multigraph
-from conftest import naive_isomorphic, reference_canonical_labeling
+from matchcov import automorphisms, canonical_form, canonical_labeling, new_multigraph, vertex_orbits
+import conftest
+from conftest import (
+    naive_isomorphic,
+    reference_automorphisms,
+    reference_canonical_labeling,
+    reference_vertex_orbits,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -68,3 +74,10 @@ def oracle_multigraphs(draw):
 @given(oracle_multigraphs())
 def test_canonical_labeling_matches_reference_kernel(g):
     assert canonical_labeling(g) == reference_canonical_labeling(g)
+
+
+@PROPERTY_SETTINGS
+@given(conftest.multigraphs(8, even=False))
+def test_automorphisms_and_orbits_match_reference(g):
+    assert automorphisms(g) == reference_automorphisms(g)
+    assert vertex_orbits(g) == reference_vertex_orbits(g)

@@ -143,7 +143,19 @@ def test_verify_decomp_refuses_fewer_than_two_seeds(seeds):
     assert "seeds" in err
 
 
-@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--seeds", "-5"], ["--seeds", "1"]])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--jobs", "0"],
+        ["--seeds", "-5"],
+        ["--seeds", "1"],
+        ["--max-n", "6"],
+        ["--mult-bound", "3"],
+        ["--seed", "4"],
+        ["--wheels", "3,5"],
+        ["--doubles", "2"],
+    ],
+)
 def test_verify_corpus_refuses_ignored_parameters(tmp_path, flags):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text(encode_graph6(cycle_graph(6)) + "\n")
