@@ -16,19 +16,24 @@ perfect matching, the same pool is the table that cuts are read from: see
 A miss in the pool runs `multigraph.pm_search`, the one perfect-matching
 search, and reads the matching it found off its memo (`pm_pairs`). With no
 class dropped the memo is the graph's own, the one `Multigraph.has_pm_mask`
-reads, and so it is shared with `pm_pair_groups`, the one walk over vertex
-pairs that asks for perfect matchings (bicriticality, maximal barriers);
-`separating_pairs` is the one that asks for connectivity (bricks,
-2-separations).
+reads.
+
+Two questions range over vertex pairs, and neither asks one pair at a
+time. `pm_pair_groups` (bicriticality, maximal barriers) runs one Edmonds
+search, `multigraph.blossom_search`, per group. `separating_pairs` (bricks,
+2-separations) runs one breadth-first search per chunk of pairs, every pair
+in a block of bits of one integer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from .errors import BoundExceededError, NotMatchingCoveredError
-from .multigraph import Multigraph, _bits, _reach, _two_coloring, per_graph, pm_pairs, pm_search
+from .multigraph import Multigraph, _bits, _reach, _two_coloring, blossom_search, per_graph
+from .multigraph import pm_pairs, pm_search
 
 _PM_ENUM_MAX_N = 24
 
@@ -231,33 +236,104 @@ def removable_classes(g: Multigraph) -> tuple[RemovableClass, ...]:
 @per_graph
 def pm_pair_groups(g: Multigraph) -> tuple[int, ...]:
     """Vertex masks: the lowest vertex u in no earlier group, with each such
-    v that leaves G - u - v without a perfect matching; the only such scan."""
-    full = rest = g.full_mask
+    v that leaves G - u - v without a perfect matching.
+
+    One blossom search per group: G - u - v has a perfect matching exactly
+    when G - u has a near-perfect matching and v is outer in the search
+    from the vertex it leaves exposed. A perfect matching of G, with u's
+    edge dropped, is one, exposing u's partner; without one, the search
+    builds a maximum matching of G - u from nothing.
+    """
+    adj, full = g.adj_masks, g.full_mask
+    rest = full
+    mate = [-1] * g.n
+    if g.n % 2 == 0 and g.has_pm_mask(full):
+        for v, w in pm_pairs(full, g._pm_memo):
+            mate[v], mate[w] = w, v
     out = []
     while rest:
-        group = low = rest & -rest
-        for v in _bits(rest ^ low):
-            if not g.has_pm_mask(full ^ low ^ (1 << v)):
-                group |= 1 << v
+        low = rest & -rest
+        u, others = low.bit_length() - 1, rest ^ low
+        match, within = list(mate), full ^ low
+        if mate[u] >= 0:
+            match[mate[u]] = match[u] = -1
+            exposed = [mate[u]]
+        else:
+            for r in _bits(within):
+                if match[r] < 0:
+                    blossom_search(adj, match, r, within)
+            exposed = [r for r in _bits(within) if match[r] < 0]
+        outer = blossom_search(adj, match, exposed[0], within, others) if len(exposed) == 1 else 0
+        group = low | others & ~outer
         rest ^= group
         out.append(group)
     return tuple(out)
 
 
+# Bits per sweep of `separating_pairs`: a step costs time in the length of
+# the integer, so long chunks lose more to blocks whose search is over than
+# they save in steps.
+_SWEEP_BITS = 8192
+
+
+@lru_cache(maxsize=16)
+def _sweep_chunks(n: int) -> tuple[tuple[list[tuple[int, int]], int, int, int], ...]:
+    """The vertex pairs x < y in lexicographic order, cut into chunks of
+    about `_SWEEP_BITS` bits. Pair p of a chunk owns bits p*n .. p*n + n - 1;
+    each chunk comes with masks over those blocks: the bit at each block's
+    start, the vertices of G - x - y but the lowest, and that lowest one."""
+    pairs = list(combinations(range(n), 2))
+    step = max(1, _SWEEP_BITS // max(n, 1))
+    out = []
+    for first in range(0, len(pairs), step):
+        chunk = pairs[first:first + step]
+        starts = unseen = start = 0
+        for p, (x, y) in enumerate(chunk):
+            rest = (1 << n) - 1 ^ 1 << x ^ 1 << y
+            starts |= 1 << p * n
+            unseen |= (rest & rest - 1) << p * n
+            start |= (rest & -rest) << p * n
+        out.append((chunk, starts, unseen, start))
+    return tuple(out)
+
+
 def separating_pairs(g: Multigraph) -> Iterator[tuple[int, int]]:
-    """Pairs x < y with G - x - y disconnected, in lexicographic order: the
-    only scan of vertex pairs for connectivity."""
-    adj, full = g.adj_masks, g.full_mask
-    for x, y in combinations(range(g.n), 2):
-        within = full ^ (1 << x) ^ (1 << y)
-        if within and _reach(adj, (within & -within).bit_length() - 1, within) != within:
-            yield x, y
+    """Pairs x < y with G - x - y disconnected, in lexicographic order.
+
+    One breadth-first search per chunk of `_sweep_chunks` runs in every
+    block at once, from the lowest vertex left. A step spreads each vertex
+    v on the frontier of some block into every block where it is, by
+    multiplying adj[v] by those blocks' start bits; the vertices to step
+    from are the union of the blocks, folded in log(pairs) shift-ors.
+    """
+    n, adj, full = g.n, g.adj_masks, g.full_mask
+    for chunk, starts, unseen, frontier in _sweep_chunks(n):
+        width = n * len(chunk)
+        while frontier:
+            union, shift = frontier, n
+            while shift < width:
+                union |= union >> shift
+                shift <<= 1
+            new = 0
+            for v in _bits(union & full):
+                new |= (frontier >> v & starts) * adj[v]
+            frontier = new & unseen
+            unseen ^= frontier
+        while unseen:
+            p = ((unseen & -unseen).bit_length() - 1) // n
+            yield chunk[p]
+            unseen &= ~(full << p * n)
 
 
 @per_graph
 def is_bicritical(g: Multigraph) -> bool:
-    """Every G - u - v has a perfect matching (each group one vertex); n >= 4."""
-    if g.n < 4 or g.n % 2:
+    """Every G - u - v has a perfect matching (each group one vertex); n >= 4.
+
+    Such a G has one too: for an edge uv, one of G - u - v plus uv. So a G
+    without one is answered at once, and the groups start from a perfect
+    matching.
+    """
+    if g.n < 4 or g.n % 2 or not g.has_pm_mask(g.full_mask):
         return False
     return all(group & group - 1 == 0 for group in pm_pair_groups(g))
 

@@ -4,8 +4,10 @@ Instances are immutable after construction: every operation returns a new
 graph. Parallel edges are distinct edge ids with equal endpoint pairs, so
 edge id i always means position i of the edge list handed to the
 constructor. Bitmask adjacency over the underlying simple graph backs the
-perfect-matching and connectivity kernels that the rest of the library
-leans on.
+kernels that the rest of the library leans on: `pm_search`, the one
+perfect-matching search, on a per-graph memo; `blossom_search`, the one
+Edmonds search, for maximum matchings and for the pairs that leave no
+perfect matching; and reachability.
 
 One caching rule: whatever is derived from a graph is kept on that graph,
 in its instance dict, and nowhere else. Inside the class that is
@@ -288,6 +290,77 @@ def pm_pairs(mask: int, memo: dict[int, int]) -> Iterator[tuple[int, int]]:
         u = memo[mask]
         yield v_bit.bit_length() - 1, u
         mask ^= v_bit | 1 << u
+
+
+def blossom_search(adj: Sequence[int], match: list[int], root: int, within: int, goal: int = -1) -> int:
+    """Edmonds' search for an augmenting path from the exposed vertex `root`
+    inside the vertex set `within`, over the adjacency masks `adj`, breadth
+    first with blossom shrinking ("Paths, trees, and flowers", 1965).
+
+    `match` maps each vertex to its partner, or to -1. A path found is
+    flipped into `match` and the result is 0. Otherwise the result is the
+    mask of outer vertices, those an even alternating path from `root`
+    reaches. When `root` is the only vertex that a maximum matching leaves
+    exposed, the outer vertices are exactly the v for which `within` minus v
+    has a perfect matching: D in the Gallai-Edmonds decomposition
+    (Lovasz and Plummer, Matching Theory, 3.2). The search stops once every
+    vertex of `goal` is outer; the default, -1, never stops it.
+    """
+    n = len(adj)
+    # parent[x]: where an inner x was reached from, and on blossom paths
+    # the way back round for outer vertices too; base[x]: x's blossom.
+    parent = [-1] * n
+    base = list(range(n))
+    outer = 1 << root
+    queue = [root]
+    for v in queue:
+        if not goal & ~outer:
+            break
+        nbrs = adj[v] & within
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            to = low.bit_length() - 1
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if outer >> to & 1:
+                # A blossom: its base is the lowest common ancestor of v and
+                # to, and each vertex whose base lies on either path joins it.
+                path, a = 0, v
+                while True:
+                    a = base[a]
+                    path |= 1 << a
+                    if match[a] == -1:
+                        break
+                    a = parent[match[a]]
+                a = to
+                while not path >> base[a] & 1:
+                    a = parent[match[base[a]]]
+                top, blossom = base[a], 0
+                for a, child in ((v, to), (to, v)):
+                    while base[a] != top:
+                        blossom |= 1 << base[a] | 1 << base[match[a]]
+                        parent[a] = child
+                        child = match[a]
+                        a = parent[child]
+                for i in range(n):
+                    if blossom >> base[i] & 1:
+                        base[i] = top
+                        if not outer >> i & 1:
+                            outer |= 1 << i
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    while to != -1:
+                        v = parent[to]
+                        nxt = match[v]
+                        match[to], match[v] = v, to
+                        to = nxt
+                    return 0
+                outer |= 1 << match[to]
+                queue.append(match[to])
+    return outer
 
 
 def _reach(adj: Sequence[int], start: int, within: int) -> int:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from matchcov import Multigraph, new_multigraph
 from matchcov.errors import BoundExceededError
+from matchcov.multigraph import bits
 
 # acceptance verdicts, keyed by criterion number; printed after the run
 ACCEPTANCE: dict[int, str] = {}
@@ -392,6 +393,31 @@ def reference_family_closure(max_n: int, k3_cap: int = 3, cap: int = 2, splice_c
                         next_frontier.append((built, cert))
         frontier = next_frontier
     return members
+
+
+def reference_pm_pair_groups(g: Multigraph) -> tuple[int, ...]:
+    """Vertex masks: the lowest vertex u in no earlier group, with each such
+    v that leaves G - u - v without a perfect matching, one query per pair."""
+    full = rest = g.full_mask
+    out = []
+    while rest:
+        group = low = rest & -rest
+        for v in bits(rest ^ low):
+            if not g.has_pm_mask(full ^ low ^ (1 << v)):
+                group |= 1 << v
+        rest ^= group
+        out.append(group)
+    return tuple(out)
+
+
+def reference_separating_pairs(g: Multigraph) -> list[tuple[int, int]]:
+    """Pairs x < y with G - x - y disconnected, one search per pair."""
+    out = []
+    for x, y in combinations(range(g.n), 2):
+        within = g.full_mask ^ (1 << x) ^ (1 << y)
+        if within and g.component_mask((within & -within).bit_length() - 1, within) != within:
+            out.append((x, y))
+    return out
 
 
 # Pair multiplicities 0 and 1 four times as often as 2 and 3: at n <= 8,
