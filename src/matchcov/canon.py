@@ -11,6 +11,15 @@ folded into the initial invariant, the refinement signatures, and the leaf
 encoding, so two multigraphs share a canonical form exactly when they are
 isomorphic as multigraphs.
 
+The search has a core and a front end. The core, `_search`, takes plain
+lists: neighbour lists, (u, v, multiplicity) edges, multiplicity rows and
+initial invariants. `_start` builds them from a `Multigraph`; the
+enumerator in `generate` builds a child's from its parent's instead, and
+calls the core with no graph object. Each graph has one search record,
+`_record`, kept per graph: its labelling, its byte form and its
+automorphism generators. `canonical_labeling`, `canonical_form` and
+`automorphisms` all read it, so a graph is searched at most once.
+
 Refinement ranks per cell. A round's new colors are, by definition, the
 ranks of the distinct signatures (color, *sorted packed neighbours) over
 all vertices. Every signature starts with the vertex's color, so that
@@ -92,12 +101,13 @@ def _equitable(
     return colors, None
 
 
-def _start(g: Multigraph) -> tuple[list, int, list[int], list | None]:
-    """(neighbour lists, packing scale, equitable initial colors, cells).
+def _start(g: Multigraph) -> tuple[list, list, list, list, int]:
+    """`_search`'s input from a graph: (neighbour lists, (u, v,
+    multiplicity) edges, rows, initial invariants, packing scale).
 
     The initial invariant is the degree, then the sorted incident
-    multiplicities. A simple graph (scale 2) keeps plain neighbour lists,
-    a multigraph (neighbour, multiplicity) pairs.
+    multiplicities. A simple graph (scale 2) keeps plain neighbour lists
+    and the degree alone, a multigraph (neighbour, multiplicity) pairs.
     """
     mult = g._mult
     scale = max(mult.values(), default=0) + 1
@@ -112,12 +122,8 @@ def _start(g: Multigraph) -> tuple[list, int, list[int], list | None]:
             nbrs[u].append((v, cnt))
             nbrs[v].append((u, cnt))
         keys = [(g.degrees[v], tuple(sorted(c for _, c in nbrs[v]))) for v in range(g.n)]
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    colors = [rank[k] for k in keys]
-    cells: list[list[int]] = [[] for _ in rank]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    return (nbrs, scale, *_equitable(nbrs, colors, cells, scale))
+    edges = [(u, v, cnt) for (u, v), cnt in mult.items()]
+    return nbrs, edges, _rows(g), keys, scale
 
 
 def _rows(g: Multigraph) -> list[list[int]]:
@@ -136,23 +142,24 @@ def _twins(rows: list[list[int]], u: int, w: int) -> bool:
     return swapped == rows[u]
 
 
-def _search(g: Multigraph) -> tuple[tuple[int, ...], bytes, list, list]:
-    """`canonical_labeling`'s search: (best leaf, its byte form, the other
-    leaves with its encoding, each twin swap (v, w) whose branch v was
-    skipped for w's). A leaf is a color list, old position -> new."""
-    n = g.n
-    if n == 0:
-        return (), bytes([0]), [], []
-    if n > 255:
-        raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
-    nbrs, scale, start, start_cells = _start(g)
+def _search(
+    nbrs: list, edges: list, rows: list, keys: list, scale: int
+) -> tuple[tuple[int, ...], list[int], int, tuple]:
+    """The labelling search over 1 to 255 vertices, given as `_start`
+    gives them: (best leaf, its packed encoding, the encoding's low-field
+    width lo, automorphism generators). A leaf is a color list, old
+    position -> new. The generators are b^-1 composed with each leaf that
+    ties the best leaf b, and the transposition (v w) of each twin swap
+    whose branch v was skipped for w's (see `automorphisms`)."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    colors = [rank[k] for k in keys]
+    cells: list[list[int]] = [[] for _ in rank]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
     lo = max(8, scale.bit_length())
     hi = lo + 8
-    edges = [(u, v, cnt) for (u, v), cnt in g._mult.items()]
     best: list = [None, None, []]
     swaps: list[tuple[int, int]] = []
-    # Twin rows are needed only when the search branches.
-    rows = [] if start_cells is None else _rows(g)
 
     def rec(colors: list[int], cells: list | None) -> None:
         if cells is None:
@@ -184,16 +191,40 @@ def _search(g: Multigraph) -> tuple[tuple[int, ...], bytes, list, list]:
                 parts = [[v], [x for x in members if x != v]]
                 rec(*_equitable(nbrs, split, cells[:target] + parts + cells[target + 1 :], scale))
 
-    rec(start, start_cells)
+    rec(*_equitable(nbrs, colors, cells, scale))
     perm, key, ties = best
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    gens = {tuple([inverse[c] for c in leaf]) for leaf in ties}
+    for v, w in swaps:
+        p = list(range(len(perm)))
+        p[v], p[w] = w, v
+        gens.add(tuple(p))
+    return perm, key, lo, tuple(gens)
+
+
+def _form(n: int, key: list[int], lo: int) -> bytes:
+    """The byte form of a packed leaf encoding (see `canonical_labeling`)."""
     if lo == 8:  # every triple is three plain bytes
-        return perm, bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big"))), ties, swaps
+        return bytes([n]) + b"".join(map(int.to_bytes, key, repeat(3), repeat("big")))
     low = (1 << lo) - 1
-    return perm, bytes([n]) + b"".join(
+    return bytes([n]) + b"".join(
         (x >> lo).to_bytes(2, "big")
         + (bytes((x & low,)) if x & low < 255 else b"\xff" + (x & low).to_bytes(8, "big"))
         for x in key
-    ), ties, swaps
+    )
+
+
+@per_graph
+def _record(g: Multigraph) -> tuple[tuple[int, ...], bytes, tuple]:
+    """The one search record of g: (canonical labelling, canonical form,
+    automorphism generators)."""
+    n = g.n
+    if n == 0:
+        return (), bytes([0]), ()
+    if n > 255:
+        raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
+    perm, key, lo, gens = _search(*_start(g))
+    return perm, _form(n, key, lo), gens
 
 
 def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
@@ -203,12 +234,11 @@ def canonical_labeling(g: Multigraph) -> tuple[tuple[int, ...], bytes]:
     position pair i < j in ascending order; a multiplicity of 255 or more
     is written as the byte 255 followed by the count in 8 bytes.
     """
-    return _search(g)[:2]
+    return _record(g)[:2]
 
 
-@per_graph
 def canonical_form(g: Multigraph) -> bytes:
-    return canonical_labeling(g)[1]
+    return _record(g)[1]
 
 
 def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
@@ -236,14 +266,8 @@ def automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
     Like `canonical_labeling`, this covers at most 255 vertices
     (BoundExceededError).
     """
-    best, _, ties, swaps = _search(g)
+    gens = _record(g)[2]
     identity = tuple(range(g.n))
-    inverse = sorted(identity, key=best.__getitem__)
-    gens = {tuple([inverse[c] for c in leaf]) for leaf in ties}
-    for v, w in swaps:
-        p = list(identity)
-        p[v], p[w] = w, v
-        gens.add(tuple(p))
     group, new = {identity}, {identity}
     while new:
         new = {tuple([p[i] for i in s]) for p in new for s in gens} - group

@@ -4,15 +4,26 @@ Connected simple graphs are generated by vertex augmentation: every
 connected graph on k+1 vertices arises from a connected graph on k
 vertices by attaching a new vertex to a nonempty subset (every connected
 graph has a non-cutvertex, so connected intermediates suffice). Duplicates
-are removed per level by canonical form, keeping the first child seen.
-Twin-swap pruning skips attach sets that cannot give a new first child: if
-u < w are twins of the parent, the swap (u w) is an automorphism, so an
-attach set holding w but not u gives the same child as the smaller set with
-w traded for u, which was tried earlier. A degree floor is applied per
-parent, not per vertex of each attach set: a parent with a vertex that
-misses the floor even with the new edge gives no child, and the vertices
-that reach it only with the new edge form one mask that every attach set
-must hold.
+are removed per level by canonical form, keeping the first child seen:
+parents in level order, attach masks ascending.
+
+Attach sets are pruned by the parent's automorphism group (McKay, J.
+Algorithms 1998). An automorphism p of the parent maps attach set S to
+p(S) and the child of S onto the child of p(S), so only the least mask of
+each orbit is tried. The ascending loop meets that mask first, and it
+builds an isomorphic child, so the first child seen of every class, the
+representative, is the one the loop without pruning keeps. The group
+costs no search of its own: every parent was labelled as a child one level
+down, and its generators (tie leaves and twin swaps) come off that search,
+`canon._search`. Each child is labelled from its parent's search input
+plus the attach mask, and only a child that is kept becomes a
+`Multigraph`.
+
+A degree floor is applied per parent, not per vertex of each attach set: a
+parent with a vertex that misses the floor even with the new edge gives no
+child, and the vertices that reach it only with the new edge form one mask
+that every attach set must hold. Degrees are invariant under the parent's
+automorphisms, so a mask passes the floor exactly when its orbit does.
 
 Multigraphs are laid over simple underlying graphs as multiplicity
 vectors. `multiplicity_sweep` gives every labelled vector over a base;
@@ -27,50 +38,91 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .canon import _rows, _twins, automorphisms, canonical_form, least_in_orbit
+from .canon import _form, _search, _start, automorphisms, least_in_orbit
 from .errors import BadSpecError, BoundExceededError
 from .multigraph import Multigraph
 
 _ENUM_MAX_N = 10
 
 
+def _orbit_skips(gens: tuple, k: int) -> bytearray:
+    """A flag per attach mask over k parent vertices: 1 where the mask is
+    not the least integer of its orbit under the group that gens generate.
+
+    Each generator's images of all masks come from one pass (a mask's
+    image is its lowest bit's image joined to the image of the rest); the
+    orbit of each least mask, met in ascending order, is then flagged by
+    a walk along those images.
+    """
+    size = 1 << k
+    skip = bytearray(size)
+    if not gens:
+        return skip
+    images = []
+    for p in gens:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << p[low.bit_length() - 1]
+        images.append(image)
+    for least in range(1, size):
+        if skip[least]:
+            continue
+        stack = [least]
+        while stack:
+            mask = stack.pop()
+            for image in images:
+                other = image[mask]
+                if other > least and not skip[other]:
+                    skip[other] = 1
+                    stack.append(other)
+    return skip
+
+
 @lru_cache(maxsize=None)
-def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[Multigraph, ...]:
-    """Connected graphs on n vertices feeding a target_n enumeration.
+def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[tuple[Multigraph, tuple], ...]:
+    """Connected graphs on n vertices feeding a target_n enumeration, each
+    with the automorphism generators its labelling search found.
 
     min_degree prunes augmentations that can never recover: a vertex gains
     at most one edge per future vertex, so deg(v) + (target_n - n) must
     reach min_degree already. A parent vertex short of that even with the
     new edge rules the parent out; one short of it without the new edge
     is in `need`, which every attach mask must cover.
+
+    A child's search input is the parent's plus the attach mask: each
+    attached vertex gains the new vertex as a neighbour and a 1 at the end
+    of its row. Only a child whose form is new becomes a `Multigraph`.
     """
     if n == 1:
-        return (Multigraph(1, []),)
-    out: dict[bytes, Multigraph] = {}
+        return ((Multigraph(1, []), ()),)
+    out: dict[bytes, tuple[Multigraph, tuple]] = {}
     slack = target_n - n
-    for parent in _connected_level(n - 1, min_degree, target_n):
-        pedges = parent.edges
+    new = n - 1
+    for parent, gens in _connected_level(new, min_degree, target_n):
         pdeg = parent.degrees
         if min(pdeg) + 1 + slack < min_degree:
             continue
         need = sum(1 << v for v, d in enumerate(pdeg) if d + slack < min_degree)
-        rows = _rows(parent)
-        twins = [
-            (1 << u, 1 << w)
-            for u in range(n - 1)
-            for w in range(u + 1, n - 1)
-            if _twins(rows, u, w)
-        ]
-        for attach_mask in range(1, 1 << (n - 1)):
+        nbrs, edges, rows, _, _ = _start(parent)
+        skip = _orbit_skips(gens, new)
+        for attach_mask in range(1, 1 << new):
             if attach_mask & need != need or attach_mask.bit_count() + slack < min_degree:
                 continue
-            if any(attach_mask & wb and not attach_mask & ub for ub, wb in twins):
+            if skip[attach_mask]:
                 continue
-            attach = [v for v in range(n - 1) if (attach_mask >> v) & 1]
-            g = Multigraph(n, pedges + tuple((v, n - 1) for v in attach))
-            key = canonical_form(g)
-            if key not in out:
-                out[key] = g
+            bit = [(attach_mask >> v) & 1 for v in range(new)]
+            attach = [v for v in range(new) if bit[v]]
+            _, key, lo, child_gens = _search(
+                [around + [new] if b else around for around, b in zip(nbrs, bit)] + [attach],
+                edges + [(v, new, 1) for v in attach],
+                [row + [b] for row, b in zip(rows, bit)] + [bit + [0]],
+                [d + b for d, b in zip(pdeg, bit)] + [len(attach)],
+                2,
+            )
+            form = _form(n, key, lo)
+            if form not in out:
+                out[form] = (Multigraph(n, parent.edges + tuple((v, new) for v in attach)), child_gens)
     return tuple(out[k] for k in sorted(out))
 
 
@@ -84,7 +136,7 @@ def enumerate_connected_graphs(n: int, min_degree: int = 0) -> Iterator[Multigra
         raise BoundExceededError(f"connected-graph enumeration capped at {_ENUM_MAX_N} vertices")
     if n < 1:
         return
-    for g in _connected_level(n, min_degree, n):
+    for g, _ in _connected_level(n, min_degree, n):
         if min(g.degrees) >= min_degree:
             yield g
 

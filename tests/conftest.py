@@ -338,6 +338,49 @@ def reference_vertex_orbits(g: Multigraph) -> list[frozenset[int]]:
     return orbits
 
 
+# The connected-graph enumerator as it stood before attach sets were pruned
+# by the parent's automorphism group, kept as the oracle for
+# `generate._connected_level`: a child Multigraph and a canonical form per
+# attach mask, pruned only by twin swaps. Both must give the same graphs in
+# the same order.
+
+
+@lru_cache(maxsize=None)
+def reference_connected_level(n: int, min_degree: int, target_n: int) -> tuple[Multigraph, ...]:
+    """Connected graphs on n vertices feeding a target_n enumeration, with
+    the first child seen of each class, in canonical-form order."""
+    from matchcov.canon import _rows, _twins, canonical_form
+
+    if n == 1:
+        return (Multigraph(1, []),)
+    out: dict[bytes, Multigraph] = {}
+    slack = target_n - n
+    for parent in reference_connected_level(n - 1, min_degree, target_n):
+        pedges = parent.edges
+        pdeg = parent.degrees
+        if min(pdeg) + 1 + slack < min_degree:
+            continue
+        need = sum(1 << v for v, d in enumerate(pdeg) if d + slack < min_degree)
+        rows = _rows(parent)
+        twins = [
+            (1 << u, 1 << w)
+            for u in range(n - 1)
+            for w in range(u + 1, n - 1)
+            if _twins(rows, u, w)
+        ]
+        for attach_mask in range(1, 1 << (n - 1)):
+            if attach_mask & need != need or attach_mask.bit_count() + slack < min_degree:
+                continue
+            if any(attach_mask & wb and not attach_mask & ub for ub, wb in twins):
+                continue
+            attach = [v for v in range(n - 1) if (attach_mask >> v) & 1]
+            g = Multigraph(n, pedges + tuple((v, n - 1) for v in attach))
+            key = canonical_form(g)
+            if key not in out:
+                out[key] = g
+    return tuple(out[k] for k in sorted(out))
+
+
 def reference_family_closure(max_n: int, k3_cap: int = 3, cap: int = 2, splice_cap=None):
     """The splice-family closure with no matrix pruning: every class matrix
     at every pair of vertex-orbit representatives, the first certificate

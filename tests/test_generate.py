@@ -11,10 +11,11 @@ from matchcov import (
     multiplicity_sweep,
     new_multigraph,
 )
+from matchcov import canon, generate
 from matchcov.errors import BadSpecError
-from matchcov.generate import multiplicity_classes
+from matchcov.generate import clear_enumeration_cache, multiplicity_classes
 from matchcov.zoo import complete_graph, cycle_graph
-from conftest import labeled_connected_multigraphs, labeled_connected_simple
+from conftest import labeled_connected_multigraphs, labeled_connected_simple, reference_connected_level
 
 
 def test_connected_simple_counts_match_labeled_space():
@@ -26,9 +27,63 @@ def test_connected_simple_counts_match_labeled_space():
 
 
 def test_connected_simple_known_sizes():
-    # OEIS A001349; n <= 6 also re-derived by the labeled sweep above
-    sizes = [sum(1 for _ in enumerate_connected_graphs(n)) for n in range(1, 8)]
-    assert sizes == [1, 1, 2, 6, 21, 112, 853]
+    # OEIS A001349; n <= 6 also re-derived by the labeled sweep above. n = 8
+    # is the most symmetric level the attach-orbit pruning meets.
+    clear_enumeration_cache()
+    sizes = [sum(1 for _ in enumerate_connected_graphs(n)) for n in range(1, 9)]
+    clear_enumeration_cache()
+    assert sizes == [1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+def test_levels_match_twin_pruned_reference():
+    # Same graphs, edge lists and order as the enumerator that tried every
+    # attach set but twin-swapped ones: the orbit rule keeps every
+    # first-seen representative.
+    clear_enumeration_cache()
+    cases = [(t, d) for t in range(1, 8) for d in (0, 2, 3)] + [(8, 3)]
+    for t, d in cases:
+        got = [g.edges for g, _ in generate._connected_level(t, d, t)]
+        assert got == [g.edges for g in reference_connected_level(t, d, t)], (t, d)
+    clear_enumeration_cache()
+    reference_connected_level.cache_clear()
+
+
+def test_level_generators_are_the_graphs_own():
+    # A child labelled from its parent's search input gets the generators
+    # of its own graph's search, and each one maps the edge set onto itself.
+    clear_enumeration_cache()
+    for g, gens in generate._connected_level(7, 0, 7):
+        assert set(gens) == set(canon._record(g)[2])
+        for p in gens:
+            assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == set(g.edges)
+    clear_enumeration_cache()
+
+
+def test_labellings_per_cold_level_pinned(monkeypatch):
+    # Core labellings in a cold _connected_level(8, 3, 8): 23,471 when every
+    # attach set but twin-swapped ones was labelled, 18,584 with one mask per
+    # orbit of the parent's automorphism group.
+    calls = []
+    search = generate._search
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(generate, "_search", counted)
+    clear_enumeration_cache()
+    assert len(generate._connected_level(8, 3, 8)) == 2589
+    clear_enumeration_cache()
+    assert len(calls) == 18584
+
+
+def test_orbit_skips_keep_the_least_mask_of_each_orbit():
+    # The cycle 0-1-2-3: rotations and reflections act on its 15 attach sets.
+    rotate, reflect = (1, 2, 3, 0), (0, 3, 2, 1)
+    skip = generate._orbit_skips((rotate, reflect), 4)
+    kept = [m for m in range(1, 16) if not skip[m]]
+    assert kept == [0b0001, 0b0011, 0b0101, 0b0111, 0b1111]
+    assert not any(generate._orbit_skips((), 4))
 
 
 def test_min_degree_filter():
