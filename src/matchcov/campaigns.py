@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
-from .canon import automorphisms, canonical_form, least_in_orbit
+from .canon import automorphisms, canonical_form
 from .covered import (
     Single,
     has_two_nonadjacent_removable_edges,
@@ -55,8 +55,10 @@ from .wheels import (
     _walk_certificate,
     check_odd_wheel_splice,
     closure_holding,
+    count_class_matrices,
     g_family_closure,
     is_wheel_like,
+    least_class_matrices,
     make_wheel,
     matrix_symmetries,
     odd_wheel_hubs,
@@ -64,7 +66,6 @@ from .wheels import (
     splice,
     splice_sites,
     spoke_vectors,
-    theta_class_matrices,
     theta_from_class_matrix,
 )
 from .zoo import complete_graph, prism_graph
@@ -129,11 +130,19 @@ def _bipartite_multigraphs(
                     yield g
 
 
+def _removal_order(g: Multigraph) -> list[int]:
+    """Edge ids, the parallel copies ascending, then the rest ascending."""
+    copies: list[int] = []
+    singles: list[int] = []
+    for ids in g.parallel_classes.values():
+        (copies if len(ids) > 1 else singles).extend(ids)
+    return sorted(copies) + sorted(singles)
+
+
 def _first_removable(g: Multigraph) -> Optional[int]:
     # Parallel copies are removable in any matching covered graph on >= 4
     # vertices, so trying them first makes the common refutation cheap.
-    order = sorted(range(g.m), key=lambda e: (g.multiplicity(*g.endpoints(e)) == 1, e))
-    for e in order:
+    for e in _removal_order(g):
         if is_removable_edge(g, e):
             return e
     return None
@@ -573,13 +582,10 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
             if sum(sg.class_sizes) != sum(sh.class_sizes):
                 continue
             ctx["tasks"] += 1
-            keep = least_in_orbit(matrix_symmetries(sg, sh))
+            ctx["theta_matrices"] += count_class_matrices(sh.class_sizes, sg.class_sizes)
             gw, u, hw, v = sg.graph, sg.vertex, sh.graph, sh.vertex
-            for matrix in theta_class_matrices(sh.class_sizes, sg.class_sizes):
-                ctx["theta_matrices"] += 1
-                # Rows share one length, so row-major tuples order as the matrices do.
-                if not keep(tuple(itertools.chain.from_iterable(matrix))):
-                    continue
+            symmetries = matrix_symmetries(sg, sh)
+            for matrix in least_class_matrices(sh.class_sizes, sg.class_sizes, symmetries):
                 theta = theta_from_class_matrix(gw, u, hw, v, matrix)
                 result = splice(gw, u, hw, v, theta)
                 conds = check_odd_wheel_splice(gw, u, hw, v, theta)

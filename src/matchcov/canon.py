@@ -43,12 +43,19 @@ one branch is skipped; the search records the swap as a generator. That
 keeps complete and near-complete graphs linear instead of factorial
 without touching correctness. Row u against row w with its entries u and
 w swapped is one list comparison.
+
+`orbit_representatives` is the one orderly generator: given position
+permutations, it builds only the tuples that are the least of their
+images, dropping a prefix once a permutation provably maps it lower. The
+multiplicity vectors of `generate`, and the spoke vectors and class
+matrices of `wheels`, are built with it.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from bisect import bisect_left
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError
 from .multigraph import Multigraph, per_graph
@@ -275,13 +282,72 @@ def automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
     return sorted(group)
 
 
-def least_in_orbit(perms: Iterable[Sequence[int]]) -> Callable[[tuple], bool]:
-    """The test "x is the lexicographically least of its images" under a
-    group given by position permutations; p maps x to x[p[0]], x[p[1]], ...,
-    and p and its inverse give the same images over a group. Duplicates and
-    the identity (with it itemgetter(i), which returns a scalar) are dropped."""
-    getters = [itemgetter(*p) for p in sorted(set(map(tuple, perms))) if p != tuple(range(len(p)))]
-    return lambda x: not any(get(x) < x for get in getters)
+def orbit_representatives(
+    perms: Iterable[Sequence[int]],
+    widths: Sequence[int],
+    choices: Callable[[tuple], Iterable[tuple[int, ...]]],
+) -> Iterator[tuple[int, ...]]:
+    """Every tuple x that is the lexicographically least of its images
+    under perms, in ascending order (orderly generation: Read, "Every one
+    a winner", 1978; McKay, J. Algorithms 1998).
+
+    p maps x to (x[p[0]], x[p[1]], ...). x fills in blocks of the given
+    widths, in order; choices(prefix) gives, ascending, the tuples the
+    next block may hold after that prefix. Once a block is filled, each p
+    whose determined prefix (the longest d with p[0..d-1] all filled)
+    grew is tested on it, and the prefix is dropped when its image there
+    is smaller: every completion then has a smaller image. At full length
+    every p has been tested on all of x, so the output is the full sweep
+    filtered by that test, in the same order.
+    """
+    ends = list(accumulate(widths))
+    n = ends[-1] if ends else 0
+    identity = tuple(range(n))
+    tests: list[set] = [set() for _ in widths]
+    for p in set(map(tuple, perms)):
+        # After block k, p[:d] is determined for d up to the number of
+        # running maxima of p below the block's end; a test is needed
+        # where that grew, unless p[:d] is the identity there.
+        tops = list(accumulate(p, max))
+        known = 0
+        for k, end in enumerate(ends):
+            d = bisect_left(tops, end)
+            if d > known:
+                known = d
+                if p[:d] != identity[:d]:
+                    tests[k].add(p[:d])
+    checks = [[(_tuple_getter(idx), len(idx)) for idx in sorted(ts)] for ts in tests]
+    if n == 0:
+        yield ()
+        return
+    last = len(widths) - 1
+    stack = [((), iter(choices(())))]
+    while stack:
+        prefix, blocks = stack[-1]
+        depth = len(stack) - 1
+        here = checks[depth]
+        for block in blocks:
+            x = prefix + block
+            for get, d in here:
+                if get(x) < x[:d]:
+                    break
+            else:
+                if depth == last:
+                    yield x
+                    continue
+                stack.append((x, iter(choices(x))))
+                break
+        else:
+            stack.pop()
+
+
+def _tuple_getter(idx: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """x -> (x[i] for i in idx) as a tuple; itemgetter of one index returns
+    the bare item."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    j = idx[0]
+    return lambda x: (x[j],)
 
 
 def vertex_orbits(g: Multigraph) -> list[frozenset[int]]:

@@ -134,6 +134,8 @@ def cmd_generate(args) -> int:
     chosen = [x for x in (args.wheel, args.g_closure, args.splice) if x]
     if len(chosen) != 1:
         raise BadSpecError("choose exactly one of --wheel, --g-closure, --splice")
+    if args.max_n is not None and not args.g_closure:
+        raise BadSpecError("--max-n bounds --g-closure only")
     if args.wheel:
         spec = _parse_wheel_spec(args.wheel)
         graphs = [make_wheel(spec)[0]]

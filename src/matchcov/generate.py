@@ -27,10 +27,13 @@ automorphisms, so a mask passes the floor exactly when its orbit does.
 
 Multigraphs are laid over simple underlying graphs as multiplicity
 vectors. `multiplicity_sweep` gives every labelled vector over a base;
-`multiplicity_classes` keeps the first sweep member of each isomorphism
+`multiplicity_classes` gives the first sweep member of each isomorphism
 class, the one place where a multigraph population is quotiented by
-isomorphism: by `canon.least_in_orbit` under the base's automorphisms, not
-by labelling each vector (orderly generation; Read 1978, McKay 1998).
+isomorphism. It builds only those members, the least vector of each orbit
+under the base's automorphisms: `canon.orbit_representatives` fills a
+vector edge by edge and drops a prefix as soon as an automorphism maps it
+below itself (orderly generation; Read 1978, McKay 1998). No vector is
+labelled.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .canon import _form, _search, _start, automorphisms, least_in_orbit
+from .canon import _form, _search, _start, automorphisms, orbit_representatives
 from .errors import BadSpecError, BoundExceededError
 from .multigraph import Multigraph
 
@@ -166,11 +169,12 @@ def multiplicity_classes(g: Multigraph, mult_bound: int) -> Iterator[Multigraph]
     if not g.is_simple():
         raise BadSpecError("multiplicity classes are taken over a simple base")
     position = {pair: e for e, pair in enumerate(g.edges)}
-    keep = least_in_orbit(
+    values = [(m,) for m in range(1, mult_bound + 1)]
+    edge_perms = (
         [position[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in g.edges]
         for p in automorphisms(g)
     )
-    for vec in filter(keep, product(range(1, mult_bound + 1), repeat=g.m)):
+    for vec in orbit_representatives(edge_perms, [1] * g.m, lambda _prefix: values):
         yield Multigraph(g.n, [pair for pair, cnt in zip(g.edges, vec) for _ in range(cnt)])
 
 

@@ -13,18 +13,22 @@ Conventions fixed here and relied on by the test suite and the CLI:
   slots sorted by edge id.
 * One splice-class rule: splice only at the `splice_sites` of a group of
   automorphisms, with the least class matrix of each `matrix_symmetries`
-  orbit (`canon.least_in_orbit`).  lemma-3.9 passes each wheel's
-  hub-fixing group, `g_family_closure` every graph's full group.
+  orbit.  `least_class_matrices` builds only those, row by row, through
+  `canon.orbit_representatives`; `theta_class_matrices` is the full sweep
+  they are drawn from, and `count_class_matrices` its size.  lemma-3.9
+  passes each wheel's hub-fixing group, `g_family_closure` every graph's
+  full group.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
+from operator import le, sub
 from typing import Iterator, Optional, Sequence, Union
 
-from .canon import automorphisms, canonical_form, least_in_orbit
+from .canon import automorphisms, canonical_form, orbit_representatives
 from .covered import is_brick, is_removable_edge, removable_doubletons, removable_edges
 from .errors import (
     BadSpecError,
@@ -421,6 +425,59 @@ def theta_class_matrices(
     yield from rows(0, tuple(col_sums), ())
 
 
+def least_class_matrices(
+    row_sums: tuple[int, ...], col_sums: tuple[int, ...], perms: Sequence[Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The `theta_class_matrices` whose row-major tuple is the least of its
+    images under perms (position permutations of that tuple, such as
+    `matrix_symmetries`), in the same order, built by
+    `canon.orbit_representatives`: no other matrix is completed.
+
+    Rows fill in order, each one a `_compositions` tuple that fits the
+    column sums left; the column sums force the last row.
+    """
+    if sum(row_sums) != sum(col_sums):
+        return
+    rows, cols = len(row_sums), len(col_sums)
+    fits: dict[tuple, list] = {}
+
+    def choices(prefix: tuple) -> Sequence[tuple[int, ...]]:
+        r = len(prefix) // cols
+        caps = tuple([c - sum(prefix[j::cols]) for j, c in enumerate(col_sums)])
+        if r == rows - 1:
+            return (caps,)
+        got = fits.get((r, caps))
+        if got is None:
+            got = fits[r, caps] = [
+                row for row in _compositions(row_sums[r], cols) if all(map(le, row, caps))
+            ]
+        return got
+
+    for flat in orbit_representatives(perms, [cols] * rows, choices):
+        yield tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))
+
+
+def count_class_matrices(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> int:
+    """len(list(theta_class_matrices(row_sums, col_sums))), counted row by
+    row with a memo over (row, column sums left) instead of built. The
+    count does not depend on the order of the columns, so the column sums
+    left are kept sorted."""
+    if sum(row_sums) != sum(col_sums):
+        return 0
+
+    @lru_cache(maxsize=None)
+    def count(r: int, caps: tuple[int, ...]) -> int:
+        if r >= len(row_sums) - 1:
+            return 1
+        return sum(
+            count(r + 1, tuple(sorted(map(sub, caps, row))))
+            for row in _compositions(row_sums[r], len(caps))
+            if all(map(le, row, caps))
+        )
+
+    return count(0, tuple(sorted(col_sums)))
+
+
 @lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Tuples of `parts` nonnegative integers summing to total, ascending."""
@@ -518,8 +575,10 @@ def spoke_vectors(k: int, mult_bound: int) -> Iterator[tuple[int, ...]]:
     one per class under the hub-fixing symmetries of the simple k-wheel
     (spoke i ends at rim vertex i): the least member of each, ascending."""
     wheel, hub = simple_wheel(k)
-    keep = least_in_orbit(p[:k] for p in automorphisms(wheel) if p[hub] == hub)
-    return filter(keep, product(range(1, mult_bound + 1), repeat=k))
+    values = [(m,) for m in range(1, mult_bound + 1)]
+    return orbit_representatives(
+        (p[:k] for p in automorphisms(wheel) if p[hub] == hub), [1] * k, lambda _prefix: values
+    )
 
 
 def _g1_catalog(max_n: int, k3_cap: int, cap: int) -> list[tuple[Multigraph, WheelSpec]]:
@@ -566,6 +625,9 @@ def g_family_closure(
     # The catalog ascends in wheel size, so the partners that fit one left
     # graph, 8 <= left.n + wheel.n - 2 <= max_n, form one slice.
     sizes = [w.n for w, _s, _sites in partners]
+    # The least matrices of a site pair depend only on its class sizes and
+    # class actions: at bound 10, 564 site pairs have 25 distinct ones.
+    least: dict[tuple, list] = {}
     while frontier:
         next_frontier: list[tuple[Multigraph, GCertificate]] = []
         for left, left_cert in frontier:
@@ -584,10 +646,13 @@ def g_family_closure(
                             continue
                         # The least matrix of an orbit comes first and builds
                         # the same graph under the same conditions.
-                        keep = least_in_orbit(matrix_symmetries(a, b))
-                        for matrix in theta_class_matrices(b.class_sizes, a.class_sizes):
-                            if not keep(tuple(chain.from_iterable(matrix))):
-                                continue
+                        shape = (b.class_sizes, b.actions, a.class_sizes, a.actions)
+                        if shape not in least:
+                            symmetries = matrix_symmetries(a, b)
+                            least[shape] = list(
+                                least_class_matrices(b.class_sizes, a.class_sizes, symmetries)
+                            )
+                        for matrix in least[shape]:
                             theta = theta_from_class_matrix(left, u, wheel, v, matrix)
                             if theta_violations(left, u, wheel, v, theta):
                                 continue

@@ -9,6 +9,7 @@ library.
 import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import strategies as st
@@ -436,6 +437,15 @@ def reference_family_closure(max_n: int, k3_cap: int = 3, cap: int = 2, splice_c
                         next_frontier.append((built, cert))
         frontier = next_frontier
     return members
+
+
+def least_in_orbit(perms):
+    """The test "x is the lexicographically least of its images" under
+    position permutations; p maps x to x[p[0]], x[p[1]], .... Duplicates
+    and the identity (with it itemgetter(i), which returns a scalar) are
+    dropped."""
+    getters = [itemgetter(*p) for p in sorted(set(map(tuple, perms))) if p != tuple(range(len(p)))]
+    return lambda x: not any(get(x) < x for get in getters)
 
 
 def reference_pm_pair_groups(g: Multigraph) -> tuple[int, ...]:

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from matchcov import Multigraph, enumerate_connected_graphs, is_brick, is_robust, wheels
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
     _has_robust_cut,
+    _removal_order,
     analyze_graph,
     report_json,
     run_campaign,
@@ -18,6 +20,7 @@ from matchcov.cuts import _odd_shores
 from matchcov.errors import BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
+from conftest import multigraphs
 from test_report_digests import CORPUS, FULL_RUNS
 
 REPORT_KEYS = {
@@ -314,3 +317,11 @@ def test_analyze_skips_brace_above_pm_cap():
     rep = analyze_graph(_odd_prism(13))
     assert rep["brace"] is False and not rep["bipartite"]
     assert "brace: n > 24" not in rep["skipped"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(multigraphs(max_n=8, even=False))
+def test_removal_order_puts_parallel_copies_first(g):
+    assert _removal_order(g) == sorted(
+        range(g.m), key=lambda e: (g.multiplicity(*g.endpoints(e)) == 1, e)
+    )

@@ -284,6 +284,17 @@ def test_generate_closure_bound():
     assert "bound exceeded" in err
 
 
+def test_generate_refuses_max_n_without_closure(tmp_path):
+    # --max-n bounds the closure only; with another mode it would be ignored.
+    cert = tmp_path / "w5.json"
+    cert.write_text(json.dumps({"wheel": {"k": 5, "mults": [1, 1, 1, 1, 1]}}))
+    for mode in (["--wheel", "5"], ["--splice", str(cert)]):
+        assert run_cli(["generate", *mode])[0] == EXIT_PASS
+        code, out, err = run_cli(["generate", *mode, "--max-n", "9"])
+        assert code == EXIT_USAGE and not out
+        assert "--max-n" in err
+
+
 def test_generate_splice_certificate(tmp_path):
     members = g_family_closure(8)
     node = next(c for _, c in members.values() if isinstance(c, SpliceNode))
