@@ -11,6 +11,9 @@ stable field order so that identical parameters reproduce identical bytes
 the sweep; campaigns never decide claims analytically when an enumeration
 can check them.
 
+Each campaign declares its parameters once, in one table; both runners take
+their checks, refusals and recorded fields from it before any graph is built.
+
 A claim returns a falsy value when g is outside the claim's hypotheses
 (corpus mode counts such graphs as skipped), otherwise a pair
 (facts, problems): facts for the fold, and one dict of counterexample
@@ -44,7 +47,7 @@ from .covered import (
 )
 from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
 from .errors import BadSpecError, BoundExceededError, UnknownCampaignError
-from .generate import enumerate_connected_graphs, multiplicity_classes
+from .generate import _ENUM_MAX_N, enumerate_connected_graphs, multiplicity_classes
 from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph
@@ -224,7 +227,7 @@ def _thm11_fold(rows, ctx: dict) -> dict:
 def _thm14_population(ctx: dict) -> Iterator[Multigraph]:
     # Matching covered graphs on >= 4 vertices have no degree-1 vertex, so
     # the floor of 2 loses nothing.
-    for n in range(4, ctx["max_n"] + 1, 2):
+    for n in range(ctx["min_n"], ctx["max_n"] + 1, 2):
         yield from enumerate_connected_graphs(n, min_degree=2)
 
 
@@ -425,8 +428,8 @@ def _lemma216_fold(rows, ctx: dict) -> dict:
 
 def _lemma217_population(ctx: dict) -> Iterator[Multigraph]:
     for n in range(4, ctx["max_n"] + 1, 2):
-        yield from _bipartite_mc_simple(n, min_degree=3)
-    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"], min_degree=3)
+        yield from _bipartite_mc_simple(n, min_degree=ctx["min_degree"])
+    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"], min_degree=ctx["min_degree"])
 
 
 def _lemma217_claim(g: Multigraph, ctx: dict):
@@ -515,7 +518,7 @@ def _lemma218_fold(rows, ctx: dict) -> dict:
 
 
 def _lemma36_population(ctx: dict) -> Iterator[Multigraph]:
-    bases = list(_simple_bricks(6, min_n=6))
+    bases = list(_simple_bricks(ctx["n"], min_n=ctx["n"]))
     ctx["simple_brick_bases"] = len(bases)
     ctx["labelled_sweep"] = sum(ctx["mult_bound"] ** base.m for base in bases)
     for base in bases:
@@ -561,15 +564,8 @@ def _lemma36_fold(rows, ctx: dict) -> dict:
 def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
     """Splice results, one per theta orbit; the splice that built each
     result, with its condition verdict, queues in ctx["splices"]."""
-    for k in ctx["wheels"]:
-        if k < 3 or k % 2 == 0:
-            raise BadSpecError(f"odd wheel rim length expected, got {k}")
-    if ctx["mult_bound"] < 1:
-        raise BadSpecError(f"mult_bound must be at least 1, got {ctx['mult_bound']}")
-    if ctx["doubles"] < 0:
-        raise BadSpecError(f"doubles must be nonnegative, got {ctx['doubles']}")
     sites = []
-    for k in sorted(ctx["wheels"]):
+    for k in ctx["wheels"]:
         for vec in spoke_vectors(k, ctx["mult_bound"]):
             if sum(x > 1 for x in vec) <= ctx["doubles"]:
                 wheel, hub = make_wheel(WheelSpec(k, vec))
@@ -687,8 +683,6 @@ def _prop313_fold(rows, ctx: dict) -> dict:
 
 
 def _decomp_population(ctx: dict) -> Iterator[Multigraph]:
-    if ctx["seeds"] < 2:
-        raise BadSpecError(f"seeds must be at least 2, got {ctx['seeds']}")
     for n in range(6, ctx["max_n"] + 1, 2):
         yield from enumerate_connected_graphs(n, min_degree=2)
 
@@ -727,7 +721,7 @@ def _decomp_fold(rows, ctx: dict) -> dict:
 
 
 def _fig_r8_population(ctx: dict) -> Iterator[Multigraph]:
-    return _simple_bricks(8, min_n=8)
+    return _simple_bricks(ctx["n"], min_n=ctx["n"])
 
 
 def _fig_r8_claim(g: Multigraph, ctx: dict):
@@ -772,7 +766,7 @@ def _has_robust_cut(g: Multigraph) -> bool:
 
 
 def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:
-    return _simple_bricks(6, min_n=6)
+    return _simple_bricks(ctx["n"], min_n=ctx["n"])
 
 
 def _nonsolid_claim(g: Multigraph, ctx: dict):
@@ -918,13 +912,54 @@ def analyze_graph(g: Multigraph) -> dict:
 # =============================================================================
 
 
+class Param(NamedTuple):
+    """A run parameter: its default, and the check that refuses a bad value
+    and returns the value the report records."""
+
+    default: object
+    check: Callable[[str, object], object] = lambda key, value: value
+
+
+def _at_least(low: int) -> Callable[[str, int], int]:
+    def check(key: str, value: int) -> int:
+        if value < low:
+            raise BadSpecError(f"{key} must be at least {low}, got {value}")
+        return value
+
+    return check
+
+
+def _enumerated(key: str, n: int) -> int:
+    """An order the population enumerates connected graphs up to. Every
+    population steps through even orders, so an odd n stops at n - 1."""
+    if n - n % 2 > _ENUM_MAX_N:
+        raise BoundExceededError(f"{key}={n}: graph enumeration capped at {_ENUM_MAX_N} vertices")
+    return n
+
+
+def _odd_rims(key: str, rims: Iterable[int]) -> list[int]:
+    """Odd wheel rims, sorted. A repeated length would make the same
+    splices twice, and the counts would be orbit counts no more."""
+    rims = sorted(rims)
+    if any(k < 3 or k % 2 == 0 for k in rims) or len(set(rims)) < len(rims):
+        raise BadSpecError(f"{key} must be distinct odd rim lengths of at least 3, got {rims}")
+    return rims
+
+
+_MAX_N = Param(8, _enumerated)
+_MULT_N = Param(6, _enumerated)
+_MULT_BOUND = Param(2, _at_least(1))
+_SEEDS = Param(20, _at_least(2))
+_check_jobs = _at_least(1)
+
+
 class Campaign(NamedTuple):
     population: Callable[[dict], Iterable[Multigraph]]
     claim: Callable[[Multigraph, dict], object]
     fold: Callable[[Iterator[tuple], dict], dict]
-    defaults: dict
-    # report "parameters" from the run's parameters
-    parameters: Callable[[dict], dict] = dict
+    # The report's "parameters", in order: a Param is a run parameter, any
+    # other value a constant of the population.
+    parameters: dict
     # run_corpus reruns the claim over supplied graphs
     corpus: bool = False
     # in-process set-up from the graphs the claim will see, before any claim
@@ -933,103 +968,90 @@ class Campaign(NamedTuple):
 
 CAMPAIGNS: dict[str, Campaign] = {
     "thm-1.1": Campaign(
-        _thm11_population,
-        _thm11_claim,
-        _thm11_fold,
-        {"max_n": 8},
-        lambda p: {**p, "population": "simple bricks"},
+        _thm11_population, _thm11_claim, _thm11_fold,
+        {"max_n": _MAX_N, "population": "simple bricks"},
         corpus=True,
     ),
     "thm-1.3": Campaign(
-        _thm13_population,
-        _thm13_claim,
-        _thm13_fold,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        _thm13_population, _thm13_claim, _thm13_fold,
+        {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND},
         corpus=True,
         prepare=_thm13_prepare,
     ),
     "thm-1.4": Campaign(
-        _thm14_population,
-        _thm14_claim,
-        _thm14_fold,
-        {"max_n": 8},
-        lambda p: {**p, "min_n": 4},
+        _thm14_population, _thm14_claim, _thm14_fold,
+        {"max_n": _MAX_N, "min_n": 4},
         corpus=True,
     ),
     "lemma-2.16": Campaign(
-        _lemma216_population,
-        _lemma216_claim,
-        _lemma216_fold,
-        {"max_n": 8, "sample_n": 10, "samples": 200, "seed": 0, "mult_n": 6, "mult_bound": 2},
+        _lemma216_population, _lemma216_claim, _lemma216_fold,
+        {
+            "max_n": _MAX_N,
+            "sample_n": Param(10),
+            "samples": Param(200),
+            "seed": Param(0),
+            "mult_n": _MULT_N,
+            "mult_bound": _MULT_BOUND,
+        },
         corpus=True,
     ),
     "lemma-2.17": Campaign(
-        _lemma217_population,
-        _lemma217_claim,
-        _lemma217_fold,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
-        lambda p: {**p, "min_degree": 3},
+        _lemma217_population, _lemma217_claim, _lemma217_fold,
+        {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND, "min_degree": 3},
         corpus=True,
     ),
     "lemma-2.18": Campaign(
-        _lemma218_population,
-        _lemma218_claim,
-        _lemma218_fold,
-        {"max_n": 8, "mult_n": 6, "mult_bound": 2},
+        _lemma218_population, _lemma218_claim, _lemma218_fold,
+        {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND},
         corpus=True,
     ),
     "lemma-3.6": Campaign(
-        _lemma36_population,
-        _lemma36_claim,
-        _lemma36_fold,
-        {"mult_bound": 2},
-        lambda p: {"n": 6, **p},
+        _lemma36_population, _lemma36_claim, _lemma36_fold,
+        {"n": 6, "mult_bound": _MULT_BOUND},
         corpus=True,
     ),
     "lemma-3.9": Campaign(
-        _lemma39_population,
-        _lemma39_claim,
-        _lemma39_fold,
-        {"wheels": (3, 5, 7), "mult_bound": 2, "doubles": 2},
-        lambda p: {**p, "wheels": sorted(p["wheels"])},
+        _lemma39_population, _lemma39_claim, _lemma39_fold,
+        {
+            "wheels": Param((3, 5, 7), _odd_rims),
+            "mult_bound": _MULT_BOUND,
+            "doubles": Param(2, _at_least(0)),
+        },
     ),
     "prop-3.13": Campaign(
-        _prop313_population,
-        _prop313_claim,
-        _prop313_fold,
-        {"max_n": 8},
-        lambda p: {**p, "population": "connected simple, min degree 3"},
+        _prop313_population, _prop313_claim, _prop313_fold,
+        {"max_n": _MAX_N, "population": "connected simple, min degree 3"},
         corpus=True,
     ),
     "decomp-unique": Campaign(
-        _decomp_population,
-        _decomp_claim,
-        _decomp_fold,
-        {"max_n": 8, "seeds": 20},
-        lambda p: {**p, "population": "connected simple"},
+        _decomp_population, _decomp_claim, _decomp_fold,
+        {"max_n": _MAX_N, "seeds": _SEEDS, "population": "connected simple"},
         corpus=True,
     ),
     "fig-r8": Campaign(
-        _fig_r8_population,
-        _fig_r8_claim,
-        _fig_r8_fold,
-        {},
-        lambda p: {"n": 8, "population": "simple bricks"},
+        _fig_r8_population, _fig_r8_claim, _fig_r8_fold,
+        {"n": 8, "population": "simple bricks"},
     ),
     "fig-nonsolid-6": Campaign(
-        _nonsolid_population,
-        _nonsolid_claim,
-        _nonsolid_fold,
-        {},
-        lambda p: {"n": 6, "population": "simple bricks", "excluded": "prism"},
+        _nonsolid_population, _nonsolid_claim, _nonsolid_fold,
+        {"n": 6, "population": "simple bricks", "excluded": "prism"},
     ),
-    "fig-g3": Campaign(
-        _g3_population,
-        _g3_claim,
-        _g3_fold,
-        {"max_n": 10},
-    ),
+    # The family closure keeps its own ceiling on max_n.
+    "fig-g3": Campaign(_g3_population, _g3_claim, _g3_fold, {"max_n": Param(10)}),
 }
+
+
+def _parameters(table: dict, given: dict, runner: str) -> dict:
+    """The table with the run's checked values filled in, in table order;
+    a key that names no run parameter of the table is refused."""
+    for key in given:
+        if not isinstance(table.get(key), Param):
+            flag = key.replace("_", "-")
+            raise UnknownCampaignError(f"{runner} takes no parameter {key!r} (--{flag})")
+    return {
+        key: entry.check(key, given.get(key, entry.default)) if isinstance(entry, Param) else entry
+        for key, entry in table.items()
+    }
 
 
 # Set in each worker process by _start_worker: the claim and its context.
@@ -1072,28 +1094,27 @@ def _verdicts(
         yield from zip(chunk, verdicts)
 
 
-def _run(
-    name: str,
-    parameters: dict,
-    claim: Callable,
-    fold: Callable,
-    graphs: Iterable[Multigraph],
-    ctx: dict,
-    jobs: int,
-    started: float,
-) -> dict:
+def _run(name: str, campaign: Campaign, params: dict, jobs: int, runner: str) -> dict:
+    parameters = _parameters(campaign.parameters, params, runner)
+    _check_jobs("jobs", jobs)
+    started = time.monotonic()
+    ctx = dict(parameters)
+    graphs = campaign.population(ctx)
+    if campaign.prepare is not None:
+        graphs = list(graphs)
+        campaign.prepare(graphs, ctx)
     counterexamples = ctx["counterexamples"] = []
     checked = 0
 
     def rows() -> Iterator[tuple]:
         nonlocal checked
-        for g, verdict in _verdicts(claim, ctx, graphs, jobs):
+        for g, verdict in _verdicts(campaign.claim, ctx, graphs, jobs):
             checked += 1
             if verdict:
                 counterexamples.extend(_counterexample(g, **p) for p in verdict[1])
             yield g, verdict
 
-    body = fold(rows(), ctx)
+    body = campaign.fold(rows(), ctx)
     # A run that checked nothing proves nothing.
     body["status"] = "pass" if checked and not counterexamples else "fail"
     report = {
@@ -1114,33 +1135,11 @@ def _run(
     return report
 
 
-def _jobs(jobs: Optional[int]) -> int:
-    if jobs is not None and jobs < 1:
-        raise BadSpecError(f"jobs must be at least 1, got {jobs}")
-    return jobs or 1
-
-
-def run_campaign(name: str, **params) -> dict:
+def run_campaign(name: str, *, jobs: int = 1, **params) -> dict:
     if name not in CAMPAIGNS:
         known = ", ".join(sorted(CAMPAIGNS))
         raise UnknownCampaignError(f"unknown campaign {name!r} (known: {known})")
-    campaign = CAMPAIGNS[name]
-    kwargs = dict(campaign.defaults)
-    jobs = _jobs(params.pop("jobs", None))
-    for key, value in params.items():
-        if value is None:
-            continue
-        if key not in kwargs:
-            raise UnknownCampaignError(f"campaign {name!r} takes no parameter {key!r}")
-        kwargs[key] = value
-    started = time.monotonic()
-    ctx = dict(kwargs)
-    graphs = campaign.population(ctx)
-    if campaign.prepare is not None:
-        graphs = list(graphs)
-        campaign.prepare(graphs, ctx)
-    parameters = campaign.parameters(kwargs)
-    return _run(name, parameters, campaign.claim, campaign.fold, graphs, ctx, jobs, started)
+    return _run(name, CAMPAIGNS[name], params, jobs, f"campaign {name!r}")
 
 
 def _corpus_fold(rows, ctx: dict) -> dict:
@@ -1154,7 +1153,7 @@ def _corpus_fold(rows, ctx: dict) -> dict:
 
 
 def run_corpus(
-    name: str, graphs: Sequence[Multigraph], source: str = "corpus", seeds: int = 20, jobs: int = 1
+    name: str, graphs: Sequence[Multigraph], source: str = "corpus", *, jobs: int = 1, **params
 ) -> dict:
     """Rerun a campaign's claim over supplied graphs instead of its population."""
     campaign = CAMPAIGNS.get(name)
@@ -1163,17 +1162,16 @@ def run_corpus(
         raise UnknownCampaignError(
             f"campaign {name!r} has no corpus mode (supported: {known})"
         )
-    jobs = _jobs(jobs)
-    if seeds < 2:
-        raise BadSpecError(f"seeds must be at least 2, got {seeds}")
-    started = time.monotonic()
-    for g in graphs:
-        if g.n > _CORPUS_MAX_N:
-            raise BoundExceededError(
-                f"corpus graph on {g.n} vertices exceeds the ingestion cap {_CORPUS_MAX_N}"
-            )
-    ctx = {"seeds": seeds}
-    if campaign.prepare is not None:
-        campaign.prepare(graphs, ctx)
-    parameters = {"corpus": source, "graphs": len(graphs), "seeds": seeds}
-    return _run(name, parameters, campaign.claim, _corpus_fold, graphs, ctx, jobs, started)
+
+    def population(ctx: dict) -> Sequence[Multigraph]:
+        for g in graphs:
+            if g.n > _CORPUS_MAX_N:
+                raise BoundExceededError(
+                    f"corpus graph on {g.n} vertices exceeds the ingestion cap {_CORPUS_MAX_N}"
+                )
+        return graphs
+
+    # The corpus is the population, so no population parameter applies.
+    table = {"corpus": source, "graphs": len(graphs), "seeds": _SEEDS}
+    corpus = campaign._replace(population=population, fold=_corpus_fold, parameters=table)
+    return _run(name, corpus, params, jobs, f"a corpus run of {name!r}")

@@ -84,35 +84,23 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # args.params holds only the flags given; the campaign's table checks
+    # them, refuses the rest, and supplies the defaults.
     if args.corpus is not None:
-        # The corpus is the population: a population flag would be ignored.
-        for flag in ("max_n", "mult_bound", "seed", "wheels", "doubles"):
-            if getattr(args, flag) is not None:
-                raise BadSpecError(f"--corpus takes no --{flag.replace('_', '-')}")
         graphs = _parse_corpus(_read_text(args.corpus))
-        report = run_corpus(
-            args.campaign,
-            graphs,
-            source=os.path.basename(args.corpus),
-            seeds=args.seeds if args.seeds is not None else 20,
-            jobs=args.jobs,
-        )
+        source = os.path.basename(args.corpus)
+        report = run_corpus(args.campaign, graphs, source, jobs=args.jobs, **args.params)
     else:
-        params = {
-            "max_n": args.max_n,
-            "seeds": args.seeds,
-            "mult_bound": args.mult_bound,
-            "jobs": args.jobs,
-        }
-        if args.wheels is not None:
-            params["wheels"] = tuple(sorted(args.wheels))
-        if args.doubles is not None:
-            params["doubles"] = args.doubles
-        if args.seed is not None:
-            params["seed"] = args.seed
-        report = run_campaign(args.campaign, **params)
+        report = run_campaign(args.campaign, jobs=args.jobs, **args.params)
     _write_text(args.out, report_json(report))
     return EXIT_PASS if report["summary"]["status"] == "pass" else EXIT_COUNTEREXAMPLE
+
+
+class _Parameter(argparse.Action):
+    """Collects a campaign parameter flag into args.params."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.params = {**namespace.params, self.dest: values}
 
 
 def _parse_wheel_spec(text: str) -> WheelSpec:
@@ -170,24 +158,26 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_names = ", ".join(sorted(CAMPAIGNS))
     p_vf = sub.add_parser("verify", help="run a verification campaign")
     p_vf.add_argument("campaign", help=f"one of: {campaign_names}")
-    p_vf.add_argument("--max-n", type=int, dest="max_n", help="vertex ceiling")
-    p_vf.add_argument("--seeds", type=int, help="seeded reruns (decomposition uniqueness)")
-    p_vf.add_argument("--seed", type=int, help="sampler seed (bipartite certificate campaign)")
-    p_vf.add_argument("--mult-bound", type=int, dest="mult_bound", help="edge multiplicity cap")
+    p_vf.add_argument("--max-n", type=int, dest="max_n", action=_Parameter, help="vertex ceiling")
+    p_vf.add_argument("--seeds", type=int, action=_Parameter, help="seeded reruns (decomposition uniqueness)")
+    p_vf.add_argument("--seed", type=int, action=_Parameter, help="sampler seed (bipartite certificate campaign)")
+    p_vf.add_argument("--mult-bound", type=int, dest="mult_bound", action=_Parameter, help="edge multiplicity cap")
     p_vf.add_argument(
         "--wheels",
         type=lambda s: tuple(int(x) for x in s.split(",") if x),
+        action=_Parameter,
         help="odd rim lengths for the splice campaign, e.g. 3,5,7",
     )
     p_vf.add_argument(
         "--doubles",
         type=int,
+        action=_Parameter,
         help="max doubled spokes per wheel in the splice campaign",
     )
     p_vf.add_argument("--corpus", help="check the claim on graphs from this file instead")
     p_vf.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
     p_vf.add_argument("--out", help="write the report here instead of stdout")
-    p_vf.set_defaults(func=cmd_verify)
+    p_vf.set_defaults(func=cmd_verify, params={})
 
     p_gen = sub.add_parser("generate", help="emit graphs from a family")
     p_gen.add_argument("--wheel", help="rim length, optionally with spoke multiplicities: K[,m0,m1,...]")

@@ -203,6 +203,9 @@ def test_unknown_campaign():
 def test_unknown_parameter():
     with pytest.raises(UnknownCampaignError):
         run_campaign("thm-1.1", bogus=3)
+    # An unknown key is refused whatever its value, None included.
+    with pytest.raises(UnknownCampaignError):
+        run_campaign("thm-1.1", bogus=None, max_n=4)
 
 
 def test_corpus_run():

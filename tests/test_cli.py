@@ -111,10 +111,51 @@ def test_verify_unknown_campaign():
 
 @pytest.mark.parametrize(
     "flags",
-    [["--wheels", "3,4"], ["--wheels", "1"], ["--mult-bound", "0"], ["--doubles", "-1"]],
+    [
+        ["--wheels", "3,4"],
+        ["--wheels", "1"],
+        ["--mult-bound", "0"],
+        ["--doubles", "-1"],
+        # A repeated rim length would make the same splices twice.
+        ["--wheels", "3,3"],
+    ],
 )
 def test_verify_lemma39_bad_parameters(flags):
     assert main(["verify", "lemma-3.9", "--jobs", "1", *flags]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        *(
+            (f"{name} --mult-bound 0", EXIT_USAGE)
+            for name in ("lemma-2.16", "lemma-2.17", "lemma-2.18", "lemma-3.6", "lemma-3.9", "thm-1.3")
+        ),
+        ("decomp-unique --seeds 1", EXIT_USAGE),
+        ("decomp-unique --corpus CORPUS --seeds 1", EXIT_USAGE),
+        ("thm-1.1 --corpus CORPUS --seeds 1", EXIT_USAGE),
+        ("thm-1.1 --jobs 0", EXIT_USAGE),
+        ("thm-1.1 --corpus CORPUS --jobs 0", EXIT_USAGE),
+        ("thm-1.1 --corpus CORPUS --max-n 6", EXIT_USAGE),
+        ("lemma-3.9 --wheels 3,4", EXIT_USAGE),
+        ("lemma-3.9 --wheels 3,3", EXIT_USAGE),
+        ("lemma-3.9 --doubles -1", EXIT_USAGE),
+        # Enumeration stops at 10 vertices, and these populations reach 12.
+        *((f"{name} --max-n 12", EXIT_BOUND) for name in ("thm-1.1", "thm-1.4", "prop-3.13", "decomp-unique")),
+    ],
+)
+def test_verify_refuses_before_any_work(monkeypatch, tmp_path, command, code):
+    import matchcov.campaigns as campaigns
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("population built before the parameters were checked")
+
+    for kernel in ("enumerate_connected_graphs", "multiplicity_classes", "spoke_vectors"):
+        monkeypatch.setattr(campaigns, kernel, no_work)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(encode_graph6(complete_graph(4)) + "\n")
+    argv = [str(corpus) if a == "CORPUS" else a for a in command.split()]
+    assert run_cli(["verify", *argv])[0] == code
 
 
 @pytest.mark.parametrize("campaign", ["lemma-3.6", "lemma-2.17"])
