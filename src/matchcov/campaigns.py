@@ -946,6 +946,14 @@ def _odd_rims(key: str, rims: Iterable[int]) -> list[int]:
     return rims
 
 
+def _sample_order(key: str, n: int) -> int:
+    """Two equal sides: at an odd order nothing is sampled, and at 2 only
+    K2, which the claim skips and the fold cannot read."""
+    if n < 4 or n % 2:
+        raise BadSpecError(f"{key} must be even and at least 4, got {n}")
+    return n
+
+
 _MAX_N = Param(8, _enumerated)
 _MULT_N = Param(6, _enumerated)
 _MULT_BOUND = Param(2, _at_least(1))
@@ -987,7 +995,7 @@ CAMPAIGNS: dict[str, Campaign] = {
         _lemma216_population, _lemma216_claim, _lemma216_fold,
         {
             "max_n": _MAX_N,
-            "sample_n": Param(10),
+            "sample_n": Param(10, _sample_order),
             "samples": Param(200),
             "seed": Param(0),
             "mult_n": _MULT_N,
@@ -1152,26 +1160,36 @@ def _corpus_fold(rows, ctx: dict) -> dict:
     return {"applied": applied, "skipped_hypotheses": skipped}
 
 
-def run_corpus(
-    name: str, graphs: Sequence[Multigraph], source: str = "corpus", *, jobs: int = 1, **params
-) -> dict:
-    """Rerun a campaign's claim over supplied graphs instead of its population."""
+def corpus_runner(name: str, source: str = "corpus", *, jobs: int = 1, **params) -> Callable:
+    """A corpus run of campaign `name`, its parameters checked before any
+    graph is read: called on graphs, it reruns the claim over them."""
     campaign = CAMPAIGNS.get(name)
     if campaign is None or not campaign.corpus:
         known = ", ".join(sorted(k for k, c in CAMPAIGNS.items() if c.corpus))
         raise UnknownCampaignError(
             f"campaign {name!r} has no corpus mode (supported: {known})"
         )
+    runner = f"a corpus run of {name!r}"
+    # The corpus is the population, so no population parameter applies.
+    table = {"corpus": source, "graphs": 0, "seeds": _SEEDS}
+    _parameters(table, params, runner)
+    _check_jobs("jobs", jobs)
 
-    def population(ctx: dict) -> Sequence[Multigraph]:
+    def run(graphs: Sequence[Multigraph]) -> dict:
         for g in graphs:
             if g.n > _CORPUS_MAX_N:
                 raise BoundExceededError(
                     f"corpus graph on {g.n} vertices exceeds the ingestion cap {_CORPUS_MAX_N}"
                 )
-        return graphs
+        table["graphs"] = len(graphs)
+        corpus = campaign._replace(population=lambda ctx: graphs, fold=_corpus_fold, parameters=table)
+        return _run(name, corpus, params, jobs, runner)
 
-    # The corpus is the population, so no population parameter applies.
-    table = {"corpus": source, "graphs": len(graphs), "seeds": _SEEDS}
-    corpus = campaign._replace(population=population, fold=_corpus_fold, parameters=table)
-    return _run(name, corpus, params, jobs, f"a corpus run of {name!r}")
+    return run
+
+
+def run_corpus(
+    name: str, graphs: Sequence[Multigraph], source: str = "corpus", *, jobs: int = 1, **params
+) -> dict:
+    """Rerun a campaign's claim over supplied graphs instead of its population."""
+    return corpus_runner(name, source, jobs=jobs, **params)(graphs)

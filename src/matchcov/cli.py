@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional
 
-from .campaigns import analyze_graph, report_json, run_campaign, run_corpus, CAMPAIGNS
+from .campaigns import analyze_graph, corpus_runner, report_json, run_campaign, CAMPAIGNS
 from .errors import BadSpecError, BoundExceededError, MatchcovError, ParseError
 from .graphio import encode_graph6, format_mg, parse_graph_text
 from .multigraph import Multigraph
@@ -87,9 +87,8 @@ def cmd_verify(args) -> int:
     # args.params holds only the flags given; the campaign's table checks
     # them, refuses the rest, and supplies the defaults.
     if args.corpus is not None:
-        graphs = _parse_corpus(_read_text(args.corpus))
-        source = os.path.basename(args.corpus)
-        report = run_corpus(args.campaign, graphs, source, jobs=args.jobs, **args.params)
+        run = corpus_runner(args.campaign, os.path.basename(args.corpus), jobs=args.jobs, **args.params)
+        report = run(_parse_corpus(_read_text(args.corpus)))
     else:
         report = run_campaign(args.campaign, jobs=args.jobs, **args.params)
     _write_text(args.out, report_json(report))

@@ -13,10 +13,10 @@ of perfect matchings answers them: see `_Witnesses`. Filled to every
 perfect matching, the same pool is the table that cuts are read from: see
 `pm_table`.
 
-A miss in the pool runs `multigraph.pm_search`, the one perfect-matching
-search, and reads the matching it found off its memo (`pm_pairs`). With no
-class dropped the memo is the graph's own, the one `Multigraph.has_pm_mask`
-reads.
+A miss in the pool runs `multigraph.blossom_search`, the one Edmonds
+search, once: in G - D minus the class's ends, from a perfect matching of
+G - D with those ends and their partners unmatched. The pool starts from the
+one perfect matching kept per graph, which the pair groups start from too.
 
 Two questions range over vertex pairs, and neither asks one pair at a
 time. `pm_pair_groups` (bicriticality, maximal barriers) runs one Edmonds
@@ -32,8 +32,7 @@ from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from .errors import BoundExceededError, NotMatchingCoveredError
-from .multigraph import Multigraph, _bits, _reach, _two_coloring, blossom_search, per_graph
-from .multigraph import pm_pairs, pm_search
+from .multigraph import Multigraph, _bits, _reach, _two_coloring, blossom_search, per_graph, unmatched
 
 _PM_ENUM_MAX_N = 24
 
@@ -86,11 +85,12 @@ class _Witnesses:
         self.edge_class = [self.index[pair] for pair in g.edges]
         self.sizes = [len(ids) for ids in g.parallel_classes.values()]
         self.adj = g.adj_masks
-        self.memo = g._pm_memo
         self.full = g.full_mask
         self.pool: list[int] = []
         self.complete = False
         self._dependents: dict[int, int] = {}
+        if (pm := _perfect_matching(g)) is not None:
+            self.join(pm)
 
     def fill(self) -> "_Witnesses":
         """Complete the pool to every perfect matching and flip it: bit i of
@@ -111,6 +111,23 @@ class _Witnesses:
                 self.vertex_classes[b] |= 1 << c
             self.complete = True
         return self
+
+    def join(self, match) -> int:
+        """Pool the perfect matching `match` (partners); return its classes."""
+        pm = 0
+        for v, u in enumerate(match):
+            if v < u:
+                pm |= 1 << self.index[v, u]
+        self.pool.append(pm)
+        return pm
+
+    def partners(self, pm: int) -> list[int]:
+        """Each vertex's partner in the classes of `pm`, or -1."""
+        match = [-1] * len(self.adj)
+        for c in _bits(pm):
+            a, b = self.pairs[c]
+            match[a], match[b] = b, a
+        return match
 
     def adjacency_without(self, drop: int) -> list[int]:
         adj = list(self.adj)
@@ -133,25 +150,34 @@ class _Witnesses:
                 cover |= pm
         missing = (1 << len(self.pairs)) - 1 & ~cover
         out = 0
-        if self.complete:
-            out, missing = missing, 0
-        if missing:
-            # With no class dropped the adjacency is g's own, and so is the memo.
+        if missing and self.pool and not self.complete:
             adj = self.adjacency_without(drop) if drop else self.adj
-            memo = {0: 0} if drop else self.memo
-            while missing:
+            # A pool matching that avoids D, or else one of G - D grown from
+            # a pool matching with D's classes taken out, if G - D has one.
+            base = next((pm for pm in self.pool if not pm & drop), None)
+            mate = self.partners(self.pool[0] & ~drop if base is None else base)
+            perfect = base is not None or next(unmatched(adj, mate, self.full), None) is None
+            if perfect and base is None:
+                missing &= ~self.join(mate)
+            while missing and perfect:
                 low = missing & -missing
+                missing ^= low
                 a, b = self.pairs[low.bit_length() - 1]
-                mask = self.full ^ (1 << a) ^ (1 << b)
-                if not pm_search(adj, mask, memo):
+                # Unmatched, the partners x, y of a, b are the only exposed
+                # vertices of G - D - a - b, so one search from x decides.
+                match = list(mate)
+                x, y = match[a], match[b]
+                match[a] = match[b] = match[x] = match[y] = -1
+                if adj[x] >> y & 1:  # the search would take this edge first
+                    match[x], match[y] = y, x
+                elif blossom_search(adj, match, x, self.full ^ 1 << a ^ 1 << b):
                     out |= low
-                    missing ^= low
                     continue
-                pm = low
-                for pair in pm_pairs(mask, memo):
-                    pm |= 1 << self.index[pair]
-                self.pool.append(pm)
-                missing &= ~pm
+                match[a], match[b] = b, a
+                missing &= ~self.join(match)
+        # Whatever is still missing lies in no perfect matching of G - D:
+        # the pool holds them all, or G - D has none.
+        out |= missing
         self._dependents[drop] = out
         return out
 
@@ -167,6 +193,15 @@ class _Witnesses:
         """A parallel copy always is; otherwise G - e must stay covered."""
         c = self.edge_class[e]
         return self.sizes[c] > 1 or self.covered_without(1 << c)
+
+
+@per_graph
+def _perfect_matching(g: Multigraph) -> Optional[tuple[int, ...]]:
+    """One perfect matching of g, as each vertex's partner, or None."""
+    match = [-1] * g.n
+    if g.n % 2 or next(unmatched(g.adj_masks, match, g.full_mask), None) is not None:
+        return None
+    return tuple(match)
 
 
 @per_graph
@@ -246,10 +281,7 @@ def pm_pair_groups(g: Multigraph) -> tuple[int, ...]:
     """
     adj, full = g.adj_masks, g.full_mask
     rest = full
-    mate = [-1] * g.n
-    if g.n % 2 == 0 and g.has_pm_mask(full):
-        for v, w in pm_pairs(full, g._pm_memo):
-            mate[v], mate[w] = w, v
+    mate = _perfect_matching(g) or (-1,) * g.n
     out = []
     while rest:
         low = rest & -rest
@@ -259,10 +291,7 @@ def pm_pair_groups(g: Multigraph) -> tuple[int, ...]:
             match[mate[u]] = match[u] = -1
             exposed = [mate[u]]
         else:
-            for r in _bits(within):
-                if match[r] < 0:
-                    blossom_search(adj, match, r, within)
-            exposed = [r for r in _bits(within) if match[r] < 0]
+            exposed = list(unmatched(adj, match, within))
         outer = blossom_search(adj, match, exposed[0], within, others) if len(exposed) == 1 else 0
         group = low | others & ~outer
         rest ^= group
@@ -333,7 +362,7 @@ def is_bicritical(g: Multigraph) -> bool:
     without one is answered at once, and the groups start from a perfect
     matching.
     """
-    if g.n < 4 or g.n % 2 or not g.has_pm_mask(g.full_mask):
+    if g.n < 4 or g.n % 2 or _perfect_matching(g) is None:
         return False
     return all(group & group - 1 == 0 for group in pm_pair_groups(g))
 

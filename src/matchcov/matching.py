@@ -1,16 +1,12 @@
 """Maximum matchings and perfect matching enumeration.
 
-Maximum matchings grow by augmenting paths from `multigraph.blossom_search`,
-the one blossom search, on the underlying simple graph; parallel edges never
-change matchability, so a matched pair is lifted back to the lowest edge id
-of its parallel class. `covered.pm_pair_groups` reads the same search's outer
-vertices.
-Whether a vertex set has a perfect matching is asked of one depth-first
-search, `multigraph.pm_search`, through `Multigraph.has_pm_mask` and the
-graph's memo, which maps a vertex mask to the partner of its lowest vertex
-in a perfect matching, or to -1 when there is none. The removability
-questions, and enumeration, go through the pool of perfect matchings in
-`covered`, whose searches run that kernel on that memo.
+Every matching here comes from `multigraph.blossom_search`, the one Edmonds
+search, on the underlying simple graph. A maximum matching grows by it from
+each exposed vertex (`multigraph.unmatched`); parallel edges never change
+matchability, so a matched pair is lifted back to the lowest edge id of its
+parallel class. Whether g has a perfect matching reads the one perfect
+matching that `covered` keeps per graph, and enumeration reads the pool of
+perfect matchings there.
 """
 from __future__ import annotations
 
@@ -18,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .covered import pm_table
-from .multigraph import Multigraph, bits, blossom_search, per_graph
+from .covered import _perfect_matching, pm_table
+from .multigraph import Multigraph, bits, per_graph, unmatched
 
 
 @dataclass(frozen=True)
@@ -34,9 +30,8 @@ class Matching:
 def max_matching(g: Multigraph) -> Matching:
     """A maximum-cardinality matching, lifted to lowest parallel edge ids."""
     match = [-1] * g.n
-    for v in range(g.n):
-        if match[v] == -1:
-            blossom_search(g.adj_masks, match, v, g.full_mask)
+    for _ in unmatched(g.adj_masks, match, g.full_mask):
+        pass
     edge_ids = []
     for v in range(g.n):
         u = match[v]
@@ -51,9 +46,7 @@ def matching_number(g: Multigraph) -> int:
 
 
 def has_perfect_matching(g: Multigraph) -> bool:
-    if g.n % 2:
-        return False
-    return g.has_pm_mask(g.full_mask)
+    return _perfect_matching(g) is not None
 
 
 def enumerate_perfect_matchings(g: Multigraph) -> Iterator[Matching]:

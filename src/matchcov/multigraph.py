@@ -4,10 +4,10 @@ Instances are immutable after construction: every operation returns a new
 graph. Parallel edges are distinct edge ids with equal endpoint pairs, so
 edge id i always means position i of the edge list handed to the
 constructor. Bitmask adjacency over the underlying simple graph backs the
-kernels that the rest of the library leans on: `pm_search`, the one
-perfect-matching search, on a per-graph memo; `blossom_search`, the one
-Edmonds search, for maximum matchings and for the pairs that leave no
-perfect matching; and reachability.
+kernels that the rest of the library leans on: `blossom_search`, the one
+Edmonds search, which answers every perfect-matching question; `unmatched`,
+which grows a matching by that search from each exposed vertex (maximum
+matchings, `Multigraph.has_pm_mask`); and reachability.
 
 One caching rule: whatever is derived from a graph is kept on that graph,
 in its instance dict, and nowhere else. Inside the class that is
@@ -169,14 +169,9 @@ class Multigraph:
 
     # -- perfect matching kernel --------------------------------------------
 
-    @cached_property
-    def _pm_memo(self) -> dict[int, int]:
-        """The `pm_search` memo over `adj_masks`."""
-        return {0: 0}
-
     def has_pm_mask(self, mask: int) -> bool:
         """Does the induced subgraph on `mask` have a perfect matching?"""
-        return pm_search(self.adj_masks, mask, self._pm_memo)
+        return next(unmatched(self.adj_masks, [-1] * self.n, mask), None) is None
 
     # -- derived graphs ------------------------------------------------------
 
@@ -242,54 +237,6 @@ class Multigraph:
     def relabeled(self, perm: Sequence[int]) -> "Multigraph":
         """Image under vertex permutation (perm[v] is the new id of v)."""
         return Multigraph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
-
-
-def pm_search(adj: Sequence[int], mask: int, memo: dict[int, int]) -> bool:
-    """Does the vertex set `mask` have a perfect matching over the adjacency
-    masks `adj`?
-
-    Depth-first, matching the lowest vertex first, with an explicit stack so
-    that no order of graph meets the recursion limit. `memo` maps a vertex
-    mask to the partner of its lowest vertex in a perfect matching found, or
-    to -1 when it has none; it starts as {0: 0} and may only be shared
-    between searches over one adjacency. Following partners down from a
-    solved mask spells out its matching: see `pm_pairs`.
-    """
-    known = memo.get(mask)
-    if known is not None:
-        return known >= 0
-    low = mask & -mask
-    frames = [[mask, adj[low.bit_length() - 1] & mask, 0]]  # mask, untried partners, partner bit
-    while frames:
-        top = frames[-1]
-        cur, untried = top[0], top[1]
-        if not untried:
-            memo[cur] = -1
-            frames.pop()
-            continue
-        u_bit = untried & -untried
-        top[1] = untried ^ u_bit
-        top[2] = u_bit
-        child = cur ^ (cur & -cur) ^ u_bit
-        known = memo.get(child)
-        if known is None:
-            low = child & -child
-            frames.append([child, adj[low.bit_length() - 1] & child, 0])
-        elif known >= 0:
-            for cur, _, u_bit in frames:
-                memo[cur] = u_bit.bit_length() - 1
-            return True
-    return False
-
-
-def pm_pairs(mask: int, memo: dict[int, int]) -> Iterator[tuple[int, int]]:
-    """The pairs (v, partner) of the perfect matching of `mask` that
-    `pm_search` found and left in `memo`, lowest vertex first."""
-    while mask:
-        v_bit = mask & -mask
-        u = memo[mask]
-        yield v_bit.bit_length() - 1, u
-        mask ^= v_bit | 1 << u
 
 
 def blossom_search(adj: Sequence[int], match: list[int], root: int, within: int, goal: int = -1) -> int:
@@ -361,6 +308,17 @@ def blossom_search(adj: Sequence[int], match: list[int], root: int, within: int,
                 outer |= 1 << match[to]
                 queue.append(match[to])
     return outer
+
+
+def unmatched(adj: Sequence[int], match: list[int], within: int) -> Iterator[int]:
+    """Grow `match` inside the vertex set `within` by a `blossom_search`
+    from each exposed vertex, lowest first, and yield each one that no
+    augmenting path reaches. No later augmentation reaches it either, so the
+    first one yielded proves that `within` has no perfect matching, and when
+    none comes, `match` is one."""
+    for v in _bits(within):
+        if match[v] == -1 and blossom_search(adj, match, v, within):
+            yield v
 
 
 def _reach(adj: Sequence[int], start: int, within: int) -> int:

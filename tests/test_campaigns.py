@@ -17,7 +17,7 @@ from matchcov.campaigns import (
     run_corpus,
 )
 from matchcov.cuts import _odd_shores
-from matchcov.errors import BoundExceededError, UnknownCampaignError
+from matchcov.errors import BadSpecError, BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
 from conftest import multigraphs
@@ -206,6 +206,21 @@ def test_unknown_parameter():
     # An unknown key is refused whatever its value, None included.
     with pytest.raises(UnknownCampaignError):
         run_campaign("thm-1.1", bogus=None, max_n=4)
+
+
+@pytest.mark.parametrize("sample_n", [2, 7])
+def test_lemma216_sample_order_refused_before_any_work(monkeypatch, sample_n):
+    # At 2 the sampler finds only K2, whose claim the fold cannot read; at
+    # an odd order it samples nothing and the slice would pass empty.
+    import matchcov.campaigns as campaigns
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("population built before the parameters were checked")
+
+    for kernel in ("enumerate_connected_graphs", "multiplicity_classes", "_sample_bipartite_mc"):
+        monkeypatch.setattr(campaigns, kernel, no_work)
+    with pytest.raises(BadSpecError, match="sample_n"):
+        run_campaign("lemma-2.16", max_n=4, mult_n=2, sample_n=sample_n)
 
 
 def test_corpus_run():

@@ -205,6 +205,18 @@ def test_verify_corpus_refuses_ignored_parameters(tmp_path, flags):
     assert flags[0][2:] in err
 
 
+@pytest.mark.parametrize("text", ["not a graph\n", None])
+def test_verify_corpus_refuses_before_reading(tmp_path, text):
+    # The flags are refused before the file is read, so a malformed or
+    # missing corpus still gets the flag's refusal, not a read error.
+    corpus = tmp_path / "bad.g6"
+    if text is not None:
+        corpus.write_text(text)
+    code, _, err = run_cli(["verify", "thm-1.1", "--corpus", str(corpus), "--max-n", "6"])
+    assert code == EXIT_USAGE
+    assert "--max-n" in err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

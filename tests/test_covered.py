@@ -10,6 +10,7 @@ from itertools import combinations
 
 from matchcov import (
     Doubleton,
+    Multigraph,
     Single,
     has_two_nonadjacent_removable_edges,
     is_bicritical,
@@ -91,6 +92,18 @@ def test_golden_class_counts():
         for e in range(wheel.m):
             if hub not in wheel.endpoints(e):
                 assert not is_removable_edge(wheel, e), "rim edges are not removable"
+
+
+def test_removable_classes_of_the_50_vertex_prism():
+    # C25 x K2, at an order where a perfect-matching search exponential in
+    # n does not finish. Unlike the triangular prism, every rung is
+    # removable here, and each rim edge pairs with its twin on the other rim.
+    k = 25
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    g = Multigraph(2 * k, rims + [(i, k + i) for i in range(k)])
+    singles = tuple(Single(e) for e in range(2 * k, 3 * k))
+    doubletons = tuple(Doubleton((i, k + i)) for i in range(k))
+    assert removable_classes(g) == singles + doubletons
 
 
 def test_removable_classes_structure():

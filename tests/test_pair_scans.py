@@ -10,8 +10,9 @@ import random
 
 from hypothesis import given, settings
 
-from matchcov import Multigraph, enumerate_connected_graphs, is_bicritical, is_brick
+from matchcov import Multigraph, covered, enumerate_connected_graphs, is_bicritical, is_brick, multigraph
 from matchcov.covered import _SWEEP_BITS, pm_pair_groups, separating_pairs
+from matchcov.multigraph import blossom_search
 from conftest import multigraphs, reference_pm_pair_groups, reference_separating_pairs
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -69,11 +70,22 @@ def moebius_ladder(n):
     return Multigraph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
 
 
-def test_brick_test_is_polynomial_on_ladders():
-    # A pair-by-pair scan on these leaves millions of entries in the memo of
-    # perfect-matching queries (3.4 M for the 50-vertex prism); one search
-    # per vertex leaves few. The count bounds the work without timing it.
+def test_brick_test_is_polynomial_on_ladders(monkeypatch):
+    # A pair-by-pair scan asks n(n-1)/2 perfect-matching questions (1,225
+    # for the 50-vertex prism), each with searches of its own; one search
+    # per vertex makes about n. Counting the Edmonds searches bounds the
+    # work without timing it.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return blossom_search(*args)
+
+    monkeypatch.setattr(multigraph, "blossom_search", counted)
+    monkeypatch.setattr(covered, "blossom_search", counted)
     for g, brick in ((prism(25), True), (prism(63), True), (moebius_ladder(50), False)):
+        calls = 0
         assert is_brick(g) == brick
         assert is_bicritical(g) == brick
-        assert len(g._pm_memo) < 1_000
+        assert 0 < calls <= 2 * g.n

@@ -1,8 +1,9 @@
-"""The one perfect-matching search and the memo it shares per graph.
+"""Perfect matchings grown by the one Edmonds search, against definitions.
 
-Witness searches for removability fill the same memo that `has_pm_mask`,
-`is_bicritical` and `maximal_barriers` read, so every answer is checked
-after the memo has been seeded, in either order of the readers.
+Witness searches for removability start from the perfect matching kept per
+graph, the one `is_bicritical` and `maximal_barriers` read too, so every
+answer is checked after the witness searches ran, in either order of the
+readers.
 """
 
 from itertools import combinations
@@ -18,7 +19,8 @@ from matchcov import (
     removable_doubletons,
     removable_edges,
 )
-from matchcov.multigraph import bits, pm_pairs, pm_search
+from matchcov.covered import _perfect_matching
+from matchcov.multigraph import bits, unmatched
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph
 from conftest import brute_perfect_matchings, multigraphs
 
@@ -51,27 +53,11 @@ def maximal_barriers_by_definition(g):
     return [sorted(s) for s in every if not any(s < other for other in every)]
 
 
-def check_memo(g):
-    """Each solved mask names an edge at its lowest vertex whose removal
-    leaves a solved mask, so partners spell a matching; each -1 is right."""
-    memo = g._pm_memo
-    for mask, partner in memo.items():
-        if partner < 0:
-            assert not pm_by_definition(g, mask), bits(mask)
-        elif mask:
-            low = (mask & -mask).bit_length() - 1
-            assert partner != low and mask >> partner & 1 and g.adj_masks[low] >> partner & 1
-            assert memo[mask ^ 1 << low ^ 1 << partner] >= 0
-
-
 def check_seeded(g, masks, barriers_first):
     covered = is_matching_covered(g)
     if covered:
         removable_edges(g)
         removable_doubletons(g)
-    if g.n >= 4 and g.m:
-        # The witness searches ran on the graph's own memo.
-        assert len(g._pm_memo) > 1
 
     def bicritical():
         assert is_bicritical(g) == bicritical_by_definition(g)
@@ -85,24 +71,52 @@ def check_seeded(g, masks, barriers_first):
         read()
     for mask in masks:
         assert g.has_pm_mask(mask) == pm_by_definition(g, mask), bits(mask)
-    check_memo(g)
 
 
 @PROPERTY_SETTINGS
 @given(multigraphs(8, even=True), st.data())
-def test_shared_memo_matches_definition(g, data):
+def test_answers_match_definition(g, data):
     masks = data.draw(st.lists(st.integers(0, g.full_mask), max_size=12))
     for barriers_first in (False, True):
         check_seeded(Multigraph(g.n, g.edges), masks, barriers_first)
 
 
+def check_grown(g, mask):
+    """`unmatched` on an empty matching leaves a perfect matching of `mask`
+    exactly when it yields nothing."""
+    match = [-1] * g.n
+    left = next(unmatched(g.adj_masks, match, mask), None)
+    if left is not None:
+        assert not pm_by_definition(g, mask), bits(mask)
+        assert mask >> left & 1
+        return
+    assert pm_by_definition(g, mask), bits(mask)
+    for v in range(g.n):
+        u = match[v]
+        if not mask >> v & 1:
+            assert u == -1
+            continue
+        assert u != v and mask >> u & 1 and g.multiplicity(v, u), (v, u)
+        assert match[u] == v
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(8, even=False), st.data())
+def test_grown_matching_is_perfect(g, data):
+    for mask in [g.full_mask, *data.draw(st.lists(st.integers(0, g.full_mask), max_size=12))]:
+        check_grown(g, mask)
+    pm = _perfect_matching(g)
+    assert (pm is not None) == pm_by_definition(g, g.full_mask)
+
+
 def test_partners_spell_a_perfect_matching():
     for g in (complete_graph(6), cycle_graph(8), petersen_graph()):
-        memo = {0: 0}
-        assert pm_search(g.adj_masks, g.full_mask, memo)
-        pairs = list(pm_pairs(g.full_mask, memo))
-        assert sorted(v for pair in pairs for v in pair) == list(range(g.n))
-        assert all(g.multiplicity(u, v) for u, v in pairs)
-        # An odd set has none, and the memo says so.
-        assert not pm_search(g.adj_masks, g.full_mask >> 1, memo)
-        assert memo[g.full_mask >> 1] == -1
+        check_grown(g, g.full_mask)
+        assert _perfect_matching(g) is not None
+        # An odd set has none.
+        check_grown(g, g.full_mask >> 1)
+    # A triangle 0 1 2, an edge 2 3 and two leaves 4, 5 at 3: even and
+    # connected, but both leaves need 3.
+    g = Multigraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5)])
+    check_grown(g, g.full_mask)
+    assert _perfect_matching(g) is None
