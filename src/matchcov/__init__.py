@@ -26,9 +26,7 @@ from .covered import (
 )
 from .cuts import (
     Barrier,
-    EdgeCut,
     barriers,
-    edge_cut,
     is_robust,
     is_separating,
     is_tight,

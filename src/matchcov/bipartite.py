@@ -64,17 +64,6 @@ def _p_set(rows: list[list[int]], xa: tuple[int, ...], xb: tuple[int, ...]) -> O
     return None
 
 
-def is_P_set(g: Multigraph, x) -> Optional[PSet]:
-    """PSet record when X is balanced with a single crossing one way."""
-    a, b = bipartition(g)
-    x = frozenset(x)
-    if not x or len(x) >= g.n:
-        return None
-    if len(x & a) != len(x & b):
-        return None
-    return _p_set(_edge_rows(g), tuple(x & a), tuple(x & b))
-
-
 def all_P_sets(g: Multigraph) -> Iterator[PSet]:
     """Stream of P-sets in (size, sorted vertices) order."""
     if g.n > _PSET_MAX_N:

@@ -45,6 +45,7 @@ from .covered import (
     removable_classes,
     removable_edges,
 )
+from .cuts import has_robust_cut, maximal_barriers
 from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
 from .errors import BadSpecError, BoundExceededError, UnknownCampaignError
 from .generate import _ENUM_MAX_N, enumerate_connected_graphs, multiplicity_classes
@@ -61,15 +62,13 @@ from .wheels import (
     count_class_matrices,
     g_family_closure,
     is_wheel_like,
-    least_class_matrices,
     make_wheel,
-    matrix_symmetries,
     odd_wheel_hubs,
     parallels_at_hub,
+    site_splices,
     splice,
     splice_sites,
     spoke_vectors,
-    theta_from_class_matrix,
 )
 from .zoo import complete_graph, prism_graph
 
@@ -580,9 +579,7 @@ def _lemma39_population(ctx: dict) -> Iterator[Multigraph]:
             ctx["tasks"] += 1
             ctx["theta_matrices"] += count_class_matrices(sh.class_sizes, sg.class_sizes)
             gw, u, hw, v = sg.graph, sg.vertex, sh.graph, sh.vertex
-            symmetries = matrix_symmetries(sg, sh)
-            for matrix in least_class_matrices(sh.class_sizes, sg.class_sizes, symmetries):
-                theta = theta_from_class_matrix(gw, u, hw, v, matrix)
+            for matrix, theta in site_splices(sg, sh):
                 result = splice(gw, u, hw, v, theta)
                 conds = check_odd_wheel_splice(gw, u, hw, v, theta)
                 splices.append((sg, sh, matrix, conds))
@@ -753,18 +750,6 @@ def _fig_r8_fold(rows, ctx: dict) -> dict:
     }
 
 
-def _has_robust_cut(g: Multigraph) -> bool:
-    from .cuts import _shores_in, cut_shore_sets, is_robust
-
-    # A cut is robust from either shore, so one shore per cut will do; a
-    # robust cut is separating and not tight.
-    return any(
-        is_robust(g, x)
-        for size, tight, separating in cut_shore_sets(g)
-        for x in _shores_in(g.n, size, separating & ~tight)
-    )
-
-
 def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:
     return _simple_bricks(ctx["n"], min_n=ctx["n"])
 
@@ -774,7 +759,7 @@ def _nonsolid_claim(g: Multigraph, ctx: dict):
     wheel-like, and each carries a robust cut."""
     if canonical_form(g) == _k4_and_prism()[1] or is_solid(g):
         return None
-    robust = _has_robust_cut(g)
+    robust = has_robust_cut(g)
     problems = [{"failed": "nonsolid candidate is wheel-like"}] if is_wheel_like(g) else []
     if not robust:
         problems.append({"failed": "nonsolid brick without a robust cut"})
@@ -843,10 +828,6 @@ def _g3_fold(rows, ctx: dict) -> dict:
 
 
 def analyze_graph(g: Multigraph) -> dict:
-    from .covered import _PM_ENUM_MAX_N
-    from .cuts import _BARRIER_MAX_N, maximal_barriers
-    from .decomposition import _SOLID_MAX_N
-
     report: dict = {
         "schema": SCHEMA_VERSION,
         "n": g.n,
@@ -867,17 +848,14 @@ def analyze_graph(g: Multigraph) -> dict:
     report["bicritical"] = is_bicritical(g)
     brick = is_brick(g)
     report["brick"] = brick
-    # A brace has no tight cut, which is read from every perfect matching.
-    if g.n <= _PM_ENUM_MAX_N or not report["bipartite"]:
-        report["brace"] = is_brace(g)
-    else:
-        report["brace"] = None
-        skipped.append(f"brace: n > {_PM_ENUM_MAX_N}")
-    if g.n <= _SOLID_MAX_N:
-        report["solid"] = is_solid(g)
-    else:
-        report["solid"] = None
-        skipped.append(f"solid: n > {_SOLID_MAX_N}")
+    # Each kernel keeps its own ceiling; past it the verdict is skipped with
+    # the kernel's refusal.
+    for key, kernel in (("brace", is_brace), ("solid", is_solid)):
+        try:
+            report[key] = kernel(g)
+        except BoundExceededError as exc:
+            report[key] = None
+            skipped.append(f"{key}: {exc}")
 
     classes = removable_classes(g)
     report["removable_singles"] = sorted(
@@ -896,11 +874,7 @@ def analyze_graph(g: Multigraph) -> dict:
     else:
         report["wheel_like_hubs"] = []
 
-    if g.n <= _BARRIER_MAX_N:
-        report["maximal_barriers"] = sorted(sorted(b.vertices) for b in maximal_barriers(g))
-    else:
-        report["maximal_barriers"] = None
-        skipped.append(f"barriers: n > {_BARRIER_MAX_N}")
+    report["maximal_barriers"] = sorted(sorted(b.vertices) for b in maximal_barriers(g))
 
     report["status"] = "ok"
     report["skipped"] = skipped

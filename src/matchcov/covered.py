@@ -93,22 +93,9 @@ class _Witnesses:
             self.join(pm)
 
     def fill(self) -> "_Witnesses":
-        """Complete the pool to every perfect matching and flip it: bit i of
-        `columns[c]` says whether pool[i] holds class c, and
-        `vertex_classes[v]` has the classes at vertex v."""
+        """Complete the pool to every perfect matching."""
         if not self.complete:
             self.pool = _all_matchings(self.adj, self.index, self.full, {0: [0]})
-            # Column c as binary digits, pool[i] at digit -1 - i: or-ing the
-            # bits in one by one would rebuild a long integer each time.
-            digits = [bytearray(b"0" * len(self.pool)) for _ in self.pairs]
-            for i, pm in enumerate(self.pool):
-                for c in _bits(pm):
-                    digits[c][-1 - i] = 49  # "1"
-            self.columns = [int(d or b"0", 2) for d in digits]
-            self.vertex_classes = [0] * len(self.adj)
-            for c, (a, b) in enumerate(self.pairs):
-                self.vertex_classes[a] |= 1 << c
-                self.vertex_classes[b] |= 1 << c
             self.complete = True
         return self
 
@@ -217,8 +204,8 @@ def is_matching_covered(g: Multigraph) -> bool:
 
 
 def pm_table(g: Multigraph) -> _Witnesses:
-    """The witness pool of g, filled and flipped: the one list of perfect
-    matchings that every enumeration and every cut reads."""
+    """The witness pool of g, filled: the one list of perfect matchings that
+    every enumeration and every cut reads."""
     if g.n > _PM_ENUM_MAX_N:
         raise BoundExceededError(
             f"perfect matching enumeration capped at {_PM_ENUM_MAX_N} vertices"

@@ -7,14 +7,15 @@ crosses once, separating when every class lies in a matching that does
 (Carvalho, Lucchesi and Murty, "On a conjecture of Lovasz concerning
 bricks I", JCTB 2002).
 
-Two ways in. `is_tight` and `is_separating` answer for one shore (through
-`_crossings`), and are the oracles for the other way: `cut_shore_sets`
-folds all nontrivial odd shores of one size at once, one pass over the
-matchings per size, into bitsets indexed by the shores in
-`_shores_of_size` order (see `_shore_block`); `_shores_in` turns the
-bits back into shores. Maximal barriers and 2-separations walk no vertex
-pairs of their own: they read `covered.pm_pair_groups` and
-`covered.separating_pairs`, and `barriers` stays the brute-force oracle.
+Two ways in. `is_tight` and `is_separating` answer for one shore, from the
+table flipped once per graph (`_pm_columns`), and are the oracles for the
+other way: `cut_shore_sets` folds all nontrivial odd shores of one size at
+once, one pass over the matchings per size, into bitsets indexed by the
+shores in `_shores_of_size` order (see `_shore_block`). Only this module
+reads the folds: `tight_shores`, `has_robust_cut` and `is_solid`. Maximal
+barriers and 2-separations walk no vertex pairs of their own: they read
+`covered.pm_pair_groups` and `covered.separating_pairs`, so only the
+brute-force oracle `barriers` keeps a vertex cap.
 """
 from __future__ import annotations
 
@@ -23,19 +24,14 @@ from functools import lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Iterator
 
-from .covered import _Witnesses, is_matching_covered, pm_pair_groups, pm_table, separating_pairs
+from .covered import is_matching_covered, pm_pair_groups, pm_table, separating_pairs
 from .errors import BoundExceededError, EmptyShoreError, NotMatchingCoveredError
 from .errors import VertexOutOfRangeError
 from .matching import has_perfect_matching
-from .multigraph import Multigraph, bits, mask_of
+from .multigraph import Multigraph, bits, mask_of, per_graph
 
 _BARRIER_MAX_N = 16
-
-
-@dataclass(frozen=True)
-class EdgeCut:
-    shore: frozenset[int]
-    boundary: tuple[int, ...]
+_SOLID_MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -53,30 +49,40 @@ def _shore(g: Multigraph, shore: Iterable[int]) -> frozenset[int]:
     return x
 
 
-def edge_cut(g: Multigraph, shore: Iterable[int]) -> EdgeCut:
-    x = _shore(g, shore)
-    xm = mask_of(x)
-    boundary = tuple(
-        e for e, (u, v) in enumerate(g.edges) if ((xm >> u) & 1) != ((xm >> v) & 1)
-    )
-    return EdgeCut(x, boundary)
-
-
-def _crossings(g: Multigraph, x: frozenset[int]) -> tuple[_Witnesses, int, int]:
-    """`pm_table(g)`, and bitsets over it of the matchings that cross the cut
-    of X at least once and at least twice."""
+@per_graph
+def _pm_columns(g: Multigraph) -> tuple[list[int], list[int]]:
+    """`pm_table(g)` flipped, once per graph: bit i of `columns[c]` says
+    whether the table's i-th matching holds class c, and
+    `vertex_classes[v]` has the classes at vertex v."""
     table = pm_table(g)
+    # Column c as binary digits, pool[i] at digit -1 - i: or-ing the bits in
+    # one by one would rebuild a long integer each time.
+    digits = [bytearray(b"0" * len(table.pool)) for _ in table.pairs]
+    for i, pm in enumerate(table.pool):
+        for c in bits(pm):
+            digits[c][-1 - i] = 49  # "1"
+    vertex_classes = [0] * g.n
+    for c, (a, b) in enumerate(table.pairs):
+        vertex_classes[a] |= 1 << c
+        vertex_classes[b] |= 1 << c
+    return [int(d or b"0", 2) for d in digits], vertex_classes
+
+
+def _crossings(g: Multigraph, x: frozenset[int]) -> tuple[list[int], int, int]:
+    """The columns of `_pm_columns(g)`, and bitsets over `pm_table(g)` of the
+    matchings that cross the cut of X at least once and at least twice."""
+    columns, vertex_classes = _pm_columns(g)
     boundary = 0
     for v in x:
-        boundary ^= table.vertex_classes[v]  # a class inside X goes twice
+        boundary ^= vertex_classes[v]  # a class inside X goes twice
     once = twice = 0
     while boundary:
         low = boundary & -boundary
         boundary ^= low
-        column = table.columns[low.bit_length() - 1]
+        column = columns[low.bit_length() - 1]
         twice |= once & column
         once |= column
-    return table, once, twice
+    return columns, once, twice
 
 
 def is_tight(g: Multigraph, shore: Iterable[int]) -> bool:
@@ -105,9 +111,9 @@ def is_separating(g: Multigraph, shore: Iterable[int]) -> bool:
     x = _shore(g, shore)
     if len(x) % 2 == 0:
         return False
-    table, once, twice = _crossings(g, x)
+    columns, once, twice = _crossings(g, x)
     exactly_once = once & ~twice
-    return all(column & exactly_once for column in table.columns)
+    return all(column & exactly_once for column in columns)
 
 
 def _odd_shores(n: int) -> Iterator[tuple[int, ...]]:
@@ -134,8 +140,8 @@ def _shore_block(n: int, size: int) -> tuple[int, ...]:
     """member[v] over `_shores_of_size(n, size)`: bit i says whether the
     i-th shore holds v. member[0] has every bit.
 
-    The 16 blocks kept hold every size of every even order up to 14, the
-    solidity cap; at n = 24 one block is up to 4 MB.
+    The 16 blocks kept hold every size of every even order up to
+    `_SOLID_MAX_N`; at n = 24 one block is up to 4 MB.
     """
     k = size - 1
     # col[lo]: (count, member) over the j-subsets of lo..n-1 in
@@ -186,6 +192,15 @@ def cut_shore_sets(g: Multigraph) -> Iterator[tuple[int, int, int]]:
         yield size, every & ~crossed_twice, separating
 
 
+def tight_shores(g: Multigraph) -> Iterator[frozenset[int]]:
+    """The nontrivial tight shores of `_odd_shores(g.n)`, in order, folded
+    one size at a time."""
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
+    for size, tight, _separating in cut_shore_sets(g):
+        yield from map(frozenset, _shores_in(g.n, size, tight))
+
+
 def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:
     """Separating, not tight, and both contractions are near-bricks."""
     from .decomposition import is_near_brick
@@ -197,6 +212,26 @@ def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:
         return False
     a, b = contractions(g, x)
     return is_near_brick(a) and is_near_brick(b)
+
+
+def has_robust_cut(g: Multigraph) -> bool:
+    """Some nontrivial odd cut is robust. A cut is robust from either shore,
+    so one shore per cut will do; a robust cut is separating and not tight."""
+    return any(
+        is_robust(g, x)
+        for size, tight, separating in cut_shore_sets(g)
+        for x in _shores_in(g.n, size, separating & ~tight)
+    )
+
+
+def is_solid(g: Multigraph) -> bool:
+    """Every separating cut is tight: no shore of the folds is separating
+    and not tight."""
+    if g.n > _SOLID_MAX_N:
+        raise BoundExceededError(f"solidity check capped at {_SOLID_MAX_N} vertices")
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("solidity is defined on matching covered graphs")
+    return not any(separating & ~tight for _size, tight, separating in cut_shore_sets(g))
 
 
 def _barrier(g: Multigraph, s_mask: int) -> Barrier:
@@ -227,9 +262,8 @@ def barriers(g: Multigraph) -> Iterator[Barrier]:
 def maximal_barriers(g: Multigraph) -> tuple[Barrier, ...]:
     """In (size, sorted vertices) order. In a matching covered graph they
     partition V, u and v sharing one when G - u - v has no perfect matching
-    (Kotzig and Lovasz; Lovasz and Plummer, Matching Theory, 5.2)."""
-    if g.n > _BARRIER_MAX_N:
-        raise BoundExceededError(f"barrier enumeration capped at {_BARRIER_MAX_N} vertices")
+    (Kotzig and Lovasz; Lovasz and Plummer, Matching Theory, 5.2). One
+    search per group, so no vertex cap."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("maximal barriers are read off matching covered graphs")
     out = [_barrier(g, group) for group in pm_pair_groups(g)]

@@ -8,25 +8,23 @@ on the cuts chosen. The default policy picks the lexicographically least
 tight shore; a seeded policy shuffles the choice to let callers check the
 independence claim.
 
-Tight shores, braces and solidity come from one fold per shore size over
-every nontrivial odd shore of that size (`cuts.cut_shore_sets`), smallest
-size first, so a brace test or the least tight shore stops at the first
-size with a tight shore. `cuts.is_tight` and `cuts.is_separating` remain
-for one shore.
+Tight shores come from `cuts.tight_shores`, which folds every nontrivial
+odd shore of one size at a time, smallest size first, so a brace test or
+the least tight shore stops at the first size with a tight shore. The
+solidity test reads the same folds; it lives in cuts beside the other
+readers of separating shores, and is imported here under its old name.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .canon import canonical_form
 from .covered import is_matching_covered
-from .cuts import _shores_in, contractions, cut_shore_sets
-from .errors import BoundExceededError, NotMatchingCoveredError
+from .cuts import contractions, is_solid, tight_shores
+from .errors import NotMatchingCoveredError
 from .multigraph import Multigraph
-
-_SOLID_MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -35,21 +33,13 @@ class DecompResult:
     cut_shores: tuple[frozenset[int], ...]  # shores used, in recursion order
 
 
-def _tight_shores(g: Multigraph) -> Iterator[frozenset[int]]:
-    """The nontrivial tight shores in order, folded one size at a time."""
-    if not is_matching_covered(g):
-        raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
-    for size, tight, _separating in cut_shore_sets(g):
-        yield from map(frozenset, _shores_in(g.n, size, tight))
-
-
 def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
     """Every tight shore X with 3 <= |X| <= n - 3, one per cut.
 
     Each cut {X, complement} is reported through the shore containing
     vertex 0; order is (size, sorted vertex tuple).
     """
-    return tuple(_tight_shores(g))
+    return tuple(tight_shores(g))
 
 
 def find_nontrivial_tight_cut(
@@ -57,7 +47,7 @@ def find_nontrivial_tight_cut(
 ) -> Optional[frozenset[int]]:
     """Least nontrivial tight shore, or a seeded-random one; None if none."""
     if rng is None:
-        return next(_tight_shores(g), None)
+        return next(tight_shores(g), None)
     shores = nontrivial_tight_shores(g)
     if not shores:
         return None
@@ -102,16 +92,7 @@ def is_brace(g: Multigraph) -> bool:
         raise NotMatchingCoveredError("braces are matching covered")
     if not g.is_bipartite():
         return False
-    return not any(tight for _size, tight, _separating in cut_shore_sets(g))
-
-
-def is_solid(g: Multigraph) -> bool:
-    """Every separating cut is tight."""
-    if g.n > _SOLID_MAX_N:
-        raise BoundExceededError(f"solidity check capped at {_SOLID_MAX_N} vertices")
-    if not is_matching_covered(g):
-        raise NotMatchingCoveredError("solidity is defined on matching covered graphs")
-    return not any(separating & ~tight for _size, tight, separating in cut_shore_sets(g))
+    return next(tight_shores(g), None) is None
 
 
 def decomposition_multiset(g: Multigraph, seed: Optional[int] = None) -> tuple[bytes, ...]:

@@ -13,11 +13,12 @@ Conventions fixed here and relied on by the test suite and the CLI:
   slots sorted by edge id.
 * One splice-class rule: splice only at the `splice_sites` of a group of
   automorphisms, with the least class matrix of each `matrix_symmetries`
-  orbit.  `least_class_matrices` builds only those, row by row, through
+  orbit.  `site_splices` yields those splices of a site pair, and is the
+  one pipeline lemma-3.9 and `g_family_closure` share: lemma-3.9 passes
+  each wheel's hub-fixing group, the closure every graph's full group.
+  `least_class_matrices` builds the least matrices, row by row, through
   `canon.orbit_representatives`; `theta_class_matrices` is the full sweep
-  they are drawn from, and `count_class_matrices` its size.  lemma-3.9
-  passes each wheel's hub-fixing group, `g_family_closure` every graph's
-  full group.
+  they are drawn from, and `count_class_matrices` its size.
 """
 from __future__ import annotations
 
@@ -570,6 +571,24 @@ def theta_from_class_matrix(
     return theta
 
 
+# Least class matrices by site-pair shape: class sizes and actions at both
+# sites, and whether they are one. At bound 10, 564 closure pairs share 25.
+_least_matrices: dict[tuple, list] = {}
+
+
+def site_splices(a: SpliceSite, b: SpliceSite) -> Iterator[tuple[tuple, dict[int, int]]]:
+    """(class matrix, theta) for the splices of a.graph at a.vertex with
+    b.graph at b.vertex, one per `matrix_symmetries(a, b)` orbit: its least
+    matrix, which comes first, builds the same graph under the same
+    conditions. Ascending, as `least_class_matrices` builds them."""
+    shape = (b.class_sizes, b.actions, a.class_sizes, a.actions, a is b)
+    if shape not in _least_matrices:
+        symmetries = matrix_symmetries(a, b)
+        _least_matrices[shape] = list(least_class_matrices(b.class_sizes, a.class_sizes, symmetries))
+    for matrix in _least_matrices[shape]:
+        yield matrix, theta_from_class_matrix(a.graph, a.vertex, b.graph, b.vertex, matrix)
+
+
 def spoke_vectors(k: int, mult_bound: int) -> Iterator[tuple[int, ...]]:
     """Spoke multiplicity vectors of the k-wheel, each entry 1..mult_bound,
     one per class under the hub-fixing symmetries of the simple k-wheel
@@ -625,9 +644,6 @@ def g_family_closure(
     # The catalog ascends in wheel size, so the partners that fit one left
     # graph, 8 <= left.n + wheel.n - 2 <= max_n, form one slice.
     sizes = [w.n for w, _s, _sites in partners]
-    # The least matrices of a site pair depend only on its class sizes and
-    # class actions: at bound 10, 564 site pairs have 25 distinct ones.
-    least: dict[tuple, list] = {}
     while frontier:
         next_frontier: list[tuple[Multigraph, GCertificate]] = []
         for left, left_cert in frontier:
@@ -644,16 +660,7 @@ def g_family_closure(
                         v = b.vertex
                         if wheel.degree(v) != du or splice_site_violations(left, u, wheel, v):
                             continue
-                        # The least matrix of an orbit comes first and builds
-                        # the same graph under the same conditions.
-                        shape = (b.class_sizes, b.actions, a.class_sizes, a.actions)
-                        if shape not in least:
-                            symmetries = matrix_symmetries(a, b)
-                            least[shape] = list(
-                                least_class_matrices(b.class_sizes, a.class_sizes, symmetries)
-                            )
-                        for matrix in least[shape]:
-                            theta = theta_from_class_matrix(left, u, wheel, v, matrix)
+                        for _matrix, theta in site_splices(a, b):
                             if theta_violations(left, u, wheel, v, theta):
                                 continue
                             built = splice(left, u, wheel, v, theta)

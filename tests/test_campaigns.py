@@ -9,14 +9,13 @@ from matchcov import Multigraph, enumerate_connected_graphs, is_brick, is_robust
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
-    _has_robust_cut,
     _removal_order,
     analyze_graph,
     report_json,
     run_campaign,
     run_corpus,
 )
-from matchcov.cuts import _odd_shores
+from matchcov.cuts import _odd_shores, has_robust_cut
 from matchcov.errors import BadSpecError, BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
@@ -312,7 +311,7 @@ def test_robust_cut_read_from_shore_sets():
     for g in enumerate_connected_graphs(6, min_degree=3):
         if is_brick(g):
             walked = any(is_robust(g, x) for x in _odd_shores(g.n))
-            assert _has_robust_cut(g) == walked, g.edges
+            assert has_robust_cut(g) == walked, g.edges
             seen.add(walked)
     assert seen == {True, False}
 
@@ -328,13 +327,24 @@ def test_analyze_skips_brace_above_pm_cap():
     rep = analyze_graph(cycle_graph(26))
     assert rep["status"] == "ok" and rep["bipartite"] and rep["matching_covered"]
     assert rep["brace"] is None
-    assert rep["skipped"] == ["brace: n > 24", "solid: n > 14", "barriers: n > 16"]
+    # Each skipped verdict carries its kernel's refusal; maximal barriers
+    # have no cap: the two colour classes of C26.
+    assert rep["skipped"] == [
+        "brace: perfect matching enumeration capped at 24 vertices",
+        "solid: solidity check capped at 14 vertices",
+    ]
+    assert rep["maximal_barriers"] == [list(range(0, 26, 2)), list(range(1, 26, 2))]
     # at the cap the verdict is still made; off the bipartite side it needs
     # no perfect matching
     assert analyze_graph(cycle_graph(24))["brace"] is False
     rep = analyze_graph(_odd_prism(13))
     assert rep["brace"] is False and not rep["bipartite"]
-    assert "brace: n > 24" not in rep["skipped"]
+    assert rep["skipped"] == ["solid: solidity check capped at 14 vertices"]
+    # The 62-vertex odd prism is a brick: every maximal barrier is a single
+    # vertex, and only solidity is past its kernel's cap.
+    rep = analyze_graph(_odd_prism(31))
+    assert rep["brick"] and rep["maximal_barriers"] == [[v] for v in range(62)]
+    assert rep["skipped"] == ["solid: solidity check capped at 14 vertices"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

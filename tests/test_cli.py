@@ -73,7 +73,7 @@ def test_analyze_bipartite_above_pm_cap():
     assert code == EXIT_PASS
     rep = json.loads(out)
     assert rep["status"] == "ok" and rep["brace"] is None
-    assert "brace: n > 24" in rep["skipped"]
+    assert "brace: perfect matching enumeration capped at 24 vertices" in rep["skipped"]
 
 
 def test_analyze_malformed_input():

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from matchcov import (
     Multigraph,
     barriers,
-    edge_cut,
     enumerate_connected_graphs,
     is_brace,
     is_matching_covered,
@@ -21,11 +20,18 @@ from matchcov import (
     two_separations,
 )
 from matchcov.covered import pm_table
-from matchcov.cuts import _odd_shores, _shore_block, _shores_in, _shores_of_size, cut_shore_sets
+from matchcov.cuts import (
+    _odd_shores,
+    _shore_block,
+    _shores_in,
+    _shores_of_size,
+    contractions,
+    cut_shore_sets,
+)
 from matchcov.decomposition import nontrivial_tight_shores
 from matchcov.errors import EmptyShoreError
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
-from conftest import brute_perfect_matchings, multigraphs
+from conftest import brute_perfect_matchings, multigraphs, tight_by_definition
 
 
 def _proper_shores(n):
@@ -33,22 +39,13 @@ def _proper_shores(n):
         yield from combinations(range(n), size)
 
 
-def test_edge_cut_boundary():
-    g = cycle_graph(6)
-    ec = edge_cut(g, [0, 1, 2])
-    assert ec.shore == frozenset({0, 1, 2})
-    assert len(ec.boundary) == 2
-    for e in ec.boundary:
-        u, v = g.endpoints(e)
-        assert (u in ec.shore) != (v in ec.shore)
-
-
-def test_edge_cut_rejects_degenerate_shores():
+def test_cuts_reject_degenerate_shores():
     g = cycle_graph(4)
-    with pytest.raises(EmptyShoreError):
-        edge_cut(g, [])
-    with pytest.raises(EmptyShoreError):
-        edge_cut(g, range(4))
+    for shore in ([], range(4)):
+        with pytest.raises(EmptyShoreError):
+            is_tight(g, shore)
+        with pytest.raises(EmptyShoreError):
+            contractions(g, shore)
 
 
 def test_tight_against_definition(connected_simple_upto_6):
@@ -57,9 +54,7 @@ def test_tight_against_definition(connected_simple_upto_6):
             continue
         pms = brute_perfect_matchings(g)
         for shore in _proper_shores(g.n):
-            boundary = set(edge_cut(g, shore).boundary)
-            expect = all(len(pm & boundary) == 1 for pm in pms)
-            assert is_tight(g, shore) == expect
+            assert is_tight(g, shore) == tight_by_definition(g, shore, pms)
 
 
 def test_single_vertex_cuts_are_tight():

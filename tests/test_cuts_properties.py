@@ -101,8 +101,12 @@ def test_non_covered_input_is_refused(g):
 def test_caps_are_kept():
     with pytest.raises(BoundExceededError):
         is_tight(cycle_graph(26), range(13))
+    # Maximal barriers take one search per group and have no cap; the
+    # exhaustive oracle keeps its own.
+    groups = [sorted(b.vertices) for b in maximal_barriers(cycle_graph(18))]
+    assert groups == [list(range(0, 18, 2)), list(range(1, 18, 2))]
     with pytest.raises(BoundExceededError):
-        maximal_barriers(cycle_graph(18))
+        next(barriers(cycle_graph(18)))
     with pytest.raises(BoundExceededError):
         is_solid(cycle_graph(16))
     check_refused(path_graph(4))
