@@ -42,16 +42,17 @@ from .covered import (
     is_matching_covered,
     is_near_bipartite,
     is_removable_edge,
+    pm_pair_groups,
     removable_classes,
     removable_edges,
 )
-from .cuts import has_robust_cut, maximal_barriers
+from .cuts import has_robust_cut
 from .decomposition import decomposition_multiset, is_brace, is_solid, nontrivial_tight_shores
 from .errors import BadSpecError, BoundExceededError, UnknownCampaignError
 from .generate import _ENUM_MAX_N, enumerate_connected_graphs, multiplicity_classes
 from .graphio import format_mg
 from .matching import matching_number
-from .multigraph import Multigraph
+from .multigraph import Multigraph, bits
 from .wheels import (
     SpliceNode,
     SpliceSite,
@@ -874,7 +875,9 @@ def analyze_graph(g: Multigraph) -> dict:
     else:
         report["wheel_like_hubs"] = []
 
-    report["maximal_barriers"] = sorted(sorted(b.vertices) for b in maximal_barriers(g))
+    # The maximal barriers of a matching covered graph are its pair groups
+    # (`cuts.maximal_barriers`); the report lists their vertices alone.
+    report["maximal_barriers"] = sorted(bits(group) for group in pm_pair_groups(g))
 
     report["status"] = "ok"
     report["skipped"] = skipped

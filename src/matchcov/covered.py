@@ -16,7 +16,8 @@ perfect matching, the same pool is the table that cuts are read from: see
 A miss in the pool runs `multigraph.blossom_search`, the one Edmonds
 search, once: in G - D minus the class's ends, from a perfect matching of
 G - D with those ends and their partners unmatched. The pool starts from the
-one perfect matching kept per graph, which the pair groups start from too.
+one maximum matching kept per graph (`_max_matching`, which `matching`
+reads too) when it is perfect, and so do the pair groups.
 
 Two questions range over vertex pairs, and neither asks one pair at a
 time. `pm_pair_groups` (bicriticality, maximal barriers) runs one Edmonds
@@ -183,12 +184,22 @@ class _Witnesses:
 
 
 @per_graph
-def _perfect_matching(g: Multigraph) -> Optional[tuple[int, ...]]:
-    """One perfect matching of g, as each vertex's partner, or None."""
+def _max_matching(g: Multigraph) -> tuple[int, ...]:
+    """The one maximum matching of g, as each vertex's partner or -1: grown
+    by `unmatched` from the empty matching, once per graph."""
     match = [-1] * g.n
-    if g.n % 2 or next(unmatched(g.adj_masks, match, g.full_mask), None) is not None:
-        return None
+    for _ in unmatched(g.adj_masks, match, g.full_mask):
+        pass
     return tuple(match)
+
+
+@per_graph
+def _perfect_matching(g: Multigraph) -> Optional[tuple[int, ...]]:
+    """`_max_matching(g)` when it is perfect, or None."""
+    if g.n % 2:
+        return None
+    match = _max_matching(g)
+    return None if -1 in match else match
 
 
 @per_graph

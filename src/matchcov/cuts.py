@@ -11,8 +11,10 @@ Two ways in. `is_tight` and `is_separating` answer for one shore, from the
 table flipped once per graph (`_pm_columns`), and are the oracles for the
 other way: `cut_shore_sets` folds all nontrivial odd shores of one size at
 once, one pass over the matchings per size, into bitsets indexed by the
-shores in `_shores_of_size` order (see `_shore_block`). Only this module
-reads the folds: `tight_shores`, `has_robust_cut` and `is_solid`. Maximal
+shores in `_shores_of_size` order (see `_shore_block`). The folds are kept
+per graph and extended lazily, so each size is folded once, whichever
+reader reaches it first. Only this module reads the folds: `tight_shores`
+(and so `is_brace`), `has_robust_cut` and `is_solid`. Maximal
 barriers and 2-separations walk no vertex pairs of their own: they read
 `covered.pm_pair_groups` and `covered.separating_pairs`, so only the
 brute-force oracle `barriers` keeps a vertex cap.
@@ -160,20 +162,32 @@ def _shore_block(n: int, size: int) -> tuple[int, ...]:
     return ((1 << count) - 1,) + tuple(member[1:])
 
 
+@per_graph
+def _folds(g: Multigraph) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """The classes of each matching of `pm_table(g)`, and the sizes folded
+    so far. The table is filled first, so past its cap this raises every
+    time and keeps nothing."""
+    return [bits(pm) for pm in pm_table(g).pool], []
+
+
 def cut_shore_sets(g: Multigraph) -> Iterator[tuple[int, int, int]]:
     """(size, tight, separating) per shore size, ascending: bitsets over
     `_shores_of_size(g.n, size)`; g must be matching covered. One size at
-    a time, so a caller stops at the first size that answers it.
+    a time, so a caller stops at the first size that answers it. Each size
+    is folded once per graph: a reader goes over the sizes folded before
+    it, and folds a size only when no reader has.
 
     A matching crosses an odd shore an odd number of times, so a shore it
     does not cross twice or more it crosses exactly once.
     """
-    table = pm_table(g)
-    pms = [bits(pm) for pm in table.pool]
-    for size in range(3, g.n - 2, 2):
+    pms, folded = _folds(g)
+    for i, size in enumerate(range(3, g.n - 2, 2)):
+        if i < len(folded):
+            yield folded[i]
+            continue
         member = _shore_block(g.n, size)
         every = member[0]
-        crossing = [member[a] ^ member[b] for a, b in table.pairs]
+        crossing = [member[a] ^ member[b] for a, b in g.parallel_classes]
         crossed_twice = 0
         # reach[c]: the shores crossed exactly once by some matching holding c
         reach = [0] * len(crossing)
@@ -189,7 +203,8 @@ def cut_shore_sets(g: Multigraph) -> Iterator[tuple[int, int, int]]:
         separating = every
         for shores in reach:
             separating &= shores
-        yield size, every & ~crossed_twice, separating
+        folded.append((size, every & ~crossed_twice, separating))
+        yield folded[i]
 
 
 def tight_shores(g: Multigraph) -> Iterator[frozenset[int]]:

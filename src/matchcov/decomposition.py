@@ -11,8 +11,10 @@ independence claim.
 Tight shores come from `cuts.tight_shores`, which folds every nontrivial
 odd shore of one size at a time, smallest size first, so a brace test or
 the least tight shore stops at the first size with a tight shore. The
-solidity test reads the same folds; it lives in cuts beside the other
-readers of separating shores, and is imported here under its old name.
+solidity test reads the same folds, which cuts keeps per graph, so a brace
+test and a solidity test of one graph fold each size once; it lives in
+cuts beside the other readers of separating shores, and is imported here
+under its old name.
 """
 from __future__ import annotations
 

@@ -1,12 +1,12 @@
 """Maximum matchings and perfect matching enumeration.
 
 Every matching here comes from `multigraph.blossom_search`, the one Edmonds
-search, on the underlying simple graph. A maximum matching grows by it from
-each exposed vertex (`multigraph.unmatched`); parallel edges never change
-matchability, so a matched pair is lifted back to the lowest edge id of its
-parallel class. Whether g has a perfect matching reads the one perfect
-matching that `covered` keeps per graph, and enumeration reads the pool of
-perfect matchings there.
+search, on the underlying simple graph. The maximum matching is the one
+that `covered` grows per graph (`covered._max_matching`); parallel edges
+never change matchability, so a matched pair is lifted back to the lowest
+edge id of its parallel class. Whether g has a perfect matching asks
+whether that matching is perfect, and enumeration reads the pool of perfect
+matchings there.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .covered import _perfect_matching, pm_table
-from .multigraph import Multigraph, bits, per_graph, unmatched
+from .covered import _max_matching, _perfect_matching, pm_table
+from .multigraph import Multigraph, bits, per_graph
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ class Matching:
 
 def max_matching(g: Multigraph) -> Matching:
     """A maximum-cardinality matching, lifted to lowest parallel edge ids."""
-    match = [-1] * g.n
-    for _ in unmatched(g.adj_masks, match, g.full_mask):
-        pass
+    match = _max_matching(g)
     edge_ids = []
     for v in range(g.n):
         u = match[v]

@@ -161,10 +161,14 @@ class Multigraph:
         return self.component_mask(0) == self.full_mask
 
     def is_bipartite(self) -> bool:
-        return self.two_coloring() is not None
+        return self._coloring is not None
 
     def two_coloring(self) -> Optional[tuple[int, ...]]:
         """0/1 coloring with adjacent vertices distinct, or None."""
+        return self._coloring
+
+    @cached_property
+    def _coloring(self) -> Optional[tuple[int, ...]]:
         return _two_coloring(self.adj_masks)
 
     # -- perfect matching kernel --------------------------------------------

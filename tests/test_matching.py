@@ -2,13 +2,17 @@
 
 import random
 
+from hypothesis import given, settings
+
 from matchcov import (
+    enumerate_connected_graphs,
     enumerate_perfect_matchings,
     has_perfect_matching,
     matching_number,
     max_matching,
     new_multigraph,
 )
+from matchcov.covered import _perfect_matching
 from matchcov.zoo import (
     complete_bipartite,
     complete_graph,
@@ -17,7 +21,7 @@ from matchcov.zoo import (
     petersen_graph,
     prism_graph,
 )
-from conftest import brute_matching_number, brute_perfect_matchings
+from conftest import brute_matching_number, brute_perfect_matchings, multigraphs
 
 
 def _check_matching_is_valid(g, matching):
@@ -30,13 +34,33 @@ def _check_matching_is_valid(g, matching):
     assert matching.covered == frozenset(seen)
 
 
-def test_matching_number_exhaustive_small(connected_simple_upto_6):
-    for g in connected_simple_upto_6:
-        expect = brute_matching_number(g)
-        assert matching_number(g) == expect
-        m = max_matching(g)
-        _check_matching_is_valid(g, m)
-        assert len(m.edge_ids) == expect
+def _check_max_matching(g):
+    """max_matching and matching_number against the oracle; the kept
+    perfect matching is None exactly when the maximum one is not perfect.
+    Returns whether g has a perfect matching."""
+    expect = brute_matching_number(g)
+    assert matching_number(g) == expect
+    m = max_matching(g)
+    _check_matching_is_valid(g, m)
+    assert len(m.edge_ids) == expect
+    perfect = _perfect_matching(g) is not None
+    assert perfect == (expect == g.n / 2)
+    return perfect
+
+
+def test_matching_number_exhaustive_small():
+    sides = set()
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            sides.add((n % 2, _check_max_matching(g)))
+    # odd orders, and even ones with and without a perfect matching
+    assert sides == {(1, False), (0, False), (0, True)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(multigraphs(8, even=False))
+def test_max_matching_on_multigraphs(g):
+    _check_max_matching(g)
 
 
 def test_matching_number_random_n8():
