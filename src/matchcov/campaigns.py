@@ -973,7 +973,7 @@ CAMPAIGNS: dict[str, Campaign] = {
         {
             "max_n": _MAX_N,
             "sample_n": Param(10, _sample_order),
-            "samples": Param(200),
+            "samples": Param(200, _at_least(0)),
             "seed": Param(0),
             "mult_n": _MULT_N,
             "mult_bound": _MULT_BOUND,

@@ -10,8 +10,8 @@ Every one of these questions asks which parallel classes lie in a perfect
 matching that avoids some classes D. Class f depends on D when none does
 (for D = {e}: every perfect matching through f uses e). A per-graph pool
 of perfect matchings answers them: see `_Witnesses`. Filled to every
-perfect matching, the same pool is the table that cuts are read from: see
-`pm_table`.
+perfect matching, the same pool is the table that `cuts` folds, one shore
+size at a time: see `pm_table`.
 
 A miss in the pool runs `multigraph.blossom_search`, the one Edmonds
 search, once: in G - D minus the class's ends, from a perfect matching of
@@ -178,9 +178,12 @@ class _Witnesses:
         return _reach(self.adjacency_without(drop), 0, self.full) == self.full
 
     def removable(self, e: int) -> bool:
-        """A parallel copy always is; otherwise G - e must stay covered."""
+        """A parallel copy always is; otherwise G - e must stay covered. G
+        is matching covered (`_require_mc`): on 2 vertices it is K2, whose
+        one class cannot go, and on 4 or more it is 2-connected, so G - e
+        stays connected and no connectivity search is needed."""
         c = self.edge_class[e]
-        return self.sizes[c] > 1 or self.covered_without(1 << c)
+        return self.sizes[c] > 1 or len(self.adj) >= 4 and not self.dependents(1 << c)
 
 
 @per_graph

@@ -7,14 +7,13 @@ crosses once, separating when every class lies in a matching that does
 (Carvalho, Lucchesi and Murty, "On a conjecture of Lovasz concerning
 bricks I", JCTB 2002).
 
-Two ways in. `is_tight` and `is_separating` answer for one shore, from the
-table flipped once per graph (`_pm_columns`), and are the oracles for the
-other way: `cut_shore_sets` folds all nontrivial odd shores of one size at
-once, one pass over the matchings per size, into bitsets indexed by the
+One way in: `cut_shore_sets` folds all nontrivial odd shores of one size
+at once, one pass over the matchings per size, into bitsets indexed by the
 shores in `_shores_of_size` order (see `_shore_block`). The folds are kept
 per graph and extended lazily, so each size is folded once, whichever
 reader reaches it first. Only this module reads the folds: `tight_shores`
-(and so `is_brace`), `has_robust_cut` and `is_solid`. Maximal
+(and so `is_brace`), `has_robust_cut`, `is_solid`, and for one shore
+`is_tight`, `is_separating` and `is_robust`, which read its bit. Maximal
 barriers and 2-separations walk no vertex pairs of their own: they read
 `covered.pm_pair_groups` and `covered.separating_pairs`, so only the
 brute-force oracle `barriers` keeps a vertex cap.
@@ -51,49 +50,31 @@ def _shore(g: Multigraph, shore: Iterable[int]) -> frozenset[int]:
     return x
 
 
-@per_graph
-def _pm_columns(g: Multigraph) -> tuple[list[int], list[int]]:
-    """`pm_table(g)` flipped, once per graph: bit i of `columns[c]` says
-    whether the table's i-th matching holds class c, and
-    `vertex_classes[v]` has the classes at vertex v."""
-    table = pm_table(g)
-    # Column c as binary digits, pool[i] at digit -1 - i: or-ing the bits in
-    # one by one would rebuild a long integer each time.
-    digits = [bytearray(b"0" * len(table.pool)) for _ in table.pairs]
-    for i, pm in enumerate(table.pool):
-        for c in bits(pm):
-            digits[c][-1 - i] = 49  # "1"
-    vertex_classes = [0] * g.n
-    for c, (a, b) in enumerate(table.pairs):
-        vertex_classes[a] |= 1 << c
-        vertex_classes[b] |= 1 << c
-    return [int(d or b"0", 2) for d in digits], vertex_classes
-
-
-def _crossings(g: Multigraph, x: frozenset[int]) -> tuple[list[int], int, int]:
-    """The columns of `_pm_columns(g)`, and bitsets over `pm_table(g)` of the
-    matchings that cross the cut of X at least once and at least twice."""
-    columns, vertex_classes = _pm_columns(g)
-    boundary = 0
+def _verdicts(g: Multigraph, shore: Iterable[int]) -> tuple[bool, bool]:
+    """(tight, separating) for the cut of a shore, g matching covered. A
+    trivial cut is both and an even one neither (every matching crosses it
+    an even number of times, and some crosses it); an odd nontrivial cut is
+    read from the fold of its shore's size, from the side holding vertex 0."""
+    x = _shore(g, shore)
+    if len(x) in (1, g.n - 1):
+        return True, True
+    if len(x) % 2 == 0:
+        return False, False
+    if 0 not in x:
+        x = frozenset(range(g.n)) - x
+    member = _shore_block(g.n, len(x))
+    at = member[0]
     for v in x:
-        boundary ^= vertex_classes[v]  # a class inside X goes twice
-    once = twice = 0
-    while boundary:
-        low = boundary & -boundary
-        boundary ^= low
-        column = columns[low.bit_length() - 1]
-        twice |= once & column
-        once |= column
-    return columns, once, twice
+        at &= member[v]  # shores of one size: only X holds all of X
+    tight, separating = next((t, s) for size, t, s in cut_shore_sets(g) if size == len(x))
+    return bool(tight & at), bool(separating & at)
 
 
 def is_tight(g: Multigraph, shore: Iterable[int]) -> bool:
     """Every perfect matching contains exactly one boundary edge."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("tightness is defined on matching covered graphs")
-    # Each matching crosses an odd cut, and some crosses an even one (of a
-    # connected, covered graph) twice or more: tight is "none crosses twice".
-    return not _crossings(g, _shore(g, shore))[2]
+    return _verdicts(g, shore)[0]
 
 
 def contractions(g: Multigraph, shore: Iterable[int]) -> tuple[Multigraph, Multigraph]:
@@ -110,12 +91,7 @@ def is_separating(g: Multigraph, shore: Iterable[int]) -> bool:
     every class lies in a perfect matching that crosses the cut once."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("separating cuts live in matching covered graphs")
-    x = _shore(g, shore)
-    if len(x) % 2 == 0:
-        return False
-    columns, once, twice = _crossings(g, x)
-    exactly_once = once & ~twice
-    return all(column & exactly_once for column in columns)
+    return _verdicts(g, shore)[1]
 
 
 def _odd_shores(n: int) -> Iterator[tuple[int, ...]]:
@@ -220,10 +196,11 @@ def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:
     """Separating, not tight, and both contractions are near-bricks."""
     from .decomposition import is_near_brick
 
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("separating cuts live in matching covered graphs")
     x = frozenset(shore)
-    if not is_separating(g, x):
-        return False
-    if is_tight(g, x):
+    tight, separating = _verdicts(g, x)
+    if tight or not separating:
         return False
     a, b = contractions(g, x)
     return is_near_brick(a) and is_near_brick(b)

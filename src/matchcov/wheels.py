@@ -36,6 +36,7 @@ from .errors import (
     BoundExceededError,
     ConditionViolatedError,
     DegreeMismatchError,
+    MatchcovError,
     NotABijectionError,
     NotABrickError,
     NotOddWheelsError,
@@ -726,17 +727,22 @@ def cert_to_obj(cert: GCertificate):
 def cert_from_obj(obj) -> GCertificate:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise BadSpecError("certificate node must be a one-key object")
-    if "wheel" in obj:
-        w = obj["wheel"]
-        return WheelLeaf(WheelSpec(int(w["k"]), tuple(int(m) for m in w["mults"])))
-    if "splice" in obj:
-        s = obj["splice"]
-        w = s["wheel"]
-        return SpliceNode(
-            left=cert_from_obj(s["left"]),
-            wheel=WheelSpec(int(w["k"]), tuple(int(m) for m in w["mults"])),
-            u=int(s["u"]),
-            v=int(s["v"]),
-            theta=tuple(int(t) for t in s["theta"]),
-        )
+    try:
+        if "wheel" in obj:
+            w = obj["wheel"]
+            return WheelLeaf(WheelSpec(int(w["k"]), tuple(int(m) for m in w["mults"])))
+        if "splice" in obj:
+            s = obj["splice"]
+            w = s["wheel"]
+            return SpliceNode(
+                left=cert_from_obj(s["left"]),
+                wheel=WheelSpec(int(w["k"]), tuple(int(m) for m in w["mults"])),
+                u=int(s["u"]),
+                v=int(s["v"]),
+                theta=tuple(int(t) for t in s["theta"]),
+            )
+    except MatchcovError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadSpecError(f"malformed certificate node: {type(exc).__name__}: {exc}") from exc
     raise BadSpecError("certificate node must be 'wheel' or 'splice'")

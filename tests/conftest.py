@@ -114,14 +114,32 @@ def mc_by_definition(g: Multigraph) -> bool:
     return len(hit) == g.m
 
 
+def _boundary(g: Multigraph, shore) -> set[int]:
+    x = set(shore)
+    return {e for e in range(g.m) if (g.endpoints(e)[0] in x) != (g.endpoints(e)[1] in x)}
+
+
 def tight_by_definition(g: Multigraph, shore, pms=None) -> bool:
     """Every perfect matching has exactly one edge with one end in the
     shore; `pms` may pass brute_perfect_matchings(g) in."""
-    x = set(shore)
-    boundary = {e for e in range(g.m) if (g.endpoints(e)[0] in x) != (g.endpoints(e)[1] in x)}
+    boundary = _boundary(g, shore)
     if pms is None:
         pms = brute_perfect_matchings(g)
     return all(len(pm & boundary) == 1 for pm in pms)
+
+
+def separating_by_pms(g: Multigraph, shore, pms=None) -> bool:
+    """Every edge lies in a perfect matching with exactly one edge in the
+    cut, which for a matching covered g is a separating cut (Carvalho,
+    Lucchesi and Murty 2002); `pms` as for tight_by_definition."""
+    boundary = _boundary(g, shore)
+    if pms is None:
+        pms = brute_perfect_matchings(g)
+    hit = set()
+    for pm in pms:
+        if len(pm & boundary) == 1:
+            hit |= pm
+    return len(hit) == g.m
 
 
 def separating_by_definition(g: Multigraph, shore) -> bool:

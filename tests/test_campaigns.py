@@ -222,6 +222,11 @@ def test_lemma216_sample_order_refused_before_any_work(monkeypatch, sample_n):
         run_campaign("lemma-2.16", max_n=4, mult_n=2, sample_n=sample_n)
 
 
+def test_lemma216_negative_samples_refused():
+    with pytest.raises(BadSpecError, match="samples"):
+        run_campaign("lemma-2.16", max_n=4, mult_n=2, samples=-3)
+
+
 def test_corpus_run():
     rep = run_corpus("thm-1.1", [complete_graph(4), prism_graph()])
     assert rep["campaign"] == "thm-1.1"

@@ -366,6 +366,19 @@ def test_generate_splice_bad_json(tmp_path):
     shape = tmp_path / "shape.json"
     shape.write_text('{"zig": 1}')
     assert run_cli(["generate", "--splice", str(shape)])[0] == EXIT_USAGE
+    # A node of the wrong shape is a usage error too, not a traceback
+    # (exit 1, the code for a counterexample).
+    w3 = {"k": 3, "mults": [1, 1, 1]}
+    for cert in (
+        {"wheel": {"k": "x", "mults": [1]}},
+        {"wheel": {"k": 5}},
+        {"wheel": 5},
+        {"splice": {"left": {"wheel": w3}, "wheel": w3, "u": 0, "v": 0}},  # no theta
+    ):
+        shape.write_text(json.dumps(cert))
+        code, out, err = run_cli(["generate", "--splice", str(shape)])
+        assert code == EXIT_USAGE and not out, cert
+        assert err.startswith("matchcov: malformed certificate node"), cert
 
 
 def test_generate_requires_one_mode(tmp_path):

@@ -31,7 +31,7 @@ from matchcov.cuts import (
 from matchcov.decomposition import nontrivial_tight_shores
 from matchcov.errors import EmptyShoreError
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
-from conftest import brute_perfect_matchings, multigraphs, tight_by_definition
+from conftest import brute_perfect_matchings, multigraphs, separating_by_pms, tight_by_definition
 
 
 def _proper_shores(n):
@@ -169,22 +169,27 @@ def test_shore_blocks_match_odd_shores():
 
 
 def check_shore_sets(g):
-    """The folds over the nontrivial odd shores of each size against the
-    per-shore queries, and what is read from them; returns (solid, brace)."""
+    """The folds over the nontrivial odd shores of each size against
+    brute-force verdicts per shore, and what is read from them; returns
+    (solid, brace)."""
+    pms = brute_perfect_matchings(g)
     sets = list(cut_shore_sets(g))
     assert [size for size, _t, _s in sets] == list(range(3, g.n - 2, 2))
     tight_list = []
+    solid = True
     for size, tight, separating in sets:
         shores = list(_shores_of_size(g.n, size))
         assert tight >> len(shores) == separating >> len(shores) == 0
         for i, x in enumerate(shores):
-            assert tight >> i & 1 == is_tight(g, x), x
-            assert separating >> i & 1 == is_separating(g, x), x
+            tight_x = tight_by_definition(g, x, pms)
+            separating_x = separating_by_pms(g, x, pms)
+            assert tight >> i & 1 == tight_x, x
+            assert separating >> i & 1 == separating_x, x
+            solid &= tight_x or not separating_x
         tight_here = [x for i, x in enumerate(shores) if tight >> i & 1]
         assert list(_shores_in(g.n, size, tight)) == tight_here
         tight_list += tight_here
     assert nontrivial_tight_shores(g) == tuple(frozenset(x) for x in tight_list)
-    solid = all(is_tight(g, x) or not is_separating(g, x) for x in _odd_shores(g.n))
     brace = g.is_bipartite() and not tight_list
     assert is_solid(g) == solid
     assert is_brace(g) == brace

@@ -11,6 +11,7 @@ from matchcov import (
     barriers,
     is_brace,
     is_matching_covered,
+    is_robust,
     is_separating,
     is_solid,
     is_tight,
@@ -99,8 +100,19 @@ def test_non_covered_input_is_refused(g):
 
 
 def test_caps_are_kept():
+    # Past the perfect-matching table's cap, trivial and even cuts are
+    # answered by definition; an odd nontrivial one needs its fold, from
+    # either shore.
+    c26 = cycle_graph(26)
+    for fn in (is_tight, is_separating):
+        assert fn(c26, [0]) and fn(c26, range(1, 26))
+        assert not fn(c26, [0, 1]) and not fn(c26, range(2, 14))
+        for shore in (range(13), range(1, 4)):
+            with pytest.raises(BoundExceededError):
+                fn(c26, shore)
+    assert not is_robust(c26, [3])
     with pytest.raises(BoundExceededError):
-        is_tight(cycle_graph(26), range(13))
+        is_robust(c26, range(1, 4))
     # Maximal barriers take one search per group and have no cap; the
     # exhaustive oracle keeps its own.
     groups = [sorted(b.vertices) for b in maximal_barriers(cycle_graph(18))]
