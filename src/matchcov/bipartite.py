@@ -16,6 +16,7 @@ from .errors import BoundExceededError, NotBipartiteMCError
 from .multigraph import Multigraph, bits, mask_of, per_graph
 
 _PSET_MAX_N = 14
+_CERT_MAX_N = 38  # the search walks about 2^(n/2) sets A1 on some graphs
 
 
 @per_graph
@@ -109,6 +110,8 @@ def _certificate_search(
     in B1, and a vertex of B1 with no neighbour in A1 would leave
     G[A1 + B1] without a perfect matching. So B1 = N(A1) - v.
     """
+    if g.n > _CERT_MAX_N:
+        raise BoundExceededError(f"certificate search capped at {_CERT_MAX_N} vertices")
     u, v = g.endpoints(e)
     if u in b:
         u, v = v, u

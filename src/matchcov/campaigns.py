@@ -32,7 +32,7 @@ from collections import deque
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
+from .bipartite import _CERT_MAX_N, RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
 from .canon import automorphisms, canonical_form
 from .covered import (
     Single,
@@ -54,6 +54,7 @@ from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph, bits
 from .wheels import (
+    _HOLDING_MAX_N,
     SpliceNode,
     SpliceSite,
     WheelSpec,
@@ -78,8 +79,6 @@ SCHEMA_VERSION = 1
 # Reports embed one verdict row per graph while the population is small
 # enough to read; beyond this the rows are dropped and only counted.
 VERDICT_CAP = 2000
-
-_CORPUS_MAX_N = 10
 
 # Graphs handed to a worker pool at a time.
 _POOL_CHUNK = 20000
@@ -906,12 +905,17 @@ def _at_least(low: int) -> Callable[[str, int], int]:
     return check
 
 
-def _enumerated(key: str, n: int) -> int:
-    """An order the population enumerates connected graphs up to. Every
-    population steps through even orders, so an odd n stops at n - 1."""
-    if n - n % 2 > _ENUM_MAX_N:
-        raise BoundExceededError(f"{key}={n}: graph enumeration capped at {_ENUM_MAX_N} vertices")
-    return n
+def _capped(cap: int, kernel: str) -> Callable[[str, int], int]:
+    """The check of an order the population builds graphs up to, for a
+    kernel that refuses past `cap` vertices. Every population steps through
+    even orders, so an odd n stops at n - 1."""
+
+    def check(key: str, n: int) -> int:
+        if n - n % 2 > cap:
+            raise BoundExceededError(f"{key}={n}: {kernel} capped at {cap} vertices")
+        return n
+
+    return check
 
 
 def _odd_rims(key: str, rims: Iterable[int]) -> list[int]:
@@ -928,9 +932,11 @@ def _sample_order(key: str, n: int) -> int:
     K2, which the claim skips and the fold cannot read."""
     if n < 4 or n % 2:
         raise BadSpecError(f"{key} must be even and at least 4, got {n}")
-    return n
+    return _capped(_CERT_MAX_N, "certificate search")(key, n)
 
 
+_enumerated = _capped(_ENUM_MAX_N, "graph enumeration")
+_closed = _capped(_HOLDING_MAX_N, "closure sizing")
 _MAX_N = Param(8, _enumerated)
 _MULT_N = Param(6, _enumerated)
 _MULT_BOUND = Param(2, _at_least(1))
@@ -959,7 +965,7 @@ CAMPAIGNS: dict[str, Campaign] = {
     ),
     "thm-1.3": Campaign(
         _thm13_population, _thm13_claim, _thm13_fold,
-        {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND},
+        {"max_n": Param(8, _closed), "mult_n": Param(6, _closed), "mult_bound": _MULT_BOUND},
         corpus=True,
         prepare=_thm13_prepare,
     ),
@@ -1134,6 +1140,8 @@ def _corpus_fold(rows, ctx: dict) -> dict:
             applied += 1
         else:
             skipped += 1
+    if not applied:
+        ctx["counterexamples"].append({"mg": "", "failed": "claim applied to no corpus graph"})
     return {"applied": applied, "skipped_hypotheses": skipped}
 
 
@@ -1153,11 +1161,6 @@ def corpus_runner(name: str, source: str = "corpus", *, jobs: int = 1, **params)
     _check_jobs("jobs", jobs)
 
     def run(graphs: Sequence[Multigraph]) -> dict:
-        for g in graphs:
-            if g.n > _CORPUS_MAX_N:
-                raise BoundExceededError(
-                    f"corpus graph on {g.n} vertices exceeds the ingestion cap {_CORPUS_MAX_N}"
-                )
         table["graphs"] = len(graphs)
         corpus = campaign._replace(population=lambda ctx: graphs, fold=_corpus_fold, parameters=table)
         return _run(name, corpus, params, jobs, runner)

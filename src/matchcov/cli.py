@@ -14,8 +14,7 @@ from typing import Optional
 
 from .campaigns import analyze_graph, corpus_runner, report_json, run_campaign, CAMPAIGNS
 from .errors import BadSpecError, BoundExceededError, MatchcovError, ParseError
-from .graphio import encode_graph6, format_mg, parse_graph_text
-from .multigraph import Multigraph
+from .graphio import encode_graph6, format_mg, parse_corpus_text, parse_graph_text
 from .wheels import (
     WheelSpec,
     build_from_certificate,
@@ -47,27 +46,6 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _parse_corpus(text: str) -> list[Multigraph]:
-    """Graph records: .mg blocks separated by blank lines, or one graph6
-    string per line.  Blocks are sniffed independently."""
-    graphs: list[Multigraph] = []
-    for block in text.split("\n\n"):
-        block = block.strip()
-        if not block:
-            continue
-        first = block.splitlines()[0].split()
-        if len(first) == 2 and all(p.isdigit() for p in first):
-            graphs.append(parse_graph_text(block))
-        else:
-            for line in block.splitlines():
-                line = line.strip()
-                if line:
-                    graphs.append(parse_graph_text(line))
-    if not graphs:
-        raise ParseError("corpus contains no graphs")
-    return graphs
-
-
 def _emit_graphs(graphs, fmt: str, out: Optional[str]) -> None:
     if fmt == "graph6":
         text = "\n".join(encode_graph6(g) for g in graphs)
@@ -88,7 +66,7 @@ def cmd_verify(args) -> int:
     # them, refuses the rest, and supplies the defaults.
     if args.corpus is not None:
         run = corpus_runner(args.campaign, os.path.basename(args.corpus), jobs=args.jobs, **args.params)
-        report = run(_parse_corpus(_read_text(args.corpus)))
+        report = run(parse_corpus_text(_read_text(args.corpus)))
     else:
         report = run_campaign(args.campaign, jobs=args.jobs, **args.params)
     _write_text(args.out, report_json(report))

@@ -36,6 +36,9 @@ from .errors import BoundExceededError, NotMatchingCoveredError
 from .multigraph import Multigraph, _bits, _reach, _two_coloring, blossom_search, per_graph, unmatched
 
 _PM_ENUM_MAX_N = 24
+# Matchings the enumeration's memo may hold. K_14's memo holds 353,522;
+# K_{9,9}'s holds 986,410, and `analyze` folded its table for 26 s.
+_PM_ENUM_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,11 @@ class Doubleton:
 RemovableClass = Union[Single, Doubleton]
 
 
-def _all_matchings(adj: list[int], index: dict, mask: int, memo: dict) -> list[int]:
+def _all_matchings(adj: list[int], index: dict, mask: int, memo: dict, held: list[int]) -> list[int]:
     """Class bitsets of every perfect matching of the vertices in `mask`,
-    lowest vertex first; `memo` maps masks to lists and starts as {0: [0]}."""
+    lowest vertex first; `memo` maps masks to lists and starts as {0: [0]}.
+    The memo, not the answer, holds the memory: `held[0]` counts the
+    matchings in it, and past `_PM_ENUM_BUDGET` this refuses."""
     if mask in memo:
         return memo[mask]
     low = mask & -mask
@@ -64,7 +69,10 @@ def _all_matchings(adj: list[int], index: dict, mask: int, memo: dict) -> list[i
         u_bit = partners & -partners
         partners ^= u_bit
         c = 1 << index[v, u_bit.bit_length() - 1]
-        out += [c | pm for pm in _all_matchings(adj, index, mask ^ low ^ u_bit, memo)]
+        out += map(c.__or__, _all_matchings(adj, index, mask ^ low ^ u_bit, memo, held))
+    held[0] += len(out)
+    if held[0] > _PM_ENUM_BUDGET:
+        raise BoundExceededError(f"perfect matching enumeration capped at {_PM_ENUM_BUDGET} matchings")
     memo[mask] = out
     return out
 
@@ -96,7 +104,7 @@ class _Witnesses:
     def fill(self) -> "_Witnesses":
         """Complete the pool to every perfect matching."""
         if not self.complete:
-            self.pool = _all_matchings(self.adj, self.index, self.full, {0: [0]})
+            self.pool = _all_matchings(self.adj, self.index, self.full, {0: [0]}, [0])
             self.complete = True
         return self
 
@@ -219,7 +227,8 @@ def is_matching_covered(g: Multigraph) -> bool:
 
 def pm_table(g: Multigraph) -> _Witnesses:
     """The witness pool of g, filled: the one list of perfect matchings that
-    every enumeration and every cut reads."""
+    every enumeration and every cut reads. Refused past `_PM_ENUM_MAX_N`
+    vertices, and past `_PM_ENUM_BUDGET` matchings held while it fills."""
     if g.n > _PM_ENUM_MAX_N:
         raise BoundExceededError(
             f"perfect matching enumeration capped at {_PM_ENUM_MAX_N} vertices"

@@ -7,6 +7,8 @@ with strict length and padding validation.
 """
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import MalformedGraph6Error, NotSimpleError, ParseError
 from .multigraph import Multigraph
 
@@ -130,15 +132,38 @@ def format_mg(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_mg_header(line: str) -> bool:
+    """A two-integer line opens a .mg graph; any other line is graph6."""
+    first = line.split()
+    return len(first) == 2 and all(p.lstrip("-").isdigit() for p in first)
+
+
 def parse_graph_text(text: str) -> Multigraph:
-    """Sniff .mg versus graph6: a two-integer first line means .mg."""
+    """Sniff .mg versus graph6 by the first line."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty graph input")
-    first = stripped.splitlines()[0].split()
-    if len(first) == 2 and all(p.lstrip("-").isdigit() for p in first):
+    if _is_mg_header(stripped.splitlines()[0]):
         return parse_mg(text)
     try:
         return decode_graph6(stripped.splitlines()[0])
     except MalformedGraph6Error as exc:
         raise ParseError(f"input is neither .mg nor graph6: {exc}") from exc
+
+
+def parse_corpus_text(text: str) -> list[Multigraph]:
+    """Graph records: .mg blocks separated by lines that are blank or hold
+    only whitespace, or one graph6 string per line. Blocks are sniffed
+    independently."""
+    graphs: list[Multigraph] = []
+    for filled, lines in groupby(text.splitlines(), key=lambda line: bool(line.strip())):
+        if not filled:
+            continue
+        block = list(lines)
+        if _is_mg_header(block[0]):
+            graphs.append(parse_mg("\n".join(block)))
+        else:
+            graphs.extend(parse_graph_text(line) for line in block)
+    if not graphs:
+        raise ParseError("corpus contains no graphs")
+    return graphs

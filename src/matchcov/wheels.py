@@ -44,6 +44,7 @@ from .errors import (
 from .multigraph import Multigraph, per_graph
 
 _GFAMILY_MAX_N = 14
+_HOLDING_MAX_N = 8  # order 8 holds 15,888 members (5 s); order 10 outgrows memory
 
 
 @dataclass(frozen=True)
@@ -691,6 +692,8 @@ def closure_holding(graphs: Sequence[Multigraph]) -> tuple[dict, int, int]:
     empty for no graphs. Splice spokes go up to bound - 3: a splice deletes
     the vertex of a heavy spoke, and its other end keeps degree m + 2."""
     bound = max((g.n for g in graphs), default=4)
+    if bound > _HOLDING_MAX_N:
+        raise BoundExceededError(f"closure sizing capped at {_HOLDING_MAX_N} vertices")
     mult = max((len(c) for g in graphs for c in g.parallel_classes.values()), default=1)
     splice_cap = max(mult, bound - 3)
     if graphs:
@@ -724,22 +727,31 @@ def cert_to_obj(cert: GCertificate):
     }
 
 
+def _integer(x) -> int:
+    """A certificate number: an int, and not a bool."""
+    if type(x) is not int:
+        raise BadSpecError(f"malformed certificate node: {x!r} is not an integer")
+    return x
+
+
+def _spec_from_obj(w) -> WheelSpec:
+    return WheelSpec(_integer(w["k"]), tuple(map(_integer, w["mults"])))
+
+
 def cert_from_obj(obj) -> GCertificate:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise BadSpecError("certificate node must be a one-key object")
     try:
         if "wheel" in obj:
-            w = obj["wheel"]
-            return WheelLeaf(WheelSpec(int(w["k"]), tuple(int(m) for m in w["mults"])))
+            return WheelLeaf(_spec_from_obj(obj["wheel"]))
         if "splice" in obj:
             s = obj["splice"]
-            w = s["wheel"]
             return SpliceNode(
                 left=cert_from_obj(s["left"]),
-                wheel=WheelSpec(int(w["k"]), tuple(int(m) for m in w["mults"])),
-                u=int(s["u"]),
-                v=int(s["v"]),
-                theta=tuple(int(t) for t in s["theta"]),
+                wheel=_spec_from_obj(s["wheel"]),
+                u=_integer(s["u"]),
+                v=_integer(s["v"]),
+                theta=tuple(map(_integer, s["theta"])),
             )
     except MatchcovError:
         raise

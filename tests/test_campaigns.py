@@ -17,7 +17,7 @@ from matchcov.campaigns import (
 )
 from matchcov.cuts import _odd_shores, has_robust_cut
 from matchcov.errors import BadSpecError, BoundExceededError, UnknownCampaignError
-from matchcov.wheels import WheelSpec, make_wheel
+from matchcov.wheels import WheelSpec, make_wheel, simple_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
 from conftest import multigraphs
 from test_report_digests import CORPUS, FULL_RUNS
@@ -227,6 +227,26 @@ def test_lemma216_negative_samples_refused():
         run_campaign("lemma-2.16", max_n=4, mult_n=2, samples=-3)
 
 
+@pytest.mark.parametrize(
+    "name, params, kernel",
+    [
+        ("thm-1.3", {"mult_n": 10}, "closure sizing"),
+        ("lemma-2.16", {"sample_n": 40}, "certificate search"),
+    ],
+)
+def test_kernel_ceilings_refuse_parameters(monkeypatch, name, params, kernel):
+    # The parameter table reads the ceiling of the kernel the run would
+    # reach, so the run refuses before it builds a graph.
+    import matchcov.campaigns as campaigns
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("population built before the parameters were checked")
+
+    monkeypatch.setattr(campaigns, "enumerate_connected_graphs", no_work)
+    with pytest.raises(BoundExceededError, match=f"{kernel} capped at"):
+        run_campaign(name, **params)
+
+
 def test_corpus_run():
     rep = run_corpus("thm-1.1", [complete_graph(4), prism_graph()])
     assert rep["campaign"] == "thm-1.1"
@@ -246,7 +266,9 @@ def test_corpus_skips_inapplicable(monkeypatch):
     rep = run_corpus("thm-1.3", [prism_graph()])
     assert rep["summary"]["applied"] == 0
     assert rep["summary"]["skipped_hypotheses"] == 1
-    assert rep["summary"]["status"] == "pass"
+    # A corpus run that applies its claim to no graph has tested nothing.
+    assert rep["summary"]["status"] == "fail"
+    assert rep["counterexamples"] == [{"mg": "", "failed": "claim applied to no corpus graph"}]
 
 
 def test_corpus_thm_1_3_heavy_spokes():
@@ -295,8 +317,10 @@ def test_jobs_do_not_change_corpus_reports(name):
 
 
 def test_corpus_petersen():
-    rep = run_corpus("decomp-unique", [petersen_graph()], seeds=3)
-    assert rep["summary"]["status"] == "pass"
+    # Petersen is a brick, with no nontrivial tight cut: the claim skips it
+    # and applies to the 10-cycle.
+    rep = run_corpus("decomp-unique", [petersen_graph(), cycle_graph(10)], seeds=3)
+    assert rep["summary"] == {"applied": 1, "skipped_hypotheses": 1, "status": "pass"}
 
 
 def test_corpus_unsupported_campaign():
@@ -307,8 +331,9 @@ def test_corpus_unsupported_campaign():
 
 
 def test_corpus_bound():
-    with pytest.raises(BoundExceededError):
-        run_corpus("thm-1.1", [cycle_graph(12)])
+    # The runner reads no graph's order: the kernel a claim reaches refuses.
+    with pytest.raises(BoundExceededError, match="closure sizing"):
+        run_corpus("thm-1.3", [simple_wheel(9)[0]])
 
 
 def test_robust_cut_read_from_shore_sets():

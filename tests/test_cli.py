@@ -16,8 +16,8 @@ from matchcov.cli import (
     main,
 )
 from matchcov.graphio import encode_graph6, format_mg
-from matchcov.wheels import cert_to_obj
-from matchcov.zoo import complete_graph, cycle_graph, prism_graph
+from matchcov.wheels import cert_to_obj, simple_wheel
+from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph, prism_graph
 
 
 def run_cli(argv, stdin=None):
@@ -74,6 +74,16 @@ def test_analyze_bipartite_above_pm_cap():
     rep = json.loads(out)
     assert rep["status"] == "ok" and rep["brace"] is None
     assert "brace: perfect matching enumeration capped at 24 vertices" in rep["skipped"]
+
+
+def test_analyze_dense_above_pm_budget():
+    # K11,11 is under the vertex cap, but its table of perfect matchings is
+    # past the matching budget: the brace verdict is refused, not a crash.
+    code, out, _ = run_cli(["analyze", "-"], stdin=format_mg(complete_bipartite(11, 11)))
+    assert code == EXIT_PASS
+    rep = json.loads(out)
+    assert rep["status"] == "ok" and rep["brace"] is None
+    assert "brace: perfect matching enumeration capped at 524288 matchings" in rep["skipped"]
 
 
 def test_analyze_malformed_input():
@@ -142,6 +152,9 @@ def test_verify_lemma39_bad_parameters(flags):
         ("lemma-3.9 --doubles -1", EXIT_USAGE),
         # Enumeration stops at 10 vertices, and these populations reach 12.
         *((f"{name} --max-n 12", EXIT_BOUND) for name in ("thm-1.1", "thm-1.4", "prop-3.13", "decomp-unique")),
+        # thm-1.3 sizes the family closure to its largest wheel-like brick,
+        # and the closure stops at 8 vertices.
+        ("thm-1.3 --max-n 10", EXIT_BOUND),
     ],
 )
 def test_verify_refuses_before_any_work(monkeypatch, tmp_path, command, code):
@@ -279,10 +292,10 @@ def test_verify_corpus_mg_blocks(tmp_path):
 
 def test_verify_corpus_bound(tmp_path):
     corpus = tmp_path / "big.g6"
-    corpus.write_text(encode_graph6(cycle_graph(12)) + "\n")
-    code, _, err = run_cli(["verify", "thm-1.1", "--corpus", str(corpus)])
+    corpus.write_text(encode_graph6(simple_wheel(9)[0]) + "\n")
+    code, _, err = run_cli(["verify", "thm-1.3", "--corpus", str(corpus)])
     assert code == EXIT_BOUND
-    assert "bound exceeded" in err
+    assert "bound exceeded: closure sizing capped at 8 vertices" in err
 
 
 def test_verify_corpus_empty(tmp_path):
@@ -374,6 +387,11 @@ def test_generate_splice_bad_json(tmp_path):
         {"wheel": {"k": 5}},
         {"wheel": 5},
         {"splice": {"left": {"wheel": w3}, "wheel": w3, "u": 0, "v": 0}},  # no theta
+        # Numbers must be integers: no truncation, no string, no bool.
+        {"wheel": {"k": 5.9, "mults": [1.5, 1, 1, 1, 1]}},
+        {"wheel": {"k": "5", "mults": [1, 1, 1, 1, 1]}},
+        {"wheel": {"k": True, "mults": [1, 1, 1]}},
+        {"splice": {"left": {"wheel": w3}, "wheel": w3, "u": 0, "v": 0.0, "theta": [0, 1, 2]}},
     ):
         shape.write_text(json.dumps(cert))
         code, out, err = run_cli(["generate", "--splice", str(shape)])

@@ -17,9 +17,10 @@ from matchcov import (
     is_tight,
     maximal_barriers,
 )
+from matchcov.covered import pm_table
 from matchcov.decomposition import nontrivial_tight_shores
 from matchcov.errors import BoundExceededError, NotMatchingCoveredError
-from matchcov.zoo import complete_graph, cycle_graph, path_graph
+from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph, path_graph
 from conftest import (
     brute_perfect_matchings,
     mc_by_definition,
@@ -97,6 +98,18 @@ def test_cuts_match_definition_on_multigraphs(g):
 def test_non_covered_input_is_refused(g):
     assume(not mc_by_definition(g))
     check_refused(g)
+
+
+def test_pm_table_budget():
+    # The budget counts the matchings the enumeration's memo holds, so a
+    # dense graph well under the vertex cap is refused early, and K14,
+    # whose memo holds 353,522 matchings, is not.
+    assert len(pm_table(complete_graph(14)).pool) == 135135
+    for g in (complete_bipartite(9, 9), complete_bipartite(12, 12)):
+        with pytest.raises(BoundExceededError, match="capped at 524288 matchings"):
+            pm_table(g)
+        with pytest.raises(BoundExceededError):
+            is_brace(g)
 
 
 def test_caps_are_kept():

@@ -13,11 +13,13 @@ from matchcov import (
     parse_graph_text,
     parse_mg,
 )
+from matchcov.graphio import parse_corpus_text
 from matchcov.errors import (
     MalformedGraph6Error,
     MatchcovError,
     NotSimpleError,
     ParseError,
+    VertexOutOfRangeError,
 )
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph
 from conftest import multigraphs
@@ -100,6 +102,20 @@ def test_parse_graph_text_sniffs_both():
     assert canonical_form(parse_graph_text(encode_graph6(g))) == canonical_form(g)
     multi = new_multigraph(2, [(0, 1), (0, 1)])
     assert parse_graph_text(format_mg(multi)).m == 2
+
+
+def test_parse_corpus_text_splits_on_blank_looking_lines():
+    k4, c6 = complete_graph(4), cycle_graph(6)
+    text = format_mg(k4) + "  \n\t\n" + format_mg(c6) + " \n" + encode_graph6(k4) + "\n " + encode_graph6(c6)
+    forms = [canonical_form(g) for g in parse_corpus_text(text)]
+    assert forms == [canonical_form(g) for g in (k4, c6, k4, c6)]
+    with pytest.raises(ParseError, match="no graphs"):
+        parse_corpus_text(" \n\t\n")
+    # One header rule for a corpus block and for a single graph: a block
+    # that opens with two integers is one .mg graph, whatever their signs.
+    for parse in (parse_corpus_text, parse_graph_text):
+        with pytest.raises(VertexOutOfRangeError, match="negative"):
+            parse("-2 1\n0 1\n")
 
 
 @PROPERTY_SETTINGS

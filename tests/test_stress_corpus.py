@@ -1,0 +1,103 @@
+"""A stress corpus built from a seed: claims that run in polynomial time
+take graphs of any order, and each kernel with an exponential walk refuses
+past its own ceiling, whichever runner reaches it."""
+import random
+
+import pytest
+
+from matchcov.campaigns import run_corpus
+from matchcov.errors import BoundExceededError
+from matchcov.graphio import format_mg
+from matchcov.multigraph import Multigraph
+from matchcov.wheels import search_G_certificate, simple_wheel
+from test_cli import EXIT_BOUND, run_cli
+
+
+def prism(k: int) -> Multigraph:
+    """C_k x K2: two k-cycles and k rungs. A brick for odd k, bipartite
+    for even k."""
+    cycles = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return Multigraph(2 * k, cycles + [(i, k + i) for i in range(k)])
+
+
+def moebius_ladder(n: int) -> Multigraph:
+    """The n-cycle with its n/2 long diagonals; bipartite when n/2 is odd."""
+    return Multigraph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
+
+
+def hypercube(d: int) -> Multigraph:
+    return Multigraph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1])
+
+
+def relabelled(g: Multigraph, rng: random.Random) -> Multigraph:
+    """g with its vertices renamed and its edges reordered at random."""
+    name = list(range(g.n))
+    rng.shuffle(name)
+    edges = [(name[u], name[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.n, edges)
+
+
+def stress_corpus(seed: int) -> list[Multigraph]:
+    """Odd prisms on 18-62 vertices, Moebius ladders on 20-48 (two of them
+    bipartite) and the 5-cube, relabelled from `seed`."""
+    rng = random.Random(seed)
+    graphs = [prism(k) for k in (9, 15, 21, 31)] + [moebius_ladder(n) for n in (20, 22, 34, 48)]
+    return [relabelled(g, rng) for g in graphs + [hypercube(5)]]
+
+
+def certificate_gadget(k: int) -> Multigraph:
+    """K_{k,k} on X = 0..k-1 and Y = k..2k-1, plus the path 0, v, w, k
+    through v = 2k and w = 2k + 1. Edge 0v is not removable, and its
+    smallest certificate is A1 = X, which the search reaches after every
+    smaller subset of X holding 0."""
+    complete = [(x, k + y) for x in range(k) for y in range(k)]
+    return Multigraph(2 * k + 2, complete + [(0, 2 * k), (2 * k, 2 * k + 1), (2 * k + 1, k)])
+
+
+# Claim name -> graphs of the corpus it applies to: the six bricks (odd
+# prisms, and the Moebius ladders on 20 and 48 vertices) are bicritical and
+# have removable edges; the three bipartite graphs are cubic or 5-regular.
+APPLIED = {"thm-1.1": 6, "thm-1.4": 9, "prop-3.13": 6, "lemma-2.18": 3}
+
+
+@pytest.mark.parametrize("name", sorted(APPLIED))
+def test_polynomial_claims_take_large_graphs(name):
+    rep = run_corpus(name, stress_corpus(seed=0), source="stress")
+    assert rep["counterexamples"] == []
+    assert rep["summary"]["applied"] == APPLIED[name]
+    assert rep["summary"]["status"] == "pass"
+
+
+def test_gadget_certificate_is_checked_below_the_cap():
+    rep = run_corpus("lemma-2.16", [certificate_gadget(4)])
+    assert rep["summary"] == {"applied": 1, "skipped_hypotheses": 0, "status": "pass"}
+
+
+@pytest.mark.parametrize(
+    "name, graph, kernel",
+    [
+        ("thm-1.3", simple_wheel(9)[0], "closure sizing"),
+        ("lemma-2.17", prism(8), "P-set enumeration"),
+        ("lemma-2.16", certificate_gadget(19), "certificate search"),
+    ],
+)
+def test_kernels_refuse_their_runaways(name, graph, kernel):
+    with pytest.raises(BoundExceededError, match=kernel):
+        run_corpus(name, [graph])
+
+
+def test_certificate_search_refuses_past_the_closure_cap():
+    with pytest.raises(BoundExceededError, match="closure sizing"):
+        search_G_certificate(simple_wheel(9)[0])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_refusal_exits_3_in_workers_too(tmp_path, jobs):
+    # lemma-2.17's claim, and so the P-set kernel's refusal, runs in the
+    # worker processes when jobs > 1.
+    corpus = tmp_path / "prism16.mg"
+    corpus.write_text(format_mg(prism(8)))
+    code, _, err = run_cli(["verify", "lemma-2.17", "--corpus", str(corpus), "--jobs", jobs])
+    assert code == EXIT_BOUND
+    assert "P-set enumeration capped at 14 vertices" in err
