@@ -132,16 +132,12 @@ def _certificate_search(
 def is_removable_bipartite(g: Multigraph, e: int) -> tuple[bool, Optional[RemovabilityCertificate]]:
     """(removable?, non-removability certificate when not removable).
 
-    `is_removable_edge` decides removability; the certificate is found
-    by a search over the sets A1 holding an end of e, and is None exactly
-    when the edge is removable.
+    `is_removable_edge` decides removability; the certificate is searched
+    for a non-removable edge only, over the sets A1 of A holding an end of
+    e. The lemma is symmetric in A and B, so one orientation is enough, and
+    a None here is a counterexample.
     """
     a, b = bipartition(g)
     if is_removable_edge(g, e):
         return True, None
-    cert = _certificate_search(g, e, a, b)
-    if cert is None:
-        # Try the mirrored orientation, with B in the role of A: then a1
-        # lies in B and b1 in A.
-        cert = _certificate_search(g, e, b, a)
-    return False, cert
+    return False, _certificate_search(g, e, a, b)

@@ -40,6 +40,7 @@ from .covered import (
     is_bicritical,
     is_brick,
     is_matching_covered,
+    is_minimal_mc,
     is_near_bipartite,
     is_removable_edge,
     pm_pair_groups,
@@ -54,6 +55,7 @@ from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph, bits
 from .wheels import (
+    _HOLDING_MAX_MULT,
     _HOLDING_MAX_N,
     SpliceNode,
     SpliceSite,
@@ -130,24 +132,6 @@ def _bipartite_multigraphs(
             for g in multiplicity_classes(base, mult_bound):
                 if g.m >= 2 and not (g.is_simple() and n >= 4) and g.min_degree() >= min_degree:
                     yield g
-
-
-def _removal_order(g: Multigraph) -> list[int]:
-    """Edge ids, the parallel copies ascending, then the rest ascending."""
-    copies: list[int] = []
-    singles: list[int] = []
-    for ids in g.parallel_classes.values():
-        (copies if len(ids) > 1 else singles).extend(ids)
-    return sorted(copies) + sorted(singles)
-
-
-def _first_removable(g: Multigraph) -> Optional[int]:
-    # Parallel copies are removable in any matching covered graph on >= 4
-    # vertices, so trying them first makes the common refutation cheap.
-    for e in _removal_order(g):
-        if is_removable_edge(g, e):
-            return e
-    return None
 
 
 def _canon_hex(g: Multigraph) -> str:
@@ -235,14 +219,14 @@ def _thm14_claim(g: Multigraph, ctx: dict):
     parallel copy is always removable: deleting it leaves the underlying
     simple graph as it was, and matching coverage depends on nothing else.
     So no multigraph with a parallel class is minimal, and the population
-    holds simple graphs only; a multigraph in a corpus stops at its first
-    removable edge. tests/test_covered_properties.py checks the lemma.
+    holds simple graphs only; `is_minimal_mc` refutes a multigraph in a
+    corpus with no search. tests/test_covered_properties.py checks the lemma.
     """
     # K2 is matching covered and minimal but has minimum degree 1: the
     # claim concerns graphs on at least four vertices.
     if g.n < 4 or not is_matching_covered(g):
         return None
-    if _first_removable(g) is not None:
+    if not is_minimal_mc(g):
         return None, []
     delta = g.min_degree()
     return delta, [] if delta in (2, 3) else [{"delta": delta}]
@@ -335,9 +319,7 @@ def _certificate_holds(g: Multigraph, e: int, cert: RemovabilityCertificate) -> 
         for (x, y) in [g.endpoints(ee)]
         if (x in a1 and y in rest) or (y in a1 and x in rest)
     ]
-    if len(crossing) != g.multiplicity(u, v):
-        return False
-    if not all(set(g.endpoints(ee)) == {u, v} for ee in crossing):
+    if crossing != [e]:
         return False
     return is_matching_covered(g.induced(sorted(a1 | b1)))
 
@@ -656,7 +638,7 @@ def _prop313_population(ctx: dict) -> Iterator[Multigraph]:
 def _prop313_claim(g: Multigraph, ctx: dict):
     if not is_bicritical(g):
         return None
-    if _first_removable(g) is not None:
+    if not is_minimal_mc(g):
         return None, []
     deg3 = sum(1 for d in g.degrees if d == 3)
     return deg3, [] if deg3 >= 4 else [{"degree_three": deg3}]
@@ -867,7 +849,7 @@ def analyze_graph(g: Multigraph) -> dict:
         if not isinstance(c, Single)
     )
     # minimality is about single-edge deletions; a doubleton does not count
-    report["minimal"] = not any(isinstance(c, Single) for c in classes)
+    report["minimal"] = is_minimal_mc(g)
 
     if brick:
         report["wheel_like_hubs"] = sorted(is_wheel_like(g))
@@ -935,6 +917,13 @@ def _sample_order(key: str, n: int) -> int:
     return _capped(_CERT_MAX_N, "certificate search")(key, n)
 
 
+def _closure_mult(key: str, m: int) -> int:
+    """A multiplicity bound the family closure can be sized to."""
+    if _at_least(1)(key, m) > _HOLDING_MAX_MULT:
+        raise BoundExceededError(f"{key}={m}: closure sizing capped at multiplicity {_HOLDING_MAX_MULT}")
+    return m
+
+
 _enumerated = _capped(_ENUM_MAX_N, "graph enumeration")
 _closed = _capped(_HOLDING_MAX_N, "closure sizing")
 _MAX_N = Param(8, _enumerated)
@@ -965,7 +954,7 @@ CAMPAIGNS: dict[str, Campaign] = {
     ),
     "thm-1.3": Campaign(
         _thm13_population, _thm13_claim, _thm13_fold,
-        {"max_n": Param(8, _closed), "mult_n": Param(6, _closed), "mult_bound": _MULT_BOUND},
+        {"max_n": Param(8, _closed), "mult_n": Param(6, _closed), "mult_bound": Param(2, _closure_mult)},
         corpus=True,
         prepare=_thm13_prepare,
     ),

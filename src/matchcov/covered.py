@@ -389,8 +389,13 @@ def is_brick(g: Multigraph) -> bool:
 
 
 def is_minimal_mc(g: Multigraph) -> bool:
-    """Matching covered with no removable edge."""
-    return is_matching_covered(g) and not removable_edges(g)
+    """Matching covered with no removable edge. A parallel copy always is
+    one (`_Witnesses.removable`), so a multigraph is answered with no
+    search; otherwise the scan stops at the first removable edge."""
+    if not is_matching_covered(g):
+        return False
+    pool = _witnesses(g)
+    return max(pool.sizes) == 1 and not any(map(pool.removable, range(g.m)))
 
 
 def is_near_bipartite(g: Multigraph) -> Optional[tuple[int, int]]:

@@ -45,6 +45,7 @@ from .multigraph import Multigraph, per_graph
 
 _GFAMILY_MAX_N = 14
 _HOLDING_MAX_N = 8  # order 8 holds 15,888 members (5 s); order 10 outgrows memory
+_HOLDING_MAX_MULT = 5  # a 7-wheel spoke of 5 takes 4 s and 92 MB; of 7, 44 s and 826 MB
 
 
 @dataclass(frozen=True)
@@ -388,8 +389,7 @@ def _verify(cert: GCertificate, path: str, report: list[str]) -> Optional[Multig
         return None
     try:
         theta = _theta_from_slots(left, cert.u, wheel, cert.v, cert.theta)
-        _validate_theta(left, cert.u, wheel, cert.v, theta)
-    except (DegreeMismatchError, NotABijectionError) as exc:
+    except NotABijectionError as exc:
         report.append(f"{path}: {exc}")
         return None
     for cond in family_splice_violations(left, cert.u, wheel, cert.v, theta):
@@ -695,6 +695,8 @@ def closure_holding(graphs: Sequence[Multigraph]) -> tuple[dict, int, int]:
     if bound > _HOLDING_MAX_N:
         raise BoundExceededError(f"closure sizing capped at {_HOLDING_MAX_N} vertices")
     mult = max((len(c) for g in graphs for c in g.parallel_classes.values()), default=1)
+    if mult > _HOLDING_MAX_MULT:
+        raise BoundExceededError(f"closure sizing capped at multiplicity {_HOLDING_MAX_MULT}")
     splice_cap = max(mult, bound - 3)
     if graphs:
         return g_family_closure(bound, max(3, mult), max(2, mult), splice_cap), bound, splice_cap

@@ -171,7 +171,8 @@ def test_08_bipartite_removability_certificates():
     assert rep["summary"]["certificates_validated"] > 0
     assert rep["summary"]["sampled_graphs"] > 0
     # Both sides occur: nonremovable edges, each with a validated
-    # certificate, and removable edges, which have none.
+    # certificate, and removable edges, which have none because the search
+    # never runs on them ("removable => no certificate" is not tested).
     assert 0 < rep["summary"]["certificates_validated"] < rep["summary"]["edges_tested"]
     assert rep["wall_clock_seconds"] < 300
     _announce(

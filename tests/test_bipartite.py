@@ -16,7 +16,9 @@ from matchcov import (
     is_removable_edge,
     minimum_P_set,
 )
+from matchcov import bipartite
 from matchcov.bipartite import RemovabilityCertificate, _certificate_search, all_P_sets
+from matchcov.campaigns import _bipartite_multigraphs, run_campaign
 from matchcov.errors import NotBipartiteMCError
 from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph
 
@@ -104,6 +106,40 @@ def test_certificate_search_matches_nested_search(g):
     for e in range(g.m):
         for x, y in ((a, b), (b, a)):
             assert _certificate_search(g, e, x, y) == nested_certificate_search(g, e, x, y)
+
+
+def test_certificates_exist_in_both_orientations():
+    # The lemma is symmetric in A and B, so `is_removable_bipartite` searches
+    # with A1 in A only. Every non-removable edge of the bipartite matching
+    # covered graphs to 8 vertices, and of lemma-2.16's multigraph slice (to
+    # 6 vertices, multiplicity 2), has a certificate either way round.
+    graphs = [g for n in (4, 6, 8) for g in _bipartite_mc(n)]
+    graphs += _bipartite_multigraphs(6, 2, min_n=2)
+    non_removable = 0
+    for g in graphs:
+        a, b = bipartition(g)
+        for e in range(g.m):
+            if not is_removable_edge(g, e):
+                non_removable += 1
+                assert _certificate_search(g, e, a, b) is not None, (g.edges, e)
+                assert _certificate_search(g, e, b, a) is not None, (g.edges, e)
+    assert non_removable == 139 + 277  # simple graphs, then multigraphs
+
+
+def test_a_miss_in_the_first_orientation_is_reported(monkeypatch):
+    # A search that fails whenever A1 would lie in A stands in for a
+    # counterexample to the lemma: no retry in the mirrored orientation may
+    # hide it.
+    search = bipartite._certificate_search
+
+    def first_orientation_misses(g, e, a, b):
+        return None if 0 in a else search(g, e, a, b)
+
+    monkeypatch.setattr(bipartite, "_certificate_search", first_orientation_misses)
+    rep = run_campaign("lemma-2.16", max_n=6, mult_n=4, samples=0)
+    assert rep["summary"]["status"] == "fail"
+    assert rep["counterexamples"]
+    assert {c["failed"] for c in rep["counterexamples"]} == {"no certificate found"}
 
 
 def test_certificate_contents():

@@ -3,13 +3,11 @@
 import json
 
 import pytest
-from hypothesis import given, settings
 
 from matchcov import Multigraph, enumerate_connected_graphs, is_brick, is_robust, wheels
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
-    _removal_order,
     analyze_graph,
     report_json,
     run_campaign,
@@ -19,7 +17,6 @@ from matchcov.cuts import _odd_shores, has_robust_cut
 from matchcov.errors import BadSpecError, BoundExceededError, UnknownCampaignError
 from matchcov.wheels import WheelSpec, make_wheel, simple_wheel
 from matchcov.zoo import complete_graph, cycle_graph, petersen_graph, prism_graph
-from conftest import multigraphs
 from test_report_digests import CORPUS, FULL_RUNS
 
 REPORT_KEYS = {
@@ -232,6 +229,7 @@ def test_lemma216_negative_samples_refused():
     [
         ("thm-1.3", {"mult_n": 10}, "closure sizing"),
         ("lemma-2.16", {"sample_n": 40}, "certificate search"),
+        ("thm-1.3", {"mult_bound": 6}, "closure sizing"),
     ],
 )
 def test_kernel_ceilings_refuse_parameters(monkeypatch, name, params, kernel):
@@ -375,11 +373,3 @@ def test_analyze_skips_brace_above_pm_cap():
     rep = analyze_graph(_odd_prism(31))
     assert rep["brick"] and rep["maximal_barriers"] == [[v] for v in range(62)]
     assert rep["skipped"] == ["solid: solidity check capped at 14 vertices"]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(multigraphs(max_n=8, even=False))
-def test_removal_order_puts_parallel_copies_first(g):
-    assert _removal_order(g) == sorted(
-        range(g.m), key=lambda e: (g.multiplicity(*g.endpoints(e)) == 1, e)
-    )

@@ -65,6 +65,13 @@ def check_against_definition(g):
     assert is_near_bipartite(g) == expected_near_bipartite(g)
 
 
+def check_minimal_against_definition(g):
+    # A fresh copy first: the early exit answers from its own searches, and
+    # the definition then reads every edge of the other copy.
+    fresh = new_multigraph(g.n, g.edges)
+    assert is_minimal_mc(fresh) == (is_matching_covered(g) and not removable_edges(g)), g.edges
+
+
 @PROPERTY_SETTINGS
 @given(multigraphs(8, even=True))
 def test_removability_matches_definition(g):
@@ -79,10 +86,26 @@ def test_removability_matches_definition(g):
         [(0, 1), (1, 2), (2, 3), (0, 3)],  # C4: opposite edges disconnect it
         [(0, 1), (1, 2), (2, 3), (0, 3), (0, 3)],  # C4 with a parallel pair
         [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)],  # K4 with a parallel pair
+        [(0, 1)] * 2,  # K2 doubled: not minimal, though K2 is
+        [(0, 1), (2, 3)],  # two K2s: not connected, so not covered
     ],
 )
 def test_removability_named_cases(edges):
-    check_against_definition(new_multigraph(max(max(e) for e in edges) + 1, edges))
+    g = new_multigraph(max(max(e) for e in edges) + 1, edges)
+    check_minimal_against_definition(g)
+    check_against_definition(g)
+
+
+def test_minimal_matches_definition_on_small_graphs():
+    for n in range(1, 9):
+        for g in enumerate_connected_graphs(n):
+            check_minimal_against_definition(g)
+
+
+@PROPERTY_SETTINGS
+@given(multigraphs(8, even=False))
+def test_minimal_matches_definition(g):
+    check_minimal_against_definition(g)
 
 
 def test_brick_matches_connectivity_oracle_on_small_graphs():

@@ -2,6 +2,7 @@
 take graphs of any order, and each kernel with an exponential walk refuses
 past its own ceiling, whichever runner reaches it."""
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from matchcov.campaigns import run_corpus
 from matchcov.errors import BoundExceededError
 from matchcov.graphio import format_mg
 from matchcov.multigraph import Multigraph
-from matchcov.wheels import search_G_certificate, simple_wheel
+from matchcov.wheels import WheelSpec, make_wheel, search_G_certificate, simple_wheel
 from test_cli import EXIT_BOUND, run_cli
 
 
@@ -90,6 +91,18 @@ def test_kernels_refuse_their_runaways(name, graph, kernel):
 def test_certificate_search_refuses_past_the_closure_cap():
     with pytest.raises(BoundExceededError, match="closure sizing"):
         search_G_certificate(simple_wheel(9)[0])
+
+
+def test_closure_refuses_heavy_spokes_at_once():
+    # Sizing the closure for a 7-wheel spoke of multiplicity 6 would take
+    # about 15 s and 287 MB; the multiplicity ceiling refuses first.
+    heavy = make_wheel(WheelSpec(7, (6, 1, 1, 1, 1, 1, 1)))[0]
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="closure sizing capped at multiplicity 5"):
+        run_corpus("thm-1.3", [heavy])
+    with pytest.raises(BoundExceededError, match="closure sizing capped at multiplicity 5"):
+        search_G_certificate(heavy)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
