@@ -16,11 +16,13 @@ their checks, refusals and recorded fields from it before any graph is built.
 
 A claim returns a falsy value when g is outside the claim's hypotheses
 (corpus mode counts such graphs as skipped), otherwise a pair
-(facts, problems): facts for the fold, and one dict of counterexample
-fields per way the claim failed on g. `ctx` starts as the run's parameters;
-populations leave their own counts in it for the fold, and folds add
-per-graph verdict rows (`ctx["verdicts"]`) and counterexamples that belong
-to no single graph (`ctx["counterexamples"]`).
+(facts, problems): facts, a dict of named values for the fold, and one dict
+of counterexample fields per way the claim failed on g. Most folds are one
+`_tally` of the facts: the rows, the rows the claim applied to, the sum of
+each named fact, and a report row per graph where the fold asks for one.
+`ctx` starts as the run's parameters; populations leave their own counts in
+it for the fold, and folds add per-graph verdict rows (`ctx["verdicts"]`)
+and counterexamples that belong to no single graph (`ctx["counterexamples"]`).
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import itertools
 import json
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -99,12 +101,20 @@ def report_json(report: dict) -> str:
 # -- shared populations and helpers ------------------------------------------
 
 
+def _connected(start: int, max_n: int, min_degree: int) -> Iterator[Multigraph]:
+    for n in range(start, max_n + 1, 2):
+        yield from enumerate_connected_graphs(n, min_degree=min_degree)
+
+
 def _simple_bricks(max_n: int, min_n: int = 4) -> Iterator[Multigraph]:
     # Bricks are 3-connected, so the degree floor loses nothing.
-    for n in range(min_n, max_n + 1, 2):
-        for g in enumerate_connected_graphs(n, min_degree=3):
-            if is_brick(g):
-                yield g
+    for g in _connected(min_n, max_n, 3):
+        if is_brick(g):
+            yield g
+
+
+def _bricks_of_order(ctx: dict) -> Iterator[Multigraph]:
+    return _simple_bricks(ctx["n"], min_n=ctx["n"])
 
 
 def _bipartite_mc_simple(n: int, min_degree: int = 2) -> Iterator[Multigraph]:
@@ -134,6 +144,15 @@ def _bipartite_multigraphs(
                     yield g
 
 
+def _bipartite(ctx: dict, min_degree: int) -> Iterator[Multigraph]:
+    """Bipartite matching covered graphs on 4 to max_n vertices, then
+    multigraphs with a parallel pair on 4 to mult_n, all of degree at least
+    min_degree."""
+    for n in range(4, ctx["max_n"] + 1, 2):
+        yield from _bipartite_mc_simple(n, min_degree)
+    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"], min_degree=min_degree)
+
+
 def _canon_hex(g: Multigraph) -> str:
     return canonical_form(g).hex()
 
@@ -143,28 +162,30 @@ def _k4_and_prism() -> tuple[bytes, bytes]:
     return canonical_form(complete_graph(4)), canonical_form(prism_graph())
 
 
-def _applied_with_examples(rows, example: Callable) -> tuple[int, list[dict]]:
-    """For claims whose facts are None on graphs reduced by an edge
-    deletion: (graphs the claim applied to, example rows of the others)."""
-    applied = 0
-    examples: list[dict] = []
+def _tally(rows, *keys: str, row: Optional[Callable] = None) -> tuple[dict, list]:
+    """Fold the named facts of a claim's verdicts: ({"rows": rows,
+    "applied": rows the claim applied to, key: the sum of that fact over
+    them, ...}, [row(g, facts) for each applied graph, where truthy]).
+    A claim with nothing to report on a graph it applies to returns the
+    empty facts {}, so `f and {...}` builds rows for the others alone."""
+    counts = dict.fromkeys(("rows", "applied", *keys), 0)
+    collected: list = []
     for g, verdict in rows:
+        counts["rows"] += 1
         if verdict:
-            applied += 1
-            if verdict[0] is not None:
-                examples.append(example(g, verdict[0]))
-    examples.sort(key=lambda r: (r["n"], r["canon"]))
-    return applied, examples
+            facts = verdict[0]
+            counts["applied"] += 1
+            for key in keys:
+                counts[key] += facts[key]
+            if row is not None and (r := row(g, facts)):
+                collected.append(r)
+    return counts, collected
 
 
 # =============================================================================
 # thm-1.1: every simple brick has at least max-degree many removable classes,
 # and (K4 and the prism aside) at least max-degree - 2 removable edges.
 # =============================================================================
-
-
-def _thm11_population(ctx: dict) -> Iterator[Multigraph]:
-    return _simple_bricks(ctx["max_n"])
 
 
 def _thm11_claim(g: Multigraph, ctx: dict):
@@ -178,26 +199,22 @@ def _thm11_claim(g: Multigraph, ctx: dict):
     }
     # K4 (n = 4) and the prism (n = 6) are the only exempt bricks.
     exempt = g.n <= 6 and canonical_form(g) in _k4_and_prism()
+    facts = {"found": found, "exempt": exempt}
     if found["classes"] < found["delta"]:
-        failed = "classes"
-    elif not exempt and found["singles"] < found["delta"] - 2:
-        failed = "edges"
-    else:
-        return (found, exempt), []
-    return (found, exempt), [dict(found, failed=failed)]
+        return facts, [dict(found, failed="classes")]
+    if not exempt and found["singles"] < found["delta"] - 2:
+        return facts, [dict(found, failed="edges")]
+    return facts, []
 
 
 def _thm11_fold(rows, ctx: dict) -> dict:
-    by_n: dict[int, int] = {}
-    exempt_seen = 0
-    verdicts = ctx["verdicts"] = []
-    for g, ((found, exempt), _) in rows:
-        by_n[g.n] = by_n.get(g.n, 0) + 1
-        exempt_seen += exempt
-        verdicts.append({"canon": _canon_hex(g), "n": g.n, **found})
+    counts, ctx["verdicts"] = _tally(
+        rows, "exempt", row=lambda g, f: {"canon": _canon_hex(g), "n": g.n, **f["found"]}
+    )
+    by_n = Counter(r["n"] for r in ctx["verdicts"])
     return {
         "bricks_by_n": {str(k): by_n[k] for k in sorted(by_n)},
-        "exempt_from_edge_count": exempt_seen,
+        "exempt_from_edge_count": counts["exempt"],
     }
 
 
@@ -205,13 +222,6 @@ def _thm11_fold(rows, ctx: dict) -> dict:
 # thm-1.4: a minimal matching covered graph on >= 4 vertices has minimum
 # degree 2 or 3.  Simple graphs to max_n: no multigraph is minimal.
 # =============================================================================
-
-
-def _thm14_population(ctx: dict) -> Iterator[Multigraph]:
-    # Matching covered graphs on >= 4 vertices have no degree-1 vertex, so
-    # the floor of 2 loses nothing.
-    for n in range(ctx["min_n"], ctx["max_n"] + 1, 2):
-        yield from enumerate_connected_graphs(n, min_degree=2)
 
 
 def _thm14_claim(g: Multigraph, ctx: dict):
@@ -227,16 +237,15 @@ def _thm14_claim(g: Multigraph, ctx: dict):
     if g.n < 4 or not is_matching_covered(g):
         return None
     if not is_minimal_mc(g):
-        return None, []
+        return {}, []
     delta = g.min_degree()
-    return delta, [] if delta in (2, 3) else [{"delta": delta}]
+    return {"delta": delta}, [] if delta in (2, 3) else [{"delta": delta}]
 
 
 def _thm14_fold(rows, ctx: dict) -> dict:
-    covered, minimal = _applied_with_examples(
-        rows, lambda g, delta: {"canon": _canon_hex(g), "n": g.n, "m": g.m, "delta": delta}
-    )
-    return {"matching_covered": covered, "minimal": len(minimal), "minimal_examples": minimal}
+    counts, minimal = _tally(rows, row=lambda g, f: f and {"canon": _canon_hex(g), "n": g.n, "m": g.m, **f})
+    minimal.sort(key=lambda r: (r["n"], r["canon"]))
+    return {"matching_covered": counts["applied"], "minimal": len(minimal), "minimal_examples": minimal}
 
 
 # =============================================================================
@@ -266,24 +275,21 @@ def _thm13_claim(g: Multigraph, ctx: dict):
     key = canonical_form(g)
     entry = ctx["closure"].get(key)
     if entry is None:
-        return False, [{"failed": "no certificate in closure"}]
+        return {}, [{"failed": "no certificate in closure"}]
     built, problems = _walk_certificate(entry[1])
     if problems:
-        return False, [{"failed": "certificate rejected", "detail": list(problems)}]
+        return {}, [{"failed": "certificate rejected", "detail": list(problems)}]
     if canonical_form(built) != key:
-        return False, [{"failed": "certificate builds a different graph"}]
-    return True, []
+        return {}, [{"failed": "certificate builds a different graph"}]
+    return {"certified": True}, []
 
 
 def _thm13_fold(rows, ctx: dict) -> dict:
-    checked = 0
-    verdicts = ctx["verdicts"] = []
-    for g, (certified, _) in rows:
-        checked += 1
-        if certified:
-            verdicts.append({"canon": _canon_hex(g), "n": g.n, "m": g.m, "certified": True})
+    counts, ctx["verdicts"] = _tally(
+        rows, row=lambda g, f: f and {"canon": _canon_hex(g), "n": g.n, "m": g.m, **f}
+    )
     return {
-        "wheel_like_bricks": checked,
+        "wheel_like_bricks": counts["rows"],
         "closure_size": len(ctx["closure"]),
         "closure_bound": ctx["closure_bound"],
         "splice_cap": ctx["splice_cap"],
@@ -385,18 +391,15 @@ def _lemma216_claim(g: Multigraph, ctx: dict):
             )
         else:
             certs += 1
-    return certs, problems
+    return {"edges": g.m, "certs": certs}, problems
 
 
 def _lemma216_fold(rows, ctx: dict) -> dict:
-    edges = certs = 0
-    for g, (found, _) in rows:
-        edges += g.m
-        certs += found
+    counts, _ = _tally(rows, "edges", "certs")
     return {
         "slices": ctx["slices"],
-        "edges_tested": edges,
-        "certificates_validated": certs,
+        "edges_tested": counts["edges"],
+        "certificates_validated": counts["certs"],
         "sampled_graphs": ctx["sampled_graphs"],
     }
 
@@ -407,21 +410,15 @@ def _lemma216_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _lemma217_population(ctx: dict) -> Iterator[Multigraph]:
-    for n in range(4, ctx["max_n"] + 1, 2):
-        yield from _bipartite_mc_simple(n, min_degree=ctx["min_degree"])
-    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"], min_degree=ctx["min_degree"])
-
-
 def _lemma217_claim(g: Multigraph, ctx: dict):
     if not g.is_bipartite() or g.min_degree() < 3 or not is_matching_covered(g):
         return None
     pset = minimum_P_set(g)
     if pset is None:
-        return None, []
+        return {"with_p_set": 0, "induced_edges_tested": 0}, []
     x = pset.vertices
     inside = [e for e in range(g.m) if set(g.endpoints(e)) <= x]
-    return len(inside), [
+    return {"with_p_set": 1, "induced_edges_tested": len(inside)}, [
         {"edge": list(g.endpoints(e)), "p_set": sorted(x), "failed": "induced edge not removable"}
         for e in inside
         if not is_removable_edge(g, e)
@@ -429,16 +426,11 @@ def _lemma217_claim(g: Multigraph, ctx: dict):
 
 
 def _lemma217_fold(rows, ctx: dict) -> dict:
-    checked = with_pset = inside = 0
-    for _, (found, _) in rows:
-        checked += 1
-        if found is not None:
-            with_pset += 1
-            inside += found
+    counts, _ = _tally(rows, "with_p_set", "induced_edges_tested")
     return {
-        "with_p_set": with_pset,
-        "without_p_set": checked - with_pset,
-        "induced_edges_tested": inside,
+        "with_p_set": counts["with_p_set"],
+        "without_p_set": counts["applied"] - counts["with_p_set"],
+        "induced_edges_tested": counts["induced_edges_tested"],
     }
 
 
@@ -448,6 +440,9 @@ def _lemma217_fold(rows, ctx: dict) -> dict:
 # the other side coexists with a vertex of degree >= 4 all of whose edges
 # are removable.
 # =============================================================================
+
+
+_LEMMA218_KEYS = ("orientations_tested", "satisfied_by_pair", "satisfied_by_fallback")
 
 
 def _lemma218_fallback(g: Multigraph, b_side: frozenset[int]) -> bool:
@@ -460,12 +455,6 @@ def _lemma218_fallback(g: Multigraph, b_side: frozenset[int]) -> bool:
     return False
 
 
-def _lemma218_population(ctx: dict) -> Iterator[Multigraph]:
-    for n in range(4, ctx["max_n"] + 1, 2):
-        yield from _bipartite_mc_simple(n)
-    yield from _bipartite_multigraphs(ctx["mult_n"], ctx["mult_bound"])
-
-
 def _lemma218_claim(g: Multigraph, ctx: dict):
     if not g.is_bipartite() or not is_matching_covered(g):
         return None
@@ -474,22 +463,19 @@ def _lemma218_claim(g: Multigraph, ctx: dict):
     if not sides:
         return None
     if has_two_nonadjacent_removable_edges(g):
-        return (len(sides), len(sides), 0), []
+        return dict(zip(_LEMMA218_KEYS, (len(sides), len(sides), 0))), []
     fallback = [_lemma218_fallback(g, b_side) for _, b_side in sides]
     problems = [
         {"a_side": sorted(a_side), "failed": "no pair and no fallback pattern"}
         for (a_side, _), ok in zip(sides, fallback)
         if not ok
     ]
-    return (len(sides), 0, sum(fallback)), problems
+    return dict(zip(_LEMMA218_KEYS, (len(sides), 0, sum(fallback)))), problems
 
 
 def _lemma218_fold(rows, ctx: dict) -> dict:
-    totals = [0, 0, 0]
-    for _, verdict in rows:
-        if verdict:
-            totals = [t + x for t, x in zip(totals, verdict[0])]
-    return dict(zip(("orientations_tested", "satisfied_by_pair", "satisfied_by_fallback"), totals))
+    counts, _ = _tally(rows, *_LEMMA218_KEYS)
+    return {key: counts[key] for key in _LEMMA218_KEYS}
 
 
 # =============================================================================
@@ -499,7 +485,7 @@ def _lemma218_fold(rows, ctx: dict) -> dict:
 
 
 def _lemma36_population(ctx: dict) -> Iterator[Multigraph]:
-    bases = list(_simple_bricks(ctx["n"], min_n=ctx["n"]))
+    bases = list(_bricks_of_order(ctx))
     ctx["simple_brick_bases"] = len(bases)
     ctx["labelled_sweep"] = sum(ctx["mult_bound"] ** base.m for base in bases)
     for base in bases:
@@ -513,24 +499,18 @@ def _lemma36_claim(g: Multigraph, ctx: dict):
     # On six vertices only the 5-wheel is an odd wheel, with one hub.
     rhs = any(parallels_at_hub(g, h) for h in odd_wheel_hubs(g))
     if wl == rhs:
-        return wl, []
-    return wl, [{"wheel_like": wl, "w5_hub_parallels": rhs, "failed": "equivalence"}]
+        return {"wheel_like": wl}, []
+    return {"wheel_like": wl}, [{"wheel_like": wl, "w5_hub_parallels": rhs, "failed": "equivalence"}]
 
 
 def _lemma36_fold(rows, ctx: dict) -> dict:
-    checked = non_bricks = wheel_like = 0
-    for _, verdict in rows:
-        checked += 1
-        if verdict:
-            wheel_like += verdict[0]
-        else:
-            non_bricks += 1
+    counts, _ = _tally(rows, "wheel_like")
     return {
         "simple_brick_bases": ctx["simple_brick_bases"],
         "labelled_sweep": ctx["labelled_sweep"],
-        "distinct_multigraphs": checked,
-        "non_bricks": non_bricks,
-        "wheel_like": wheel_like,
+        "distinct_multigraphs": counts["rows"],
+        "non_bricks": counts["rows"] - counts["applied"],
+        "wheel_like": counts["wheel_like"],
     }
 
 
@@ -578,20 +558,21 @@ def _lemma39_claim(g: Multigraph, ctx: dict):
     # Isomorphic splice results share one (brick, wheel-like) verdict.
     key = canonical_form(g)
     cache = ctx.setdefault("cache", {})
-    verdict = cache.get(key)
-    if verdict is None:
+    facts = cache.get(key)
+    if facts is None:
         brick = is_brick(g)
-        verdict = cache[key] = (brick, bool(is_wheel_like(g)) if brick else None)
-    return (key, *verdict), []
+        facts = cache[key] = {"key": key, "brick": brick, "wheel_like": brick and bool(is_wheel_like(g))}
+    return facts, []
 
 
 def _lemma39_fold(rows, ctx: dict) -> dict:
     keys: set[bytes] = set()
     reps = bricks = non_bricks = wheel_like = conditions_true = 0
-    for g, ((key, brick, wl), _) in rows:
+    for g, (facts, _) in rows:
         sg, sh, matrix, (conds_ok, violations) = ctx["splices"].popleft()
         reps += 1
-        keys.add(key)
+        keys.add(facts["key"])
+        brick, wl = facts["brick"], facts["wheel_like"]
         if not brick:
             non_bricks += 1
             continue
@@ -628,30 +609,21 @@ def _lemma39_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _prop313_population(ctx: dict) -> Iterator[Multigraph]:
-    # Bicritical graphs on >= 4 vertices have minimum degree 3: deleting
-    # the two neighbours of a degree-2 vertex strands it.
-    for n in range(4, ctx["max_n"] + 1, 2):
-        yield from enumerate_connected_graphs(n, min_degree=3)
-
-
 def _prop313_claim(g: Multigraph, ctx: dict):
     if not is_bicritical(g):
         return None
     if not is_minimal_mc(g):
-        return None, []
+        return {}, []
     deg3 = sum(1 for d in g.degrees if d == 3)
-    return deg3, [] if deg3 >= 4 else [{"degree_three": deg3}]
+    return {"degree_three": deg3}, [] if deg3 >= 4 else [{"degree_three": deg3}]
 
 
 def _prop313_fold(rows, ctx: dict) -> dict:
-    bicritical, irreducible = _applied_with_examples(
-        rows, lambda g, deg3: {"canon": _canon_hex(g), "n": g.n, "degree_three": deg3}
-    )
+    counts, irreducible = _tally(rows, row=lambda g, f: f and {"canon": _canon_hex(g), "n": g.n, **f})
     return {
-        "bicritical": bicritical,
+        "bicritical": counts["applied"],
         "without_removable_edge": len(irreducible),
-        "examples": irreducible,
+        "examples": sorted(irreducible, key=lambda r: (r["n"], r["canon"])),
     }
 
 
@@ -659,11 +631,6 @@ def _prop313_fold(rows, ctx: dict) -> dict:
 # decomp-unique: the multiset of bricks and braces is independent of the
 # order in which nontrivial tight cuts are split.
 # =============================================================================
-
-
-def _decomp_population(ctx: dict) -> Iterator[Multigraph]:
-    for n in range(6, ctx["max_n"] + 1, 2):
-        yield from enumerate_connected_graphs(n, min_degree=2)
 
 
 def _decomp_claim(g: Multigraph, ctx: dict):
@@ -678,8 +645,8 @@ def _decomp_claim(g: Multigraph, ctx: dict):
         other = decomposition_multiset(g, seed=s)
         if other != baseline:
             hexed = ([x.hex() for x in baseline], [x.hex() for x in other])
-            return False, [{"seed": s, "baseline": hexed[0], "other": hexed[1]}]
-    return True, []
+            return {}, [{"seed": s, "baseline": hexed[0], "other": hexed[1]}]
+    return {}, []
 
 
 def _decomp_fold(rows, ctx: dict) -> dict:
@@ -699,41 +666,27 @@ def _decomp_fold(rows, ctx: dict) -> dict:
 # =============================================================================
 
 
-def _fig_r8_population(ctx: dict) -> Iterator[Multigraph]:
-    return _simple_bricks(ctx["n"], min_n=ctx["n"])
-
-
 def _fig_r8_claim(g: Multigraph, ctx: dict):
     """Is g near-bipartite without two nonadjacent removable edges?"""
-    if has_two_nonadjacent_removable_edges(g):
-        return False, []
-    return is_near_bipartite(g) is not None, []
+    candidate = not has_two_nonadjacent_removable_edges(g) and is_near_bipartite(g) is not None
+    return {"candidate": candidate}, []
 
 
 def _fig_r8_fold(rows, ctx: dict) -> dict:
     """The unique 8-vertex simple near-bipartite brick without two
     nonadjacent removable edges."""
-    bricks = 0
-    candidates: list[Multigraph] = []
-    for g, (candidate, _) in rows:
-        bricks += 1
-        if candidate:
-            candidates.append(g)
+    counts, candidates = _tally(rows, row=lambda g, f: f["candidate"] and g)
     if len(candidates) != 1:
         for g in candidates:
             ctx["counterexamples"].append(_counterexample(g, failed="candidate count != 1"))
         if not candidates:
             ctx["counterexamples"].append({"mg": "", "failed": "no candidate found"})
     return {
-        "bricks_n8": bricks,
+        "bricks_n8": counts["rows"],
         "candidates": len(candidates),
         "candidate_canon": sorted(_canon_hex(g) for g in candidates),
         "candidate_mg": sorted(format_mg(g) for g in candidates),
     }
-
-
-def _nonsolid_population(ctx: dict) -> Iterator[Multigraph]:
-    return _simple_bricks(ctx["n"], min_n=ctx["n"])
 
 
 def _nonsolid_claim(g: Multigraph, ctx: dict):
@@ -745,23 +698,18 @@ def _nonsolid_claim(g: Multigraph, ctx: dict):
     problems = [{"failed": "nonsolid candidate is wheel-like"}] if is_wheel_like(g) else []
     if not robust:
         problems.append({"failed": "nonsolid brick without a robust cut"})
-    return robust, problems
+    return {"robust_cut": robust}, problems
 
 
 def _nonsolid_fold(rows, ctx: dict) -> dict:
-    bricks = 0
-    candidates: list[dict] = []
-    for g, verdict in rows:
-        bricks += 1
-        if verdict:
-            candidates.append(
-                {"canon": _canon_hex(g), "m": g.m, "robust_cut": verdict[0], "mg": format_mg(g)}
-            )
+    counts, candidates = _tally(
+        rows, row=lambda g, f: {"canon": _canon_hex(g), "m": g.m, **f, "mg": format_mg(g)}
+    )
     if not candidates:
         ctx["counterexamples"].append({"mg": "", "failed": "no nonsolid candidate found"})
     candidates.sort(key=lambda r: (r["m"], r["canon"]))
     return {
-        "six_vertex_bricks": bricks,
+        "six_vertex_bricks": counts["rows"],
         "candidates": len(candidates),
         "candidate_list": candidates,
     }
@@ -782,23 +730,18 @@ def _g3_population(ctx: dict) -> Iterator[Multigraph]:
 
 def _g3_claim(g: Multigraph, ctx: dict):
     """A third-generation family member that is a brick but not wheel-like."""
-    return is_brick(g) and not is_wheel_like(g), []
+    return {"candidate": is_brick(g) and not is_wheel_like(g)}, []
 
 
 def _g3_fold(rows, ctx: dict) -> dict:
-    gen3 = 0
-    candidates: list[dict] = []
-    for g, (candidate, _) in rows:
-        gen3 += 1
-        if candidate:
-            candidates.append({"canon": _canon_hex(g), "n": g.n, "m": g.m, "mg": format_mg(g)})
+    counts, candidates = _tally(
+        rows, row=lambda g, f: f["candidate"] and {"canon": _canon_hex(g), "n": g.n, "m": g.m, "mg": format_mg(g)}
+    )
     if not candidates:
-        ctx["counterexamples"].append(
-            {"mg": "", "failed": "no non-wheel-like third-generation brick"}
-        )
+        ctx["counterexamples"].append({"mg": "", "failed": "no non-wheel-like third-generation brick"})
     return {
         "closure_size": ctx["closure_size"],
-        "third_generation": gen3,
+        "third_generation": counts["rows"],
         "non_wheel_like_bricks": len(candidates),
         "examples": candidates[:10],
     }
@@ -948,7 +891,7 @@ class Campaign(NamedTuple):
 
 CAMPAIGNS: dict[str, Campaign] = {
     "thm-1.1": Campaign(
-        _thm11_population, _thm11_claim, _thm11_fold,
+        lambda ctx: _simple_bricks(ctx["max_n"]), _thm11_claim, _thm11_fold,
         {"max_n": _MAX_N, "population": "simple bricks"},
         corpus=True,
     ),
@@ -959,7 +902,9 @@ CAMPAIGNS: dict[str, Campaign] = {
         prepare=_thm13_prepare,
     ),
     "thm-1.4": Campaign(
-        _thm14_population, _thm14_claim, _thm14_fold,
+        # Matching covered graphs on >= 4 vertices have no degree-1 vertex,
+        # so the floor of 2 loses nothing.
+        lambda ctx: _connected(ctx["min_n"], ctx["max_n"], 2), _thm14_claim, _thm14_fold,
         {"max_n": _MAX_N, "min_n": 4},
         corpus=True,
     ),
@@ -976,12 +921,13 @@ CAMPAIGNS: dict[str, Campaign] = {
         corpus=True,
     ),
     "lemma-2.17": Campaign(
-        _lemma217_population, _lemma217_claim, _lemma217_fold,
+        lambda ctx: _bipartite(ctx, ctx["min_degree"]), _lemma217_claim, _lemma217_fold,
         {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND, "min_degree": 3},
         corpus=True,
     ),
     "lemma-2.18": Campaign(
-        _lemma218_population, _lemma218_claim, _lemma218_fold,
+        # As in thm-1.4, the floor of 2 loses nothing.
+        lambda ctx: _bipartite(ctx, 2), _lemma218_claim, _lemma218_fold,
         {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND},
         corpus=True,
     ),
@@ -999,21 +945,25 @@ CAMPAIGNS: dict[str, Campaign] = {
         },
     ),
     "prop-3.13": Campaign(
-        _prop313_population, _prop313_claim, _prop313_fold,
+        # Bicritical graphs on >= 4 vertices have minimum degree 3: deleting
+        # the two neighbours of a degree-2 vertex strands it.
+        lambda ctx: _connected(4, ctx["max_n"], 3), _prop313_claim, _prop313_fold,
         {"max_n": _MAX_N, "population": "connected simple, min degree 3"},
         corpus=True,
     ),
     "decomp-unique": Campaign(
-        _decomp_population, _decomp_claim, _decomp_fold,
+        # Matching covered again, so the floor of 2; a nontrivial tight cut
+        # needs 3 <= |X| <= n - 3, so n starts at 6.
+        lambda ctx: _connected(6, ctx["max_n"], 2), _decomp_claim, _decomp_fold,
         {"max_n": _MAX_N, "seeds": _SEEDS, "population": "connected simple"},
         corpus=True,
     ),
     "fig-r8": Campaign(
-        _fig_r8_population, _fig_r8_claim, _fig_r8_fold,
+        _bricks_of_order, _fig_r8_claim, _fig_r8_fold,
         {"n": 8, "population": "simple bricks"},
     ),
     "fig-nonsolid-6": Campaign(
-        _nonsolid_population, _nonsolid_claim, _nonsolid_fold,
+        _bricks_of_order, _nonsolid_claim, _nonsolid_fold,
         {"n": 6, "population": "simple bricks", "excluded": "prism"},
     ),
     # The family closure keeps its own ceiling on max_n.
@@ -1123,15 +1073,10 @@ def run_campaign(name: str, *, jobs: int = 1, **params) -> dict:
 
 
 def _corpus_fold(rows, ctx: dict) -> dict:
-    applied = skipped = 0
-    for _, verdict in rows:
-        if verdict:
-            applied += 1
-        else:
-            skipped += 1
-    if not applied:
+    counts, _ = _tally(rows)
+    if not counts["applied"]:
         ctx["counterexamples"].append({"mg": "", "failed": "claim applied to no corpus graph"})
-    return {"applied": applied, "skipped_hypotheses": skipped}
+    return {"applied": counts["applied"], "skipped_hypotheses": counts["rows"] - counts["applied"]}
 
 
 def corpus_runner(name: str, source: str = "corpus", *, jobs: int = 1, **params) -> Callable:

@@ -30,10 +30,13 @@ EXIT_BOUND = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -175,7 +178,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BoundExceededError as exc:
         print(f"matchcov: bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (FileNotFoundError, MatchcovError) as exc:
+    except (OSError, MatchcovError) as exc:
         print(f"matchcov: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

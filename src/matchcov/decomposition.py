@@ -32,7 +32,6 @@ from .multigraph import Multigraph
 @dataclass(frozen=True)
 class DecompResult:
     components: tuple[tuple[Multigraph, str], ...]  # (graph, "brick" | "brace")
-    cut_shores: tuple[frozenset[int], ...]  # shores used, in recursion order
 
 
 def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
@@ -63,7 +62,6 @@ def tight_cut_decomposition(
         raise NotMatchingCoveredError("decomposition is defined on matching covered graphs")
     rng = random.Random(seed) if seed is not None else None
     components: list[tuple[Multigraph, str]] = []
-    shores: list[frozenset[int]] = []
 
     def rec(h: Multigraph) -> None:
         shore = find_nontrivial_tight_cut(h, rng)
@@ -71,13 +69,12 @@ def tight_cut_decomposition(
             tag = "brace" if h.is_bipartite() else "brick"
             components.append((h, tag))
             return
-        shores.append(shore)
         a, b = contractions(h, shore)
         rec(a)
         rec(b)
 
     rec(g)
-    return DecompResult(tuple(components), tuple(shores))
+    return DecompResult(tuple(components))
 
 
 def brick_count(g: Multigraph) -> int:

@@ -20,9 +20,27 @@ from matchcov.campaigns import run_campaign
 from matchcov.generate import enumerate_connected_graphs
 from matchcov.zoo import complete_graph, prism_graph
 from conftest import brute_matching_number, record_acceptance
+from test_report_digests import digest
 
 SAMPLES_PER_N = 10_000
 SAMPLE_SEED = 20260819
+
+# The sha256 of each report built here, its wall clock dropped as in
+# `test_report_digests.digest`: every default run's bytes are pinned.
+REPORT_DIGESTS = {
+    "thm-1.1": "184ca0d33dffc1a541b1ee95c0c2ee7bacd873d888939138122feca8b2118333",
+    "thm-1.3": "e71a3c0a3a689661e57b69b1f715a962b55bdd9f8ec7751d65ffe8fa6f471c20",
+    "thm-1.4": "79d81130a07a92e6481191b13df2be299b6e1fd15a978081f0069ed2bc741a3f",
+    "lemma-2.16": "8b172173c0226a8afe8ea19a300c47eabeed04e504c4595ea03e986fe3b00728",
+    "lemma-3.6": "2ea21861ac2b0feeff5adf0b96237382c248c210efbcbdd9d47db1e2971e8c8a",
+    "lemma-3.9": "ee7ae928a6801765f5112dd7d95d35652331870cd516c1094ebc9d0c837e75e9",
+    "prop-3.13": "ea223271f568db39ae5f5bf9c0c4426839a19798483bbee5ac4243fa081efeda",
+    "decomp-unique": "af4fbd6baaf4f11c7c7dca3fe670a70cdeac8fc86488db67fa9ae0f92683d6e3",
+    "fig-r8": "e15399eff6578ef093abd3c024e2017e183a855739dc5508244989f554782b2d",
+    "fig-nonsolid-6": "6915990bfd85361e40a20058ab5bc41ebb77d02bbea0e5869a43f4ab1acd56eb",
+    "fig-g3": "3b1d7338de2221f54008c76ada74c8b92bbddeab743e68e0b275fb4e3960a202",
+    "lemma-3.9 wide": "d91c7063e18746a7909054ff7ce2d1839bb3eef7e1dc741e5764bdedba7bee76",
+}
 
 R8_CANON = "08000101000201000301010201010401020501030401030601040701050601050701060701"
 
@@ -86,6 +104,7 @@ def test_02_removable_class_goldens():
 
 def test_03_brick_removable_class_lower_bound():
     rep = run_campaign("thm-1.1", max_n=8)
+    assert digest(rep) == REPORT_DIGESTS["thm-1.1"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["bricks_by_n"] == {"4": 1, "6": 13, "8": 2088}
@@ -96,6 +115,7 @@ def test_03_brick_removable_class_lower_bound():
 
 def test_04_minimal_graphs_have_degree_two_or_three():
     rep = run_campaign("thm-1.4", max_n=8)
+    assert digest(rep) == REPORT_DIGESTS["thm-1.4"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["minimal"] >= 6
@@ -112,6 +132,7 @@ def test_04_minimal_graphs_have_degree_two_or_three():
 
 def test_05_six_vertex_wheel_like_classification():
     rep = run_campaign("lemma-3.6", mult_bound=2)
+    assert digest(rep) == REPORT_DIGESTS["lemma-3.6"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["distinct_multigraphs"] == 7738
@@ -130,6 +151,7 @@ def test_05_six_vertex_wheel_like_classification():
 
 def test_06_splice_condition_equivalence():
     rep = run_campaign("lemma-3.9", wheels=(3, 5, 7), mult_bound=2, doubles=2)
+    assert digest(rep) == REPORT_DIGESTS["lemma-3.9"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["brick_results"] > 0
@@ -137,6 +159,7 @@ def test_06_splice_condition_equivalence():
     # Spokes of multiplicity 3 reach splices on both sides of the
     # equivalence: wheel-like bricks and bricks that are not.
     wide = run_campaign("lemma-3.9", wheels=(3, 5), mult_bound=3, doubles=2)
+    assert digest(wide) == REPORT_DIGESTS["lemma-3.9 wide"]
     assert wide["summary"]["status"] == "pass"
     assert wide["summary"]["wheel_like"] > 0
     assert wide["summary"]["brick_results"] > wide["summary"]["wheel_like"]
@@ -151,6 +174,7 @@ def test_06_splice_condition_equivalence():
 
 def test_07_wheel_like_bricks_admit_family_certificates():
     rep = run_campaign("thm-1.3", max_n=8, mult_n=6, mult_bound=2)
+    assert digest(rep) == REPORT_DIGESTS["thm-1.3"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["wheel_like_bricks"] == 16
@@ -165,6 +189,7 @@ def test_07_wheel_like_bricks_admit_family_certificates():
 
 def test_08_bipartite_removability_certificates():
     rep = run_campaign("lemma-2.16")
+    assert digest(rep) == REPORT_DIGESTS["lemma-2.16"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["edges_tested"] > 0
@@ -185,6 +210,7 @@ def test_08_bipartite_removability_certificates():
 
 def test_09_decomposition_uniqueness():
     rep = run_campaign("decomp-unique", max_n=8, seeds=20)
+    assert digest(rep) == REPORT_DIGESTS["decomp-unique"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["seeds_per_graph"] == 20
@@ -201,6 +227,7 @@ def test_09_decomposition_uniqueness():
 
 def test_10_unremovable_bicritical_degree_three_count():
     rep = run_campaign("prop-3.13", max_n=8)
+    assert digest(rep) == REPORT_DIGESTS["prop-3.13"]
     assert rep["summary"]["status"] == "pass"
     assert rep["counterexamples"] == []
     assert rep["summary"]["without_removable_edge"] >= 1
@@ -216,16 +243,19 @@ def test_10_unremovable_bicritical_degree_three_count():
 
 def test_11_figure_reconstruction_searches():
     r8 = run_campaign("fig-r8")
+    assert digest(r8) == REPORT_DIGESTS["fig-r8"]
     assert r8["summary"]["status"] == "pass"
     assert r8["summary"]["candidates"] == 1
     assert r8["summary"]["candidate_canon"] == [R8_CANON]
 
     nonsolid = run_campaign("fig-nonsolid-6")
+    assert digest(nonsolid) == REPORT_DIGESTS["fig-nonsolid-6"]
     assert nonsolid["summary"]["status"] == "pass"
     assert nonsolid["summary"]["six_vertex_bricks"] == 13
     assert nonsolid["summary"]["candidates"] == 11
 
     g3 = run_campaign("fig-g3", max_n=10)
+    assert digest(g3) == REPORT_DIGESTS["fig-g3"]
     assert g3["summary"]["status"] == "pass"
     assert g3["summary"]["closure_size"] == 676
     assert g3["summary"]["third_generation"] == 364

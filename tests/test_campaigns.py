@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from matchcov import Multigraph, enumerate_connected_graphs, is_brick, is_robust, wheels
+from matchcov import Multigraph, campaigns, enumerate_connected_graphs, is_brick, is_robust, wheels
 from matchcov.campaigns import (
     CAMPAIGNS,
     SCHEMA_VERSION,
@@ -312,6 +312,30 @@ def test_jobs_do_not_change_corpus_reports(name):
     serial = run_corpus(name, CORPUS, seeds=3, jobs=1)
     pooled = run_corpus(name, CORPUS, seeds=3, jobs=2)
     assert _untimed(pooled) == _untimed(serial)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("lemma-3.9", {"wheels": (3, 5), "mult_bound": 2, "doubles": 1}),
+        ("thm-1.1", {"max_n": 6}),
+        ("decomp-unique", {"max_n": 6, "seeds": 3}),
+    ],
+)
+def test_jobs_twins_across_pool_chunks(monkeypatch, name, params):
+    # Seven graphs to a chunk: the worker pool restarts between chunks, and
+    # lemma-3.9's queued splices must still pair with their rows.
+    monkeypatch.setattr(campaigns, "_POOL_CHUNK", 7)
+    serial = run_campaign(name, jobs=1, **params)
+    assert serial["graphs_checked"] > campaigns._POOL_CHUNK
+    assert _untimed(run_campaign(name, jobs=2, **params)) == _untimed(serial)
+
+
+def test_verdict_rows_past_the_cap_are_counted(monkeypatch):
+    monkeypatch.setattr(campaigns, "VERDICT_CAP", 3)
+    rep = run_campaign("thm-1.1", max_n=6)
+    assert "verdicts" not in rep
+    assert rep["verdicts_omitted"] == 14
 
 
 def test_corpus_petersen():

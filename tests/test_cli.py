@@ -92,9 +92,23 @@ def test_analyze_malformed_input():
     assert "matchcov:" in err
 
 
-def test_analyze_missing_file():
-    code, _, _ = run_cli(["analyze", "/nonexistent/graph.mg"])
-    assert code == EXIT_USAGE
+def test_analyze_missing_file(tmp_path):
+    # An input or output path the CLI cannot use is a usage problem (exit 2
+    # with a message), not a traceback (exit 1, a counterexample's code).
+    k4 = tmp_path / "k4.g6"
+    k4.write_text("C~\n")
+    latin = tmp_path / "latin1.mg"
+    latin.write_bytes("4 6\n0 1\n# \xe9\n".encode("latin-1"))
+    for argv in (
+        ["analyze", "/nonexistent/graph.mg"],
+        ["analyze", str(tmp_path)],
+        ["analyze", str(k4), "--out", str(tmp_path)],
+        ["verify", "thm-1.1", "--corpus", str(tmp_path)],
+        ["analyze", str(latin)],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("matchcov: "), argv
 
 
 def test_verify_small_campaign():
