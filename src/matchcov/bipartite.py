@@ -3,7 +3,7 @@ certificates.
 
 Everything here fixes the bipartition (A, B) as the two color classes with
 vertex 0 in A; inputs must be connected bipartite matching covered graphs.
-A certificate (A1, B1) is searched over A1 alone: B1 = N(A1) - v is forced.
+A certificate (A1, B1) is read from the witness pool: see `_certificate_search`.
 """
 from __future__ import annotations
 
@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .covered import is_matching_covered, is_removable_edge
+from .covered import _witnesses, is_matching_covered, is_removable_edge
 from .errors import BoundExceededError, NotBipartiteMCError
-from .multigraph import Multigraph, bits, mask_of, per_graph
+from .multigraph import Multigraph, _reach, bits, mask_of, per_graph
 
 _PSET_MAX_N = 14
-_CERT_MAX_N = 38  # the search walks about 2^(n/2) sets A1 on some graphs
 
 
 @per_graph
@@ -104,38 +103,36 @@ class RemovabilityCertificate:
 def _certificate_search(
     g: Multigraph, e: int, a: frozenset[int], b: frozenset[int]
 ) -> Optional[RemovabilityCertificate]:
-    """The first A1 holding u, in (size, sorted) order, that certifies e.
+    """The certificate of e with A1 in `a`, or None: u's component C once
+    e's class and the classes that depend on it are dropped.
 
-    B1 is forced: E[A1, B - B1] = {uv} puts every neighbour of A1 but v
-    in B1, and a vertex of B1 with no neighbour in A1 would leave
-    G[A1 + B1] without a perfect matching. So B1 = N(A1) - v.
+    Every perfect matching of G minus e's class matches a certificate
+    A1 + B1 onto itself, so the edges leaving it are dropped, while the
+    matching covered G[A1 + B1] keeps all of its own: the certificate is
+    unique, and it is C. Left to check: C is balanced, and v, through u
+    alone, is the only vertex outside C next to C ∩ A.
     """
-    if g.n > _CERT_MAX_N:
-        raise BoundExceededError(f"certificate search capped at {_CERT_MAX_N} vertices")
     u, v = g.endpoints(e)
     if u in b:
         u, v = v, u
-    adj = g.adj_masks
-    for ka in range(1, len(a)):
-        for a1 in combinations(sorted(a), ka):
-            if adj[v] & mask_of(a1) != 1 << u:  # u in A1, and v's only neighbour there
-                continue
-            b1_mask = 0
-            for x in a1:
-                b1_mask |= adj[x]
-            b1 = frozenset(bits(b1_mask & ~(1 << v)))
-            if len(b1) == ka and is_matching_covered(g.induced(sorted(b1.union(a1)))):
-                return RemovabilityCertificate(frozenset(a1), b1)
-    return None
+    pool = _witnesses(g)
+    drop = 1 << pool.edge_class[e]
+    c = _reach(pool.adjacency_without(drop | pool.dependents(drop)), u, g.full_mask)
+    a1 = c & mask_of(a)
+    if 2 * a1.bit_count() != c.bit_count() or any(
+        g.adj_masks[x] & ~c != (1 << v if x == u else 0) for x in bits(a1)
+    ):
+        return None
+    return RemovabilityCertificate(frozenset(bits(a1)), frozenset(bits(c ^ a1)))
 
 
 def is_removable_bipartite(g: Multigraph, e: int) -> tuple[bool, Optional[RemovabilityCertificate]]:
     """(removable?, non-removability certificate when not removable).
 
-    `is_removable_edge` decides removability; the certificate is searched
-    for a non-removable edge only, over the sets A1 of A holding an end of
-    e. The lemma is symmetric in A and B, so one orientation is enough, and
-    a None here is a counterexample.
+    `is_removable_edge` decides removability; the certificate is read for a
+    non-removable edge only, as the component of e's end in A over the
+    edges left in perfect matchings of G - e. The lemma is symmetric in A
+    and B, so one orientation is enough, and a None here is a counterexample.
     """
     a, b = bipartition(g)
     if is_removable_edge(g, e):

@@ -34,8 +34,8 @@ from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bipartite import _CERT_MAX_N, RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
-from .canon import automorphisms, canonical_form
+from .bipartite import RemovabilityCertificate, bipartition, is_removable_bipartite, minimum_P_set
+from .canon import _CANON_MAX_N, automorphisms, canonical_form
 from .covered import (
     Single,
     has_two_nonadjacent_removable_edges,
@@ -857,7 +857,7 @@ def _sample_order(key: str, n: int) -> int:
     K2, which the claim skips and the fold cannot read."""
     if n < 4 or n % 2:
         raise BadSpecError(f"{key} must be even and at least 4, got {n}")
-    return _capped(_CERT_MAX_N, "certificate search")(key, n)
+    return _capped(_CANON_MAX_N, "canonical forms")(key, n)
 
 
 def _closure_mult(key: str, m: int) -> int:

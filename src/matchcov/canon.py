@@ -60,6 +60,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import BoundExceededError
 from .multigraph import Multigraph, per_graph
 
+_CANON_MAX_N = 255  # the form writes n and each position in one byte
+
 
 def _equitable(
     nbrs: list, colors: list[int], cells: list, scale: int
@@ -228,8 +230,8 @@ def _record(g: Multigraph) -> tuple[tuple[int, ...], bytes, tuple]:
     n = g.n
     if n == 0:
         return (), bytes([0]), ()
-    if n > 255:
-        raise BoundExceededError(f"canonical forms cover at most 255 vertices, got {n}")
+    if n > _CANON_MAX_N:
+        raise BoundExceededError(f"canonical forms cover at most {_CANON_MAX_N} vertices, got {n}")
     perm, key, lo, gens = _search(*_start(g))
     return perm, _form(n, key, lo), gens
 

@@ -110,19 +110,22 @@ def test_certificate_search_matches_nested_search(g):
 
 def test_certificates_exist_in_both_orientations():
     # The lemma is symmetric in A and B, so `is_removable_bipartite` searches
-    # with A1 in A only. Every non-removable edge of the bipartite matching
-    # covered graphs to 8 vertices, and of lemma-2.16's multigraph slice (to
-    # 6 vertices, multiplicity 2), has a certificate either way round.
+    # with A1 in A only. On every edge of the bipartite matching covered
+    # graphs to 8 vertices, and of lemma-2.16's multigraph slice (to 6
+    # vertices, multiplicity 2), the search agrees with the nested oracle
+    # either way round, and every non-removable edge has a certificate.
     graphs = [g for n in (4, 6, 8) for g in _bipartite_mc(n)]
     graphs += _bipartite_multigraphs(6, 2, min_n=2)
     non_removable = 0
     for g in graphs:
         a, b = bipartition(g)
         for e in range(g.m):
-            if not is_removable_edge(g, e):
-                non_removable += 1
-                assert _certificate_search(g, e, a, b) is not None, (g.edges, e)
-                assert _certificate_search(g, e, b, a) is not None, (g.edges, e)
+            removable = is_removable_edge(g, e)
+            non_removable += not removable
+            for x, y in ((a, b), (b, a)):
+                cert = _certificate_search(g, e, x, y)
+                assert cert == nested_certificate_search(g, e, x, y), (g.edges, e)
+                assert removable or cert is not None, (g.edges, e)
     assert non_removable == 139 + 277  # simple graphs, then multigraphs
 
 

@@ -228,7 +228,7 @@ def test_lemma216_negative_samples_refused():
     "name, params, kernel",
     [
         ("thm-1.3", {"mult_n": 10}, "closure sizing"),
-        ("lemma-2.16", {"sample_n": 40}, "certificate search"),
+        ("lemma-2.16", {"sample_n": 256}, "canonical forms"),
         ("thm-1.3", {"mult_bound": 6}, "closure sizing"),
     ],
 )
