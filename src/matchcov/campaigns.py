@@ -2,14 +2,14 @@
 
 Every campaign has one shape. `population(ctx)` yields the graphs of a
 bounded family, `claim(g, ctx)` decides one structural claim on one graph,
-and `fold(rows, ctx)` turns the verdicts into the report summary. A full
-run (`run_campaign`) feeds the claim its own population; `run_corpus`
-feeds the same claim graphs from a file. Either way one runner maps the
-claim, in `jobs` worker processes when asked, and the report keeps a
-stable field order so that identical parameters reproduce identical bytes
-(wall clock aside). An empty counterexample list means the claim survived
-the sweep; campaigns never decide claims analytically when an enumeration
-can check them.
+and `fold(rows, ctx)` turns the verdicts into the report summary, with no
+per-campaign step between them. A full run (`run_campaign`) feeds the
+claim its own population; `run_corpus` feeds the same claim graphs from a
+file. Either way one runner maps the claim, in `jobs` worker processes
+when asked, and the report keeps a stable field order so that identical
+parameters reproduce identical bytes (wall clock aside). An empty
+counterexample list means the claim survived the sweep; campaigns never
+decide claims analytically when an enumeration can check them.
 
 Each campaign declares its parameters once, in one table; both runners take
 their checks, refusals and recorded fields from it before any graph is built.
@@ -57,20 +57,18 @@ from .graphio import format_mg
 from .matching import matching_number
 from .multigraph import Multigraph, bits
 from .wheels import (
-    _HOLDING_MAX_MULT,
-    _HOLDING_MAX_N,
     SpliceNode,
     SpliceSite,
     WheelSpec,
     _walk_certificate,
     check_odd_wheel_splice,
-    closure_holding,
     count_class_matrices,
     g_family_closure,
     is_wheel_like,
     make_wheel,
     odd_wheel_hubs,
     parallels_at_hub,
+    search_G_certificate,
     site_splices,
     splice,
     splice_sites,
@@ -250,7 +248,7 @@ def _thm14_fold(rows, ctx: dict) -> dict:
 
 # =============================================================================
 # thm-1.3: every wheel-like brick in the desk-scale populations admits a
-# family certificate found by forward closure.
+# family certificate, read top-down from its own separating cuts.
 # =============================================================================
 
 
@@ -263,23 +261,16 @@ def _thm13_population(ctx: dict) -> list[Multigraph]:
     return graphs
 
 
-def _thm13_prepare(graphs: Sequence[Multigraph], ctx: dict) -> None:
-    """Build, once, the closure the claim looks the wheel-like bricks up in."""
-    wheel_like = [g for g in graphs if is_brick(g) and is_wheel_like(g)]
-    ctx["closure"], ctx["closure_bound"], ctx["splice_cap"] = closure_holding(wheel_like)
-
-
 def _thm13_claim(g: Multigraph, ctx: dict):
     if not is_brick(g) or not is_wheel_like(g):
         return None
-    key = canonical_form(g)
-    entry = ctx["closure"].get(key)
-    if entry is None:
-        return {}, [{"failed": "no certificate in closure"}]
-    built, problems = _walk_certificate(entry[1])
+    cert = search_G_certificate(g)
+    if cert is None:
+        return {}, [{"failed": "no certificate found"}]
+    built, problems = _walk_certificate(cert)
     if problems:
         return {}, [{"failed": "certificate rejected", "detail": list(problems)}]
-    if canonical_form(built) != key:
+    if canonical_form(built) != canonical_form(g):
         return {}, [{"failed": "certificate builds a different graph"}]
     return {"certified": True}, []
 
@@ -288,12 +279,7 @@ def _thm13_fold(rows, ctx: dict) -> dict:
     counts, ctx["verdicts"] = _tally(
         rows, row=lambda g, f: f and {"canon": _canon_hex(g), "n": g.n, "m": g.m, **f}
     )
-    return {
-        "wheel_like_bricks": counts["rows"],
-        "closure_size": len(ctx["closure"]),
-        "closure_bound": ctx["closure_bound"],
-        "splice_cap": ctx["splice_cap"],
-    }
+    return {"wheel_like_bricks": counts["rows"]}
 
 
 # =============================================================================
@@ -860,15 +846,7 @@ def _sample_order(key: str, n: int) -> int:
     return _capped(_CANON_MAX_N, "canonical forms")(key, n)
 
 
-def _closure_mult(key: str, m: int) -> int:
-    """A multiplicity bound the family closure can be sized to."""
-    if _at_least(1)(key, m) > _HOLDING_MAX_MULT:
-        raise BoundExceededError(f"{key}={m}: closure sizing capped at multiplicity {_HOLDING_MAX_MULT}")
-    return m
-
-
 _enumerated = _capped(_ENUM_MAX_N, "graph enumeration")
-_closed = _capped(_HOLDING_MAX_N, "closure sizing")
 _MAX_N = Param(8, _enumerated)
 _MULT_N = Param(6, _enumerated)
 _MULT_BOUND = Param(2, _at_least(1))
@@ -885,8 +863,6 @@ class Campaign(NamedTuple):
     parameters: dict
     # run_corpus reruns the claim over supplied graphs
     corpus: bool = False
-    # in-process set-up from the graphs the claim will see, before any claim
-    prepare: Optional[Callable[[Sequence[Multigraph], dict], None]] = None
 
 
 CAMPAIGNS: dict[str, Campaign] = {
@@ -897,9 +873,8 @@ CAMPAIGNS: dict[str, Campaign] = {
     ),
     "thm-1.3": Campaign(
         _thm13_population, _thm13_claim, _thm13_fold,
-        {"max_n": Param(8, _closed), "mult_n": Param(6, _closed), "mult_bound": Param(2, _closure_mult)},
+        {"max_n": _MAX_N, "mult_n": _MULT_N, "mult_bound": _MULT_BOUND},
         corpus=True,
-        prepare=_thm13_prepare,
     ),
     "thm-1.4": Campaign(
         # Matching covered graphs on >= 4 vertices have no degree-1 vertex,
@@ -1007,7 +982,7 @@ def _verdicts(
     per-graph memos die with the verdict instead of piling up on graphs the
     enumeration cache holds for the whole run.  With jobs > 1, chunks of
     the population go to a pool of workers; they are forked, so they share
-    the claim's context (a thm-1.3 closure, say) without pickling it.
+    the claim's context without pickling it.
     """
     graphs = iter(graphs)
     while chunk := list(itertools.islice(graphs, _POOL_CHUNK if jobs > 1 else 1)):
@@ -1030,9 +1005,6 @@ def _run(name: str, campaign: Campaign, params: dict, jobs: int, runner: str) ->
     started = time.monotonic()
     ctx = dict(parameters)
     graphs = campaign.population(ctx)
-    if campaign.prepare is not None:
-        graphs = list(graphs)
-        campaign.prepare(graphs, ctx)
     counterexamples = ctx["counterexamples"] = []
     checked = 0
 

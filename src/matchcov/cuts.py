@@ -12,11 +12,12 @@ at once, one pass over the matchings per size, into bitsets indexed by the
 shores in `_shores_of_size` order (see `_shore_block`). The folds are kept
 per graph and extended lazily, so each size is folded once, whichever
 reader reaches it first. Only this module reads the folds: `tight_shores`
-(and so `is_brace`), `has_robust_cut`, `is_solid`, and for one shore
-`is_tight`, `is_separating` and `is_robust`, which read its bit. Maximal
-barriers and 2-separations walk no vertex pairs of their own: they read
-`covered.pm_pair_groups` and `covered.separating_pairs`, so only the
-brute-force oracle `barriers` keeps a vertex cap.
+(and so `is_brace`), `separating_shores` (and so `search_G_certificate`),
+`has_robust_cut`, `is_solid`, and for one shore `is_tight`, `is_separating`
+and `is_robust`, which read its bit. Maximal barriers and 2-separations
+walk no vertex pairs of their own: they read `covered.pm_pair_groups` and
+`covered.separating_pairs`, so only the brute-force oracle `barriers` keeps
+a vertex cap.
 """
 from __future__ import annotations
 
@@ -190,6 +191,13 @@ def tight_shores(g: Multigraph) -> Iterator[frozenset[int]]:
         raise NotMatchingCoveredError("tight cuts live in matching covered graphs")
     for size, tight, _separating in cut_shore_sets(g):
         yield from map(frozenset, _shores_in(g.n, size, tight))
+
+
+def separating_shores(g: Multigraph) -> Iterator[tuple[int, ...]]:
+    """The nontrivial separating shores of `_odd_shores(g.n)`, in order,
+    folded one size at a time; g must be matching covered."""
+    for size, _tight, separating in cut_shore_sets(g):
+        yield from _shores_in(g.n, size, separating)
 
 
 def is_robust(g: Multigraph, shore: Iterable[int]) -> bool:

@@ -11,6 +11,10 @@ Conventions fixed here and relied on by the test suite and the CLI:
   boundary edge ids of u in G; each mapped pair fuses to a single new edge.
 * Certificates serialize theta as a permutation of boundary slot indices,
   slots sorted by edge id.
+* One family step, `_extensions`, with certificates: `g_family_closure`
+  runs it forward from the base wheels, and `search_G_certificate` from the
+  certified side of a graph's separating cut whose other side is a base
+  wheel, keeping the splice that builds the graph: no isomorphism is mapped.
 * One splice-class rule: splice only at the `splice_sites` of a group of
   automorphisms, with the least class matrix of each `matrix_symmetries`
   orbit.  `site_splices` yields those splices of a site pair, and is the
@@ -25,12 +29,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from operator import le, sub
 from typing import Iterator, Optional, Sequence, Union
 
 from .canon import automorphisms, canonical_form, orbit_representatives
-from .covered import is_brick, is_removable_edge, removable_doubletons, removable_edges
+from .covered import is_brick, is_matching_covered, is_removable_edge, removable_doubletons, removable_edges
+from .cuts import contractions, separating_shores
 from .errors import (
     BadSpecError,
     BoundExceededError,
@@ -39,13 +44,12 @@ from .errors import (
     MatchcovError,
     NotABijectionError,
     NotABrickError,
+    NotMatchingCoveredError,
     NotOddWheelsError,
 )
 from .multigraph import Multigraph, per_graph
 
 _GFAMILY_MAX_N = 14
-_HOLDING_MAX_N = 8  # order 8 holds 15,888 members (5 s); order 10 outgrows memory
-_HOLDING_MAX_MULT = 5  # a 7-wheel spoke of 5 takes 4 s and 92 MB; of 7, 44 s and 826 MB
 
 
 @dataclass(frozen=True)
@@ -602,45 +606,55 @@ def spoke_vectors(k: int, mult_bound: int) -> Iterator[tuple[int, ...]]:
     )
 
 
-def _g1_catalog(max_n: int, k3_cap: int, cap: int) -> list[tuple[Multigraph, WheelSpec]]:
-    """Base-family wheels up to max_n vertices, (graph, spec) per
-    `spoke_vectors` class, so no two are isomorphic: a K4's spokes name
-    its multiset of multiplicities, and a longer wheel's isomorphisms fix
-    its hub."""
+def _g1_catalog(max_n: int) -> list[tuple[Multigraph, WheelSpec]]:
+    """Base-family wheels up to max_n vertices, spokes up to 3 on a K4 and
+    up to 2 on a longer rim, (graph, spec) per `spoke_vectors` class, so no
+    two are isomorphic: a K4's spokes name its multiset of multiplicities,
+    and a longer wheel's isomorphisms fix its hub."""
     specs = [
         WheelSpec(k, mults)
         for k in range(3, max_n, 2)
-        for mults in spoke_vectors(k, k3_cap if k == 3 else cap)
+        for mults in spoke_vectors(k, 3 if k == 3 else 2)
     ]
     return [(make_wheel(spec)[0], spec) for spec in specs]
 
 
-def g_family_closure(
-    max_n: int, k3_cap: int = 3, cap: int = 2, splice_cap: Optional[int] = None
-) -> dict[bytes, tuple[Multigraph, GCertificate]]:
+def _extensions(
+    left: Multigraph, left_cert: GCertificate, partners: Sequence[tuple[Multigraph, WheelSpec, list]]
+) -> Iterator[tuple[Multigraph, SpliceNode]]:
+    """One family step: (splice, certificate) for each splice of the built
+    graph `left` with a partner (wheel, spec, splice sites) that meets the
+    family conditions, one per splice class, in sweep order."""
+    if not partners:
+        return
+    left_sites = splice_sites(left, automorphisms(left))
+    for wheel, spec, wheel_sites in partners:
+        for a in left_sites:
+            u, du = a.vertex, left.degree(a.vertex)
+            for b in wheel_sites:
+                v = b.vertex
+                if wheel.degree(v) != du or splice_site_violations(left, u, wheel, v):
+                    continue
+                slots = boundary_slots(left, u)
+                for _matrix, theta in site_splices(a, b):
+                    if not theta_violations(left, u, wheel, v, theta):
+                        perm = tuple(slots.index(theta[e]) for e in boundary_slots(wheel, v))
+                        yield splice(left, u, wheel, v, theta), SpliceNode(left_cert, spec, u, v, perm)
+
+
+def g_family_closure(max_n: int) -> dict[bytes, tuple[Multigraph, GCertificate]]:
     """Forward closure of the splice family up to max_n vertices.
 
     Returns canonical form -> (graph, certificate), first certificate found
-    under a deterministic sweep.  Multiplicity caps bound the recorded base
-    wheels (per spoke: k3_cap on 3-wheels, cap on longer rims); the family
-    is infinite in the multiplicity direction, so some cap is forced.
-
-    Wheels taking part in splice steps are catalogued separately, with
-    per-spoke multiplicities up to splice_cap (default: the leaf caps).  A
-    splice deletes the vertex carrying a heavy spoke, so a simple result on
-    max_n vertices can factor through wheels whose multiplicities exceed
-    any sensible leaf cap; splice_cap = max_n - 3 makes the closure
-    complete for simple members (a surviving endpoint of a spoke of
-    multiplicity m keeps degree at least m + 2).
+    under a deterministic sweep.  The family is infinite in the
+    multiplicity direction, so the base wheels are those of `_g1_catalog`.
     """
     if max_n > _GFAMILY_MAX_N:
         raise BoundExceededError(f"family closure capped at {_GFAMILY_MAX_N} vertices")
-    leaves = _g1_catalog(max_n, k3_cap, cap)
-    sk3, sc = (k3_cap, cap) if splice_cap is None else (splice_cap, splice_cap)
     # Only wheels small enough to splice inside max_n (smallest partner has
-    # four vertices) belong in the splice catalog.
-    base = _g1_catalog(max_n - 2, sk3, sc)
-    members = {canonical_form(w): (w, WheelLeaf(s)) for w, s in leaves}
+    # four vertices) take part in splice steps.
+    base = _g1_catalog(max_n - 2)
+    members = {canonical_form(w): (w, WheelLeaf(s)) for w, s in _g1_catalog(max_n)}
     frontier: list[tuple[Multigraph, GCertificate]] = [(w, WheelLeaf(s)) for w, s in base]
     partners = [(w, s, splice_sites(w, automorphisms(w))) for w, s in base]
     # The catalog ascends in wheel size, so the partners that fit one left
@@ -652,64 +666,69 @@ def g_family_closure(
             fits = partners[
                 bisect_left(sizes, 10 - left.n) : bisect_right(sizes, max_n + 2 - left.n)
             ]
-            if not fits:
-                continue
-            left_sites = splice_sites(left, automorphisms(left))
-            for wheel, spec, wheel_sites in fits:
-                for a in left_sites:
-                    u, du = a.vertex, left.degree(a.vertex)
-                    for b in wheel_sites:
-                        v = b.vertex
-                        if wheel.degree(v) != du or splice_site_violations(left, u, wheel, v):
-                            continue
-                        for _matrix, theta in site_splices(a, b):
-                            if theta_violations(left, u, wheel, v, theta):
-                                continue
-                            built = splice(left, u, wheel, v, theta)
-                            key = canonical_form(built)
-                            if key in members:
-                                continue
-                            perm = _slot_permutation(left, u, wheel, v, theta)
-                            cert = SpliceNode(left_cert, spec, u, v, perm)
-                            members[key] = (built, cert)
-                            next_frontier.append((built, cert))
+            for built, cert in _extensions(left, left_cert, fits):
+                key = canonical_form(built)
+                if key not in members:
+                    members[key] = (built, cert)
+                    next_frontier.append((built, cert))
         frontier = next_frontier
     return members
 
 
-def _slot_permutation(
-    g: Multigraph, u: int, h: Multigraph, v: int, theta: dict[int, int]
-) -> tuple[int, ...]:
-    slots_g = boundary_slots(g, u)
-    slots_h = boundary_slots(h, v)
-    pos_g = {e: i for i, e in enumerate(slots_g)}
-    return tuple(pos_g[theta[e]] for e in slots_h)
-
-
-def closure_holding(graphs: Sequence[Multigraph]) -> tuple[dict, int, int]:
-    """(closure, bound, splice_cap): the family closure up to the largest
-    order among `graphs`, leaf caps at their largest multiplicity, and
-    empty for no graphs. Splice spokes go up to bound - 3: a splice deletes
-    the vertex of a heavy spoke, and its other end keeps degree m + 2."""
-    bound = max((g.n for g in graphs), default=4)
-    if bound > _HOLDING_MAX_N:
-        raise BoundExceededError(f"closure sizing capped at {_HOLDING_MAX_N} vertices")
-    mult = max((len(c) for g in graphs for c in g.parallel_classes.values()), default=1)
-    if mult > _HOLDING_MAX_MULT:
-        raise BoundExceededError(f"closure sizing capped at multiplicity {_HOLDING_MAX_MULT}")
-    splice_cap = max(mult, bound - 3)
-    if graphs:
-        return g_family_closure(bound, max(3, mult), max(2, mult), splice_cap), bound, splice_cap
-    return {}, bound, splice_cap
+def _wheel_spec(h: Multigraph) -> Optional[WheelSpec]:
+    """The spec of h read at a hub holding every parallel, the rim in cycle
+    order, when h is a base wheel (`is_g1_member`); otherwise None."""
+    if not is_g1_member(h):
+        return None
+    hub = next(x for x in odd_wheel_hubs(h) if parallels_at_hub(h, x))
+    rim = [min(h.neighbors(hub))]
+    while len(rim) < h.n - 1:
+        rim.append(min(h.neighbors(rim[-1]) - {hub, *rim[-2:]}))
+    return WheelSpec(len(rim), tuple(h.multiplicity(x, hub) for x in rim))
 
 
 def search_G_certificate(g: Multigraph) -> Optional[GCertificate]:
-    """Certificate for membership in the splice family, looked up in the
-    forward closure `closure_holding` sizes for g: complete for simple g."""
-    if not is_brick(g):
-        raise NotABrickError("certificate search expects a brick")
-    hit = closure_holding([g])[0].get(canonical_form(g))
-    return hit[1] if hit else None
+    """Certificate for membership in the splice family, or None, read from
+    g's own separating cuts: a splice L(u) with W(v) leaves one whose two
+    contractions are L and W.  Members are matching covered, not all bricks;
+    past the perfect matching table's vertex cap only a wheel is answered."""
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("certificate search expects a matching covered graph")
+    return _certify(g, {})[1]
+
+
+def _certify(h: Multigraph, memo: dict) -> tuple[Optional[Multigraph], Optional[GCertificate]]:
+    """(built graph, certificate) for the matching covered graph h, or
+    (None, None); memo maps canonical form to the answer within one search."""
+    spec = _wheel_spec(h)
+    if spec is not None:
+        return make_wheel(spec)[0], WheelLeaf(spec)
+    # A family splice has at least 8 vertices.
+    if h.n < 8:
+        return None, None
+    key = canonical_form(h)
+    if key not in memo:
+        memo[key] = next(_splices_building(h, key, memo), (None, None))
+    return memo[key]
+
+
+def _splices_building(h: Multigraph, key: bytes, memo: dict) -> Iterator[tuple[Multigraph, SpliceNode]]:
+    """The splices of a certified graph with a base wheel, each read off one
+    of h's separating cuts, that build h, in shore order."""
+    for shore in separating_shores(h):
+        for w_side, l_side in permutations(contractions(h, shore)):
+            # The wheel's shape is the cheap test; certifying costs more.
+            if not odd_wheel_hubs(w_side):
+                continue
+            left, left_cert = _certify(l_side, memo)
+            wheel_spec = None if left is None else _wheel_spec(w_side)
+            if wheel_spec is None:
+                continue
+            wheel = make_wheel(wheel_spec)[0]
+            partner = (wheel, wheel_spec, splice_sites(wheel, automorphisms(wheel)))
+            for built, cert in _extensions(left, left_cert, [partner]):
+                if canonical_form(built) == key:
+                    yield built, cert
 
 
 # --- certificate serialization ---------------------------------------------

@@ -97,7 +97,7 @@ def test_thm_1_3_reduced():
     assert rep["summary"]["status"] == "pass"
     # W3 and W5 hubs give wheel-like bricks already at this bound
     assert rep["summary"]["wheel_like_bricks"] >= 2
-    assert rep["summary"]["closure_bound"] == 6
+    assert [row["certified"] for row in rep["verdicts"]] == [True] * rep["summary"]["wheel_like_bricks"]
 
 
 def test_lemma_2_17_reduced():
@@ -227,9 +227,8 @@ def test_lemma216_negative_samples_refused():
 @pytest.mark.parametrize(
     "name, params, kernel",
     [
-        ("thm-1.3", {"mult_n": 10}, "closure sizing"),
+        ("thm-1.3", {"mult_n": 12}, "graph enumeration"),
         ("lemma-2.16", {"sample_n": 256}, "canonical forms"),
-        ("thm-1.3", {"mult_bound": 6}, "closure sizing"),
     ],
 )
 def test_kernel_ceilings_refuse_parameters(monkeypatch, name, params, kernel):
@@ -256,11 +255,11 @@ def test_corpus_run():
 
 def test_corpus_skips_inapplicable(monkeypatch):
     # the prism is not wheel-like, so the wheel-like check does not apply,
-    # and no family closure is built for it
-    def no_closure(*args, **kwargs):
-        raise AssertionError("closure built for a corpus without wheel-like bricks")
+    # and no certificate is searched for it
+    def no_search(*args, **kwargs):
+        raise AssertionError("certificate searched for a brick that is not wheel-like")
 
-    monkeypatch.setattr(wheels, "g_family_closure", no_closure)
+    monkeypatch.setattr(campaigns, "search_G_certificate", no_search)
     rep = run_corpus("thm-1.3", [prism_graph()])
     assert rep["summary"]["applied"] == 0
     assert rep["summary"]["skipped_hypotheses"] == 1
@@ -270,8 +269,8 @@ def test_corpus_skips_inapplicable(monkeypatch):
 
 
 def test_corpus_thm_1_3_heavy_spokes():
-    # Wheel-like bricks whose spoke multiplicities exceed the default leaf
-    # caps: the closure must be sized from the corpus graphs themselves.
+    # Wheel-like bricks whose spoke multiplicities exceed the family
+    # closure's caps: each is a leaf of its own certificate.
     corpus = [make_wheel(WheelSpec(5, (3, 1, 1, 1, 1)))[0], make_wheel(WheelSpec(3, (4, 1, 1)))[0]]
     rep = run_corpus("thm-1.3", corpus)
     assert rep["counterexamples"] == []
@@ -353,9 +352,10 @@ def test_corpus_unsupported_campaign():
 
 
 def test_corpus_bound():
-    # The runner reads no graph's order: the kernel a claim reaches refuses.
-    with pytest.raises(BoundExceededError, match="closure sizing"):
-        run_corpus("thm-1.3", [simple_wheel(9)[0]])
+    # The runner reads no graph's order, and the 9-wheel is a leaf of its
+    # own certificate: no kernel the claim reaches has a ceiling below it.
+    rep = run_corpus("thm-1.3", [simple_wheel(9)[0]])
+    assert rep["summary"] == {"applied": 1, "skipped_hypotheses": 0, "status": "pass"}
 
 
 def test_robust_cut_read_from_shore_sets():

@@ -166,9 +166,7 @@ def test_verify_lemma39_bad_parameters(flags):
         ("lemma-3.9 --doubles -1", EXIT_USAGE),
         # Enumeration stops at 10 vertices, and these populations reach 12.
         *((f"{name} --max-n 12", EXIT_BOUND) for name in ("thm-1.1", "thm-1.4", "prop-3.13", "decomp-unique")),
-        # thm-1.3 sizes the family closure to its largest wheel-like brick,
-        # and the closure stops at 8 vertices.
-        ("thm-1.3 --max-n 10", EXIT_BOUND),
+        ("thm-1.3 --max-n 12", EXIT_BOUND),
     ],
 )
 def test_verify_refuses_before_any_work(monkeypatch, tmp_path, command, code):
@@ -307,9 +305,10 @@ def test_verify_corpus_mg_blocks(tmp_path):
 def test_verify_corpus_bound(tmp_path):
     corpus = tmp_path / "big.g6"
     corpus.write_text(encode_graph6(simple_wheel(9)[0]) + "\n")
-    code, _, err = run_cli(["verify", "thm-1.3", "--corpus", str(corpus)])
-    assert code == EXIT_BOUND
-    assert "bound exceeded: closure sizing capped at 8 vertices" in err
+    # No vertex ceiling on a wheel: it is a leaf of its own certificate.
+    code, out, _ = run_cli(["verify", "thm-1.3", "--corpus", str(corpus)])
+    assert code == EXIT_PASS
+    assert json.loads(out)["summary"]["applied"] == 1
 
 
 def test_verify_corpus_empty(tmp_path):

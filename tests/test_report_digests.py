@@ -23,7 +23,7 @@ from matchcov.zoo import (
 
 FULL_RUNS = {
     "thm-1.1": ({"max_n": 6}, "00784995a6e1ee006150ddd799d1e640a0349474d4888bd92273b60aef4a857a"),
-    "thm-1.3": ({"max_n": 6, "mult_n": 4}, "dc8eb0b7faf45a0287350337bd78c78c57605d04c2265e7d0d9ee283609022db"),
+    "thm-1.3": ({"max_n": 6, "mult_n": 4}, "b2ef1d813839480ffa812903e90cf3383dc95621698d841f1895756f92b747a2"),
     "thm-1.4": ({"max_n": 6}, "2d791a9d4a90e8f5ae7f63c183c96892565528101a712c3dc36779dfe6c61e4e"),
     "lemma-2.16": ({"max_n": 6, "sample_n": 8, "samples": 5}, "b8d02d606dc52543ba965e09bf42310ff720d671b2b02a64d0b25555d79aaf78"),
     "lemma-2.17": ({"max_n": 6}, "f8e6bc07bbddbf5ccf951082da278156f6bdebda9c5cf97619cff183ce065902"),

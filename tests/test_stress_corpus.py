@@ -10,7 +10,8 @@ from matchcov.campaigns import run_corpus
 from matchcov.errors import BoundExceededError
 from matchcov.graphio import format_mg
 from matchcov.multigraph import Multigraph
-from matchcov.wheels import WheelSpec, make_wheel, search_G_certificate, simple_wheel
+from matchcov.wheels import WheelSpec, make_wheel, search_G_certificate, simple_wheel, verify_certificate
+from matchcov.zoo import cycle_graph
 from test_cli import EXIT_BOUND, run_cli
 
 
@@ -83,7 +84,8 @@ def test_gadget_certificates_are_checked_at_any_order(k):
 @pytest.mark.parametrize(
     "name, graph, kernel",
     [
-        ("thm-1.3", simple_wheel(9)[0], "closure sizing"),
+        # The tight cut decomposition reads the perfect matching table.
+        ("decomp-unique", cycle_graph(26), "perfect matching enumeration"),
         ("lemma-2.17", prism(8), "P-set enumeration"),
     ],
 )
@@ -92,20 +94,25 @@ def test_kernels_refuse_their_runaways(name, graph, kernel):
         run_corpus(name, [graph])
 
 
-def test_certificate_search_refuses_past_the_closure_cap():
-    with pytest.raises(BoundExceededError, match="closure sizing"):
-        search_G_certificate(simple_wheel(9)[0])
+def test_certificate_search_stops_at_the_pm_table():
+    # A brick that is not a wheel is certified from its separating cuts,
+    # read from the perfect matching table: 26 vertices is past its cap.
+    with pytest.raises(BoundExceededError, match="perfect matching enumeration capped at 24 vertices"):
+        search_G_certificate(prism(13))
 
 
-def test_closure_refuses_heavy_spokes_at_once():
-    # Sizing the closure for a 7-wheel spoke of multiplicity 6 would take
-    # about 15 s and 287 MB; the multiplicity ceiling refuses first.
-    heavy = make_wheel(WheelSpec(7, (6, 1, 1, 1, 1, 1, 1)))[0]
+@pytest.mark.parametrize(
+    "wheel",
+    [simple_wheel(9)[0], make_wheel(WheelSpec(7, (6, 1, 1, 1, 1, 1, 1)))[0]],
+    ids=["9-wheel", "7-wheel spoke 6"],
+)
+def test_any_base_wheel_is_certified_at_once(wheel):
+    # A wheel is a leaf of its own certificate, whatever its order or its
+    # spoke multiplicities: no catalog of wheels is built.
     start = time.perf_counter()
-    with pytest.raises(BoundExceededError, match="closure sizing capped at multiplicity 5"):
-        run_corpus("thm-1.3", [heavy])
-    with pytest.raises(BoundExceededError, match="closure sizing capped at multiplicity 5"):
-        search_G_certificate(heavy)
+    assert verify_certificate(search_G_certificate(wheel))[0]
+    rep = run_corpus("thm-1.3", [wheel])
+    assert rep["summary"] == {"applied": 1, "skipped_hypotheses": 0, "status": "pass"}
     assert time.perf_counter() - start < 1
 
 

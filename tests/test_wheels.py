@@ -40,15 +40,16 @@ from matchcov.wheels import (
     theta_class_matrices,
     theta_from_class_matrix,
 )
+from matchcov.generate import enumerate_connected_graphs, multiplicity_classes
+from matchcov.graphio import format_mg
 from matchcov.zoo import complete_graph, prism_graph
 
 from conftest import reference_family_closure
 
-# sha256 over g_family_closure(8) and g_family_closure(8, splice_cap=4):
-# each member's canonical key, (n, edges) and certificate, in dict order.
-# Taken before the splice search checked its site conditions once per site.
+# sha256 over g_family_closure(8): each member's canonical key, (n, edges)
+# and certificate, in dict order. Taken before the splice search checked
+# its site conditions once per site.
 CLOSURE_8_DIGEST = "988fbfa9efe16f628e671e60afbff540f22bf67662417187dc754cb691a11f4c"
-CLOSURE_8_CAP4_DIGEST = "e022f7a5e7390a6b7d4d607510209625e5cbd538b18ce88edfa0505bf4563a80"
 
 
 def _theta_by_slots(g, u, h, v, pairs):
@@ -285,13 +286,6 @@ def test_closure_members_verify_and_rebuild():
     assert set(g_family_closure(6)) <= set(members)
 
 
-def test_splice_cap_unlocks_heavier_factors():
-    base = set(g_family_closure(8))
-    wide = set(g_family_closure(8, splice_cap=4))
-    assert base <= wide
-    assert wide - base, "a higher splice cap reaches more members"
-
-
 def test_certificate_search():
     w5, _ = simple_wheel(5)
     cert = search_G_certificate(w5)
@@ -301,8 +295,8 @@ def test_certificate_search():
 
 def test_certificate_search_reaches_heavy_spoke_splices():
     # A simple 8-vertex wheel-like brick whose splice goes through a wheel
-    # with a spoke heavier than the default leaf caps: the closure must be
-    # sized the way thm-1.3 sizes it, or the search misses it.
+    # with a spoke heavier than the closure's caps: the search reads that
+    # wheel off one of the brick's own cuts.
     edges = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (0, 6)]
     edges += [(1, 6), (2, 6), (3, 6), (4, 6), (0, 7), (5, 7), (6, 7)]
     g = new_multigraph(8, edges)
@@ -369,7 +363,6 @@ def _closure_digest(members):
 
 def test_closure_members_and_certificates_pinned():
     assert _closure_digest(g_family_closure(8)) == CLOSURE_8_DIGEST
-    assert _closure_digest(g_family_closure(8, splice_cap=4)) == CLOSURE_8_CAP4_DIGEST
 
 
 def test_closure_matches_unpruned_reference():
@@ -414,3 +407,33 @@ def test_theta_class_matrices_order_matches_oracle():
     assert list(theta_class_matrices((), (0, 0))) == [()]
     assert list(theta_class_matrices((1, 2), (2,))) == []
     assert shapes == 7056
+
+
+def test_top_down_search_matches_reference_closure():
+    # The closure with leaf caps 3 and 2 and splice spokes up to 5, complete
+    # for simple members on up to 8 vertices (a splice deletes the end of a
+    # spoke of multiplicity m and leaves the other end degree m + 2), and
+    # for every multiplicity-2 graph on up to 6 vertices (no splice there).
+    reference = reference_family_closure(8, 3, 2, 5)
+    simple = [g for n in (4, 6, 8) for g in enumerate_connected_graphs(n, min_degree=3) if is_brick(g)]
+    graphs = simple + [
+        m for g in simple if g.n <= 6 for m in multiplicity_classes(g, 2) if not m.is_simple()
+    ]
+    assert len(graphs) == 9837
+    certified = 0
+    for g in graphs:
+        key = canonical_form(g)
+        cert = search_G_certificate(g)
+        assert (cert is not None) == (key in reference), format_mg(g)
+        if cert is not None:
+            assert canonical_form(build_from_certificate(cert)) == key
+            certified += 1
+    assert certified == 22
+
+
+def test_top_down_search_certifies_every_closure_member():
+    members = reference_family_closure(8)
+    assert len(members) == 94
+    for key, (g, _cert) in members.items():
+        cert = search_G_certificate(g)
+        assert cert is not None and canonical_form(build_from_certificate(cert)) == key
