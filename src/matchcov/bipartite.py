@@ -3,7 +3,10 @@ certificates.
 
 Everything here fixes the bipartition (A, B) as the two color classes with
 vertex 0 in A; inputs must be connected bipartite matching covered graphs.
-A certificate (A1, B1) is read from the witness pool: see `_certificate_search`.
+Such a graph is elementary, so Hall's condition holds with one vertex to
+spare, and a P-set is read from a set of one side with exactly one to spare:
+see `all_P_sets`. A certificate (A1, B1) is read from the witness pool: see
+`_certificate_search`.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .covered import _witnesses, is_matching_covered, is_removable_edge
 from .errors import BoundExceededError, NotBipartiteMCError
 from .multigraph import Multigraph, _reach, bits, mask_of, per_graph
 
-_PSET_MAX_N = 14
+_PSET_MAX_N = 36
 
 
 @per_graph
@@ -40,54 +43,37 @@ class PSet:
     into_b: bool
 
 
-def _edge_rows(g: Multigraph) -> list[list[int]]:
-    """Per vertex v, neighbour bitmasks by multiplicity: bit w of
-    rows[v][j] says that more than j edges join v and w."""
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    for (u, v), ids in g.parallel_classes.items():
-        for x, y in ((u, v), (v, u)):
-            row = rows[x]
-            row += [0] * (len(ids) - len(row))
-            for j in range(len(ids)):
-                row[j] |= 1 << y
-    return rows
-
-
-def _p_set(rows: list[list[int]], xa: tuple[int, ...], xb: tuple[int, ...]) -> Optional[PSet]:
-    """PSet record for X = xa + xb, balanced with xa in A and xb in B, when
-    a single edge leaves X's A-side or enters its B-side."""
-    outside = ~mask_of(xa + xb)
-    out_a = sum((row & outside).bit_count() for v in xa for row in rows[v])
-    in_b = sum((row & outside).bit_count() for v in xb for row in rows[v])
-    if out_a == 1 or in_b == 1:
-        return PSet(frozenset(xa + xb), out_a == 1, in_b == 1)
-    return None
-
-
 def all_P_sets(g: Multigraph) -> Iterator[PSet]:
-    """Stream of P-sets in (size, sorted vertices) order."""
+    """Stream of P-sets in (size, sorted vertices) order.
+
+    G is elementary, so every nonempty proper subset S of a side has at
+    least |S| + 1 neighbours (Hall). One edge leaves X's A-side S exactly
+    when S has |S| + 1 neighbours and one edge joins S to the neighbour w
+    outside X, so X = S + N(S) - w; the same holds for X's B-side and the
+    edge into it.
+    """
     if g.n > _PSET_MAX_N:
         raise BoundExceededError(f"P-set enumeration capped at {_PSET_MAX_N} vertices")
-    a, b = bipartition(g)
-    a_sorted, b_sorted = sorted(a), sorted(b)
-    rows = _edge_rows(g)
-    for k in range(1, min(len(a), len(b)) + 1):
-        if 2 * k >= g.n:
-            break
-        found = []
-        for xa in combinations(a_sorted, k):
-            for xb in combinations(b_sorted, k):
-                p = _p_set(rows, xa, xb)
-                if p is not None:
-                    found.append(p)
-        found.sort(key=lambda p: sorted(p.vertices))
-        yield from found
+    sides = [sorted(side) for side in bipartition(g)]
+    for k in range(1, g.n // 2):
+        found: dict[frozenset[int], list[bool]] = {}
+        for i, side in enumerate(sides):
+            for s in combinations(side, k):
+                around = 0
+                for v in s:
+                    around |= g.adj_masks[v]
+                if around.bit_count() != k + 1:
+                    continue
+                for w in bits(around):
+                    if sum(g.multiplicity(v, w) for v in s) == 1:
+                        x = frozenset(s).union(bits(around ^ 1 << w))
+                        found.setdefault(x, [False, False])[i] = True
+        for x in sorted(found, key=sorted):
+            yield PSet(x, *found[x])
 
 
 def minimum_P_set(g: Multigraph) -> Optional[PSet]:
-    for p in all_P_sets(g):
-        return p
-    return None
+    return next(all_P_sets(g), None)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,7 @@ def is_tight(g: Multigraph, shore: Iterable[int]) -> bool:
 def contractions(g: Multigraph, shore: Iterable[int]) -> tuple[Multigraph, Multigraph]:
     """(G with complement contracted, G with shore contracted)."""
     x = _shore(g, shore)
-    complement = frozenset(range(g.n)) - x
-    g_keep_x, _ = g.contract(complement)
-    g_keep_rest, _ = g.contract(x)
-    return g_keep_x, g_keep_rest
+    return g.contract(frozenset(range(g.n)) - x), g.contract(x)
 
 
 def is_separating(g: Multigraph, shore: Iterable[int]) -> bool:

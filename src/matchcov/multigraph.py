@@ -196,13 +196,11 @@ class Multigraph:
                 kept.append(pair)
         return Multigraph(self.n, kept)
 
-    def contract(self, shore: Iterable[int]) -> tuple["Multigraph", dict[int, int]]:
+    def contract(self, shore: Iterable[int]) -> "Multigraph":
         """Contract the shore to a single (last) vertex.
 
         Kept vertices preserve relative order at ids 0..k-1; the contracted
-        vertex is k. Internal shore edges vanish. Returns the new graph and
-        the edge provenance map (old edge id -> new edge id, surviving edges
-        only).
+        vertex is k. Internal shore edges vanish.
         """
         x = set(shore)
         if not x or len(x) >= self.n:
@@ -213,16 +211,12 @@ class Multigraph:
         kept = [v for v in range(self.n) if v not in x]
         remap = {v: i for i, v in enumerate(kept)}
         cvx = len(kept)
-        new_edges = []
-        provenance: dict[int, int] = {}
-        for e, (u, v) in enumerate(self.edges):
-            if u in x and v in x:
-                continue
-            nu = cvx if u in x else remap[u]
-            nv = cvx if v in x else remap[v]
-            provenance[e] = len(new_edges)
-            new_edges.append((nu, nv))
-        return Multigraph(cvx + 1, new_edges), provenance
+        new_edges = [
+            (cvx if u in x else remap[u], cvx if v in x else remap[v])
+            for u, v in self.edges
+            if u not in x or v not in x
+        ]
+        return Multigraph(cvx + 1, new_edges)
 
     def induced(self, keep: Sequence[int]) -> "Multigraph":
         """Induced subgraph on `keep`, renumbered in the given order."""

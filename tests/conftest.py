@@ -146,7 +146,7 @@ def separating_by_definition(g: Multigraph, shore) -> bool:
     """Both shore contractions are matching covered."""
     x = set(shore)
     rest = set(range(g.n)) - x
-    return mc_by_definition(g.contract(rest)[0]) and mc_by_definition(g.contract(x)[0])
+    return mc_by_definition(g.contract(rest)) and mc_by_definition(g.contract(x))
 
 
 def naive_isomorphic(g: Multigraph, h: Multigraph) -> bool:

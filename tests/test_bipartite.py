@@ -18,8 +18,9 @@ from matchcov import (
 )
 from matchcov import bipartite
 from matchcov.bipartite import RemovabilityCertificate, _certificate_search, all_P_sets
-from matchcov.campaigns import _bipartite_multigraphs, run_campaign
+from matchcov.campaigns import _bipartite_multigraphs, _sample_bipartite_mc, run_campaign
 from matchcov.errors import NotBipartiteMCError
+from matchcov.generate import multiplicity_classes
 from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph
 
 
@@ -247,15 +248,14 @@ def _p_sets_by_definition(g):
 
 def test_p_sets_match_definition():
     graphs = [g for n in (2, 4, 6, 8) for g in _bipartite_mc(n)]
-    # multigraphs: C4 and C6 with parallel edges, K33 with one doubled edge
-    graphs += [
-        Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)]),
-        Multigraph(6, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 5), (0, 5)]),
-        Multigraph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)] + [(0, 3)]),
-    ]
+    # multigraphs: every multiplicity class (multiplicity <= 3) of the bases
+    # with n <= 6, then seeded samples past the exhaustive range
+    graphs += [h for g in graphs if g.n <= 6 for h in multiplicity_classes(g, 3) if h.m > g.m]
+    graphs += _sample_bipartite_mc(10, 20, 0) + _sample_bipartite_mc(12, 20, 0)
     with_p_sets = set()
     for g in graphs:
         expect = _p_sets_by_definition(g)
         assert list(all_P_sets(g)) == expect, g.edges
+        assert minimum_P_set(g) == (expect[0] if expect else None)
         with_p_sets.add(bool(expect))
     assert with_p_sets == {True, False}

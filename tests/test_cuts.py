@@ -150,7 +150,7 @@ def test_separating_cut_in_c6():
     g = cycle_graph(6)
     # both shore contractions of {0,1,2} are squares, hence matching covered
     assert is_separating(g, [0, 1, 2])
-    h, _ = g.contract([0, 1, 2])
+    h = g.contract([0, 1, 2])
     assert h.n == 4 and is_matching_covered(h)
 
 

@@ -100,8 +100,8 @@ def test_nonsolid_six_vertex_bricks_have_robust_cuts():
         assert shores, f"nonsolid brick without robust cut: {g.edges}"
         witnessed = False
         for shore in shores:
-            inner, _ = g.contract(sorted(set(range(g.n)) - set(shore)))
-            outer, _ = g.contract(sorted(shore))
+            inner = g.contract(sorted(set(range(g.n)) - set(shore)))
+            outer = g.contract(sorted(shore))
             if is_solid(inner) or is_solid(outer):
                 witnessed = True
                 break

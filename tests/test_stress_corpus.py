@@ -86,7 +86,7 @@ def test_gadget_certificates_are_checked_at_any_order(k):
     [
         # The tight cut decomposition reads the perfect matching table.
         ("decomp-unique", cycle_graph(26), "perfect matching enumeration"),
-        ("lemma-2.17", prism(8), "P-set enumeration"),
+        ("lemma-2.17", prism(20), "P-set enumeration"),
     ],
 )
 def test_kernels_refuse_their_runaways(name, graph, kernel):
@@ -116,12 +116,23 @@ def test_any_base_wheel_is_certified_at_once(wheel):
     assert time.perf_counter() - start < 1
 
 
+def test_p_sets_of_large_bipartite_graphs():
+    # The 22- and 34-vertex Moebius ladders and the 5-cube: P-sets are
+    # walked over the subsets of one side, so 34 vertices is in reach.
+    start = time.perf_counter()
+    rep = run_corpus("lemma-2.17", stress_corpus(seed=0))
+    assert rep["counterexamples"] == []
+    assert rep["summary"]["applied"] == 3
+    assert rep["summary"]["status"] == "pass"
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_refusal_exits_3_in_workers_too(tmp_path, jobs):
     # lemma-2.17's claim, and so the P-set kernel's refusal, runs in the
     # worker processes when jobs > 1.
-    corpus = tmp_path / "prism16.mg"
-    corpus.write_text(format_mg(prism(8)))
+    corpus = tmp_path / "prism40.mg"
+    corpus.write_text(format_mg(prism(20)))
     code, _, err = run_cli(["verify", "lemma-2.17", "--corpus", str(corpus), "--jobs", jobs])
     assert code == EXIT_BOUND
-    assert "P-set enumeration capped at 14 vertices" in err
+    assert "P-set enumeration capped at 36 vertices" in err
