@@ -2,7 +2,7 @@
 decompositions, bricks and braces, wheel-like structure, and exhaustive
 desk-scale verification campaigns."""
 
-from .multigraph import Multigraph, new_multigraph, vertex_connectivity
+from .multigraph import Multigraph, vertex_connectivity
 from .matching import (
     enumerate_perfect_matchings,
     has_perfect_matching,

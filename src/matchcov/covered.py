@@ -284,25 +284,21 @@ def pm_pair_groups(g: Multigraph) -> tuple[int, ...]:
     v that leaves G - u - v without a perfect matching.
 
     One blossom search per group: G - u - v has a perfect matching exactly
-    when G - u has a near-perfect matching and v is outer in the search
-    from the vertex it leaves exposed. A perfect matching of G, with u's
-    edge dropped, is one, exposing u's partner; without one, the search
-    builds a maximum matching of G - u from nothing.
+    when v is outer in the search from u's partner, with a perfect matching
+    of G minus u's edge as the near-perfect matching of G - u. A graph with
+    no perfect matching raises NotMatchingCoveredError.
     """
-    adj, full = g.adj_masks, g.full_mask
-    rest = full
-    mate = _perfect_matching(g) or (-1,) * g.n
+    mate = _perfect_matching(g)
+    if mate is None:
+        raise NotMatchingCoveredError("pair groups are read from a perfect matching")
+    rest = full = g.full_mask
     out = []
     while rest:
         low = rest & -rest
         u, others = low.bit_length() - 1, rest ^ low
-        match, within = list(mate), full ^ low
-        if mate[u] >= 0:
-            match[mate[u]] = match[u] = -1
-            exposed = [mate[u]]
-        else:
-            exposed = list(unmatched(adj, match, within))
-        outer = blossom_search(adj, match, exposed[0], within, others) if len(exposed) == 1 else 0
+        match = list(mate)
+        match[mate[u]] = match[u] = -1
+        outer = blossom_search(g.adj_masks, match, mate[u], full ^ low, others)
         group = low | others & ~outer
         rest ^= group
         out.append(group)

@@ -19,7 +19,6 @@ under its old name.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .canon import canonical_form
@@ -27,11 +26,6 @@ from .covered import is_matching_covered
 from .cuts import contractions, is_solid, tight_shores
 from .errors import NotMatchingCoveredError
 from .multigraph import Multigraph
-
-
-@dataclass(frozen=True)
-class DecompResult:
-    components: tuple[tuple[Multigraph, str], ...]  # (graph, "brick" | "brace")
 
 
 def nontrivial_tight_shores(g: Multigraph) -> tuple[frozenset[int], ...]:
@@ -57,7 +51,8 @@ def find_nontrivial_tight_cut(
 
 def tight_cut_decomposition(
     g: Multigraph, seed: Optional[int] = None
-) -> DecompResult:
+) -> tuple[tuple[Multigraph, str], ...]:
+    """The (component, "brick" | "brace") pairs, in the order they split off."""
     if not is_matching_covered(g):
         raise NotMatchingCoveredError("decomposition is defined on matching covered graphs")
     rng = random.Random(seed) if seed is not None else None
@@ -74,11 +69,11 @@ def tight_cut_decomposition(
         rec(b)
 
     rec(g)
-    return DecompResult(tuple(components))
+    return tuple(components)
 
 
 def brick_count(g: Multigraph) -> int:
-    return sum(1 for _, tag in tight_cut_decomposition(g).components if tag == "brick")
+    return sum(1 for _, tag in tight_cut_decomposition(g) if tag == "brick")
 
 
 def is_near_brick(g: Multigraph) -> bool:
@@ -101,5 +96,4 @@ def decomposition_multiset(g: Multigraph, seed: Optional[int] = None) -> tuple[b
     are split, so the component list is only unique up to multiplicities;
     comparisons therefore happen on the underlying simple graphs.
     """
-    result = tight_cut_decomposition(g, seed)
-    return tuple(sorted(canonical_form(h.underlying_simple()) for h, _ in result.components))
+    return tuple(sorted(canonical_form(h.underlying_simple()) for h, _ in tight_cut_decomposition(g, seed)))

@@ -391,11 +391,6 @@ def per_graph(fn: Callable) -> Callable:
     return cached
 
 
-def new_multigraph(n: int, edges: Iterable[tuple[int, int]]) -> Multigraph:
-    """Constructor alias used by callers that prefer a function."""
-    return Multigraph(n, edges)
-
-
 def vertex_connectivity(g: Multigraph) -> int:
     """Minimum vertices whose removal disconnects g or leaves one vertex.
 

@@ -47,7 +47,7 @@ from .errors import (
     NotMatchingCoveredError,
     NotOddWheelsError,
 )
-from .multigraph import Multigraph, per_graph
+from .multigraph import Multigraph, _bits, _reach, per_graph
 
 _GFAMILY_MAX_N = 14
 
@@ -90,18 +90,16 @@ def odd_wheel_hubs(g: Multigraph) -> tuple[int, ...]:
     n = g.n
     if n < 4 or n % 2 != 0:
         return ()
-    nbrs = [g.neighbors(w) for w in range(n)]
+    adj = g.adj_masks
     for hub in range(n):
-        if len(nbrs[hub]) != n - 1:
+        rim = g.full_mask ^ 1 << hub
+        if adj[hub] != rim:
             continue
-        # The rim must be one cycle through all n - 1 other vertices.
-        if any(len(nbrs[w]) != 3 for w in range(n) if w != hub):
+        # The rim must be one cycle through all n - 1 other vertices: each
+        # has two rim neighbours, and the lowest reaches them all.
+        if any((adj[w] & rim).bit_count() != 2 for w in _bits(rim)):
             return ()
-        start = cur = min(nbrs[hub])
-        prev, length = hub, 1
-        while (step := min(nbrs[cur] - {hub, prev})) != start:
-            prev, cur, length = cur, step, length + 1
-        if length != n - 1:
+        if _reach(adj, (rim & -rim).bit_length() - 1, rim) != rim:
             return ()
         return tuple(range(4)) if n == 4 else (hub,)
     return ()

@@ -14,7 +14,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import strategies as st
 
-from matchcov import Multigraph, new_multigraph
+from matchcov import Multigraph
 from matchcov.errors import BoundExceededError
 from matchcov.multigraph import bits
 
@@ -181,7 +181,7 @@ def labeled_connected_simple(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        g = new_multigraph(n, edges)
+        g = Multigraph(n, edges)
         if g.is_connected():
             yield g
 
@@ -193,7 +193,7 @@ def labeled_connected_multigraphs(n: int, mult_bound: int):
         edges = []
         for (u, v), c in zip(pairs, mults):
             edges.extend([(u, v)] * c)
-        g = new_multigraph(n, edges)
+        g = Multigraph(n, edges)
         if g.is_connected():
             yield g
 
@@ -503,7 +503,7 @@ def multigraphs(draw, max_n: int, even: bool):
     n = 2 * draw(st.integers(1, max_n // 2)) if even else draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mults = draw(st.lists(MULTIPLICITY, min_size=len(pairs), max_size=len(pairs)))
-    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
+    return Multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
 
 
 @pytest.fixture(scope="session")

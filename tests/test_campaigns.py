@@ -135,14 +135,28 @@ def test_lemma_3_9_population_with_heavy_spokes():
     # Population only: three doubles and spokes of multiplicity 3 reach
     # site stabilizers and class actions that the digest bound does not.
     ctx = {"wheels": (3, 5), "mult_bound": 3, "doubles": 3}
-    reps = sum(1 for _ in CAMPAIGNS["lemma-3.9"].population(ctx))
+    # Every result carries the splice that built it.
+    reps = sum(len(g.built_by) == 4 for g in CAMPAIGNS["lemma-3.9"].population(ctx))
     assert (ctx["splice_sites"], ctx["tasks"], ctx["theta_matrices"], reps) == (
         122,
         1737,
         70201,
         30394,
     )
-    assert len(ctx["splices"]) == reps
+
+
+def test_lemma_3_9_results_carry_their_splice():
+    # The fold reads each row's splice and condition verdict off the graph
+    # itself; both must be the ones that graph was built from.
+    ctx = {"wheels": (3, 5), "mult_bound": 2, "doubles": 1}
+    reps = 0
+    for g in CAMPAIGNS["lemma-3.9"].population(ctx):
+        sg, sh, matrix, conds = g.built_by
+        theta = wheels.theta_from_class_matrix(sg.graph, sg.vertex, sh.graph, sh.vertex, matrix)
+        assert g == wheels.splice(sg.graph, sg.vertex, sh.graph, sh.vertex, theta)
+        assert conds == wheels.check_odd_wheel_splice(sg.graph, sg.vertex, sh.graph, sh.vertex, theta)
+        reps += 1
+    assert reps > ctx["tasks"] > 1
 
 
 def test_lemma_3_9_checks_k4_splices_under_every_hub():
@@ -161,8 +175,8 @@ def test_lemma_3_9_keeps_one_matrix_per_orbit_by_burnside():
     # are counted here without the population's orbit filter.
     ctx = {"wheels": (3, 5, 7), "mult_bound": 2, "doubles": 1}
     tasks = {}
-    for _ in CAMPAIGNS["lemma-3.9"].population(ctx):
-        sg, sh = ctx["splices"][-1][:2]
+    for g in CAMPAIGNS["lemma-3.9"].population(ctx):
+        sg, sh = g.built_by[:2]
         tasks.setdefault((id(sg), id(sh)), [sg, sh, 0])[2] += 1
     # Every task keeps at least one matrix, so all of them are seen here.
     assert len(tasks) == ctx["tasks"]
@@ -323,7 +337,7 @@ def test_jobs_do_not_change_corpus_reports(name):
 )
 def test_jobs_twins_across_pool_chunks(monkeypatch, name, params):
     # Seven graphs to a chunk: the worker pool restarts between chunks, and
-    # lemma-3.9's queued splices must still pair with their rows.
+    # each lemma-3.9 row must still carry the splice that built it.
     monkeypatch.setattr(campaigns, "_POOL_CHUNK", 7)
     serial = run_campaign(name, jobs=1, **params)
     assert serial["graphs_checked"] > campaigns._POOL_CHUNK

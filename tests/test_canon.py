@@ -12,7 +12,6 @@ from matchcov import (
     canonical_labeling,
     enumerate_connected_graphs,
     is_isomorphic,
-    new_multigraph,
     vertex_orbits,
 )
 from matchcov.canon import _rows, _twins
@@ -53,7 +52,7 @@ def test_canonical_labeling_matches_reference_kernel_up_to_n7():
 
 def test_twins_adjacent_or_not():
     # 0 and 1 are adjacent twins, 2 and 3 non-adjacent ones; 0 and 2 differ.
-    g = new_multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)] + [(0, 1)] * 2)
+    g = Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)] + [(0, 1)] * 2)
     rows = _rows(g)
     assert _twins(rows, 0, 1) and _twins(rows, 1, 0)
     assert _twins(rows, 2, 3)
@@ -62,14 +61,14 @@ def test_twins_adjacent_or_not():
 
 def test_canonical_form_sees_multiplicity():
     c4 = cycle_graph(4)
-    doubled = new_multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
+    doubled = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
     assert canonical_form(c4) != canonical_form(doubled)
     # relabeling the doubled graph keeps its form
     assert canonical_form(doubled.relabeled((2, 3, 0, 1))) == canonical_form(doubled)
 
 
 def test_canonical_labeling_is_consistent():
-    g = new_multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    g = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     perm, form = canonical_labeling(g)
     assert sorted(perm) == list(range(5))
     assert form == canonical_form(g)
@@ -117,7 +116,7 @@ def test_vertex_orbits():
     assert orbits == {frozenset({0}), frozenset({1, 2, 3, 4})}
     assert {frozenset(o) for o in vertex_orbits(complete_graph(4))} == {frozenset(range(4))}
     # orbits partition the vertex set
-    g = new_multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    g = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     seen = set()
     for o in vertex_orbits(g):
         assert not (set(o) & seen)
@@ -143,7 +142,7 @@ def _random_cubic(n: int, seed: int) -> Multigraph:
         rng.shuffle(points)
         edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
         if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            g = new_multigraph(n, sorted(edges))
+            g = Multigraph(n, sorted(edges))
             if g.is_connected():
                 return g
 
@@ -162,16 +161,16 @@ def test_is_isomorphic_agrees_with_canon():
     assert is_isomorphic(g, h)
     assert not is_isomorphic(g, path_graph(6))
     # multigraphs: multiplicity patterns must match
-    a = new_multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
-    b = new_multigraph(4, [(1, 2), (1, 2), (2, 3), (3, 0), (0, 1)])
+    a = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
+    b = Multigraph(4, [(1, 2), (1, 2), (2, 3), (3, 0), (0, 1)])
     assert is_isomorphic(a, b)
-    c = new_multigraph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3)])
+    c = Multigraph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3)])
     assert not is_isomorphic(a, c)
 
 
 def _weighted_c4(mults):
     pairs = ((0, 1), (1, 2), (2, 3), (3, 0))
-    return new_multigraph(4, [p for p, cnt in zip(pairs, mults) for _ in range(cnt)])
+    return Multigraph(4, [p for p, cnt in zip(pairs, mults) for _ in range(cnt)])
 
 
 def test_canonical_form_keeps_multiplicities_above_255():

@@ -14,7 +14,7 @@ rewritten.
 import hashlib
 import random
 
-from matchcov import canonical_labeling, enumerate_connected_graphs, new_multigraph
+from matchcov import Multigraph, canonical_labeling, enumerate_connected_graphs
 from matchcov.generate import clear_enumeration_cache
 
 ENUMERATION_DIGEST = "2e734aabcb000be5485f01653bfc840dc2d01d8dab559ed81bc19a9ff4c97cd3"
@@ -33,7 +33,7 @@ def _random_multigraphs(count: int, seed: int):
             for v in range(u + 1, n):
                 if rng.random() < density:
                     edges.extend([(u, v)] * rng.randint(1, top))
-        yield new_multigraph(n, edges)
+        yield Multigraph(n, edges)
 
 
 def _large_multigraphs(count: int, seed: int):
@@ -58,7 +58,7 @@ def _large_multigraphs(count: int, seed: int):
                     if rng.random() < density:
                         cnt = rng.randint(254, 300) if k % 10 == 0 else rng.randint(1, top)
                         edges.extend([(u, v)] * cnt)
-        yield new_multigraph(n, edges)
+        yield Multigraph(n, edges)
 
 
 def test_enumeration_representatives_pinned():

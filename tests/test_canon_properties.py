@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcov import automorphisms, canonical_form, canonical_labeling, new_multigraph, vertex_orbits
+from matchcov import Multigraph, automorphisms, canonical_form, canonical_labeling, vertex_orbits
 import conftest
 from conftest import (
     naive_isomorphic,
@@ -21,7 +21,7 @@ def multigraphs(draw, max_n: int):
     n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mults = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
-    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
+    return Multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
 
 
 @PROPERTY_SETTINGS
@@ -43,7 +43,7 @@ def test_canonical_form_equality_matches_naive_isomorphism(data):
         pair = st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)
         u, v = sorted(data.draw(pair))
         cnt = data.draw(st.integers(0, 3))
-        h = new_multigraph(g.n, [e for e in h.edges if e != (u, v)] + [(u, v)] * cnt)
+        h = Multigraph(g.n, [e for e in h.edges if e != (u, v)] + [(u, v)] * cnt)
     assert (canonical_form(g) == canonical_form(h)) == naive_isomorphic(g, h)
 
 
@@ -60,14 +60,14 @@ def oracle_multigraphs(draw):
         edges = {(u, (u + j) % n) for u in range(n) for j in jumps}
         perm = draw(st.permutations(range(n)))
         pairs = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
-        return new_multigraph(n, [pair for pair in sorted(pairs) for _ in range(cnt)])
+        return Multigraph(n, [pair for pair in sorted(pairs) for _ in range(cnt)])
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if wide:
         present = st.one_of(st.just(0), st.integers(1, 3), st.integers(254, 300))
     else:
         present = st.sampled_from([0, 0, 0, 1, 1, 2, 3])
     mults = draw(st.lists(present, min_size=len(pairs), max_size=len(pairs)))
-    return new_multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
+    return Multigraph(n, [pair for pair, cnt in zip(pairs, mults) for _ in range(cnt)])
 
 
 @PROPERTY_SETTINGS

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from matchcov import (
+    Multigraph,
     enumerate_connected_graphs,
     is_bicritical,
     is_brick,
@@ -15,7 +16,6 @@ from matchcov import (
     is_minimal_mc,
     is_near_bipartite,
     is_removable_edge,
-    new_multigraph,
     removable_classes,
     removable_doubletons,
     removable_edges,
@@ -68,7 +68,7 @@ def check_against_definition(g):
 def check_minimal_against_definition(g):
     # A fresh copy first: the early exit answers from its own searches, and
     # the definition then reads every edge of the other copy.
-    fresh = new_multigraph(g.n, g.edges)
+    fresh = Multigraph(g.n, g.edges)
     assert is_minimal_mc(fresh) == (is_matching_covered(g) and not removable_edges(g)), g.edges
 
 
@@ -91,7 +91,7 @@ def test_removability_matches_definition(g):
     ],
 )
 def test_removability_named_cases(edges):
-    g = new_multigraph(max(max(e) for e in edges) + 1, edges)
+    g = Multigraph(max(max(e) for e in edges) + 1, edges)
     check_minimal_against_definition(g)
     check_against_definition(g)
 

@@ -18,8 +18,7 @@ from matchcov import simple_wheel
 
 
 def test_c6_splits_into_two_squares():
-    result = tight_cut_decomposition(cycle_graph(6))
-    comps = [h for h, _ in result.components]
+    comps = [h for h, _ in tight_cut_decomposition(cycle_graph(6))]
     assert len(comps) == 2
     c4 = canonical_form(cycle_graph(4))
     assert all(canonical_form(h.underlying_simple()) == c4 for h in comps)
@@ -27,9 +26,9 @@ def test_c6_splits_into_two_squares():
 
 def test_bricks_and_braces_are_atomic():
     for g in (complete_graph(4), prism_graph(), petersen_graph(), complete_bipartite(3, 3)):
-        result = tight_cut_decomposition(g)
-        assert len(result.components) == 1
-        assert canonical_form(result.components[0][0]) == canonical_form(g)
+        components = tight_cut_decomposition(g)
+        assert len(components) == 1
+        assert canonical_form(components[0][0]) == canonical_form(g)
 
 
 def test_every_component_is_brick_or_brace():
@@ -37,17 +36,16 @@ def test_every_component_is_brick_or_brace():
         for g in enumerate_connected_graphs(n, min_degree=2):
             if not is_matching_covered(g):
                 continue
-            result = tight_cut_decomposition(g)
-            for h, _ in result.components:
+            for h, _ in tight_cut_decomposition(g):
                 assert is_brick(h) or is_brace(h), (g.edges, h.edges)
 
 
 def test_vertex_bookkeeping():
     # each split makes two graphs with n1 + n2 = n + 2, and one more component
     for g in (cycle_graph(6), cycle_graph(8)):
-        result = tight_cut_decomposition(g)
-        total = sum(h.n for h, _ in result.components)
-        cuts = len(result.components) - 1
+        components = tight_cut_decomposition(g)
+        total = sum(h.n for h, _ in components)
+        cuts = len(components) - 1
         assert cuts > 0
         assert total == g.n + 2 * cuts
 

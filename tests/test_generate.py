@@ -3,13 +3,13 @@
 import pytest
 
 from matchcov import (
+    Multigraph,
     automorphisms,
     canonical_form,
     enumerate_connected_graphs,
     enumerate_multigraphs,
     is_brick,
     multiplicity_sweep,
-    new_multigraph,
 )
 from matchcov import canon, generate
 from matchcov.errors import BadSpecError
@@ -110,13 +110,11 @@ def test_multiplicity_sweep_on_k4():
     pairs = [base.endpoints(e) for e in range(base.m)]
     from itertools import product
 
-    from matchcov import new_multigraph
-
     for mults in product((1, 2), repeat=len(pairs)):
         edges = []
         for (u, v), c in zip(pairs, mults):
             edges.extend([(u, v)] * c)
-        seen.add(canonical_form(new_multigraph(4, edges)))
+        seen.add(canonical_form(Multigraph(4, edges)))
     # the sweep is a labeled enumeration: one output per multiplicity vector
     got = [canonical_form(g) for g in multiplicity_sweep(base, 2)]
     assert len(got) == 2 ** base.m
@@ -180,4 +178,4 @@ def test_multiplicity_classes_refuse_bad_input():
     with pytest.raises(BadSpecError):
         list(multiplicity_classes(cycle_graph(4), 0))
     with pytest.raises(BadSpecError):
-        list(multiplicity_classes(new_multigraph(2, [(0, 1), (0, 1)]), 2))
+        list(multiplicity_classes(Multigraph(2, [(0, 1), (0, 1)]), 2))

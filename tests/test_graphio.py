@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcov import (
+    Multigraph,
     canonical_form,
     decode_graph6,
     encode_graph6,
     format_mg,
-    new_multigraph,
     parse_graph_text,
     parse_mg,
 )
@@ -46,7 +46,7 @@ def test_graph6_known_strings():
 
 
 def test_graph6_rejects_multigraph():
-    g = new_multigraph(2, [(0, 1), (0, 1)])
+    g = Multigraph(2, [(0, 1), (0, 1)])
     with pytest.raises(NotSimpleError):
         encode_graph6(g)
 
@@ -67,7 +67,7 @@ def test_graph6_malformed():
 
 
 def test_mg_round_trip_with_multiplicity():
-    g = new_multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
+    g = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
     text = format_mg(g)
     h = parse_mg(text)
     assert h.n == 4 and h.m == 5
@@ -100,7 +100,7 @@ def test_parse_graph_text_sniffs_both():
     g = cycle_graph(6)
     assert canonical_form(parse_graph_text(format_mg(g))) == canonical_form(g)
     assert canonical_form(parse_graph_text(encode_graph6(g))) == canonical_form(g)
-    multi = new_multigraph(2, [(0, 1), (0, 1)])
+    multi = Multigraph(2, [(0, 1), (0, 1)])
     assert parse_graph_text(format_mg(multi)).m == 2
 
 
@@ -144,7 +144,7 @@ def test_mg_and_graph6_round_trips(g):
 def test_graph6_round_trip_across_size_forms(case):
     # n = 63 and up takes the four-character size form.
     n, pairs = case
-    g = new_multigraph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    g = Multigraph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
     text = encode_graph6(g)
     assert (text[0] == "~") == (n >= 63)
     h = parse_graph_text(text)

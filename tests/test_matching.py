@@ -5,12 +5,12 @@ import random
 from hypothesis import given, settings
 
 from matchcov import (
+    Multigraph,
     enumerate_connected_graphs,
     enumerate_perfect_matchings,
     has_perfect_matching,
     matching_number,
     max_matching,
-    new_multigraph,
 )
 from matchcov.covered import _perfect_matching
 from matchcov.zoo import (
@@ -72,12 +72,12 @@ def test_matching_number_random_n8():
             for v in range(u + 1, n):
                 if rng.random() < 0.4:
                     edges.append((u, v))
-        g = new_multigraph(n, edges)
+        g = Multigraph(n, edges)
         assert matching_number(g) == brute_matching_number(g)
 
 
 def test_matching_with_parallel_edges():
-    g = new_multigraph(4, [(0, 1), (0, 1), (2, 3), (1, 2)])
+    g = Multigraph(4, [(0, 1), (0, 1), (2, 3), (1, 2)])
     assert matching_number(g) == 2
     m = max_matching(g)
     _check_matching_is_valid(g, m)
@@ -96,7 +96,7 @@ def test_has_perfect_matching():
     assert not has_perfect_matching(cycle_graph(5))
     assert not has_perfect_matching(path_graph(3))
     # even order alone is not enough: a star on 4 vertices has no PM
-    assert not has_perfect_matching(new_multigraph(4, [(0, 1), (0, 2), (0, 3)]))
+    assert not has_perfect_matching(Multigraph(4, [(0, 1), (0, 2), (0, 3)]))
 
 
 def test_enumerate_perfect_matchings_matches_oracle(connected_simple_upto_6):
@@ -111,7 +111,7 @@ def test_enumerate_perfect_matchings_matches_oracle(connected_simple_upto_6):
 
 def test_enumerate_perfect_matchings_multigraph():
     # a doubled edge doubles the matchings through that pair
-    g = new_multigraph(4, [(0, 1), (0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)])
+    g = Multigraph(4, [(0, 1), (0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)])
     got = [frozenset(m.edge_ids) for m in enumerate_perfect_matchings(g)]
     expect = set(brute_perfect_matchings(g))
     assert set(got) == expect

@@ -2,13 +2,13 @@
 
 import pytest
 
-from matchcov import Multigraph, new_multigraph
+from matchcov import Multigraph
 from matchcov.errors import LoopEdgeError, VertexOutOfRangeError
 from matchcov.zoo import complete_graph, cycle_graph, path_graph, prism_graph, star_graph
 
 
 def test_basic_counts():
-    g = new_multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     assert g.n == 4
     assert g.m == 5
     assert g.degree(0) == 3
@@ -18,7 +18,7 @@ def test_basic_counts():
 
 
 def test_parallel_edges_kept_separate():
-    g = new_multigraph(2, [(0, 1), (0, 1), (1, 0)])
+    g = Multigraph(2, [(0, 1), (0, 1), (1, 0)])
     assert g.m == 3
     assert g.multiplicity(0, 1) == 3
     assert g.degree(0) == 3
@@ -28,14 +28,14 @@ def test_parallel_edges_kept_separate():
 
 def test_loop_rejected():
     with pytest.raises(LoopEdgeError):
-        new_multigraph(3, [(0, 0)])
+        Multigraph(3, [(0, 0)])
 
 
 def test_vertex_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
-        new_multigraph(3, [(0, 3)])
+        Multigraph(3, [(0, 3)])
     with pytest.raises(VertexOutOfRangeError):
-        new_multigraph(2, [(-1, 0)])
+        Multigraph(2, [(-1, 0)])
 
 
 def test_endpoints_and_incident():
@@ -48,15 +48,15 @@ def test_endpoints_and_incident():
 
 
 def test_neighbors_ignore_multiplicity():
-    g = new_multigraph(3, [(0, 1), (0, 1), (1, 2)])
+    g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
     assert g.neighbors(1) == frozenset({0, 2})
 
 
 def test_connectivity():
     assert cycle_graph(4).is_connected()
-    assert not new_multigraph(4, [(0, 1), (2, 3)]).is_connected()
-    assert not new_multigraph(3, [(0, 1)]).is_connected()
-    assert new_multigraph(1, []).is_connected()
+    assert not Multigraph(4, [(0, 1), (2, 3)]).is_connected()
+    assert not Multigraph(3, [(0, 1)]).is_connected()
+    assert Multigraph(1, []).is_connected()
 
 
 def test_bipartite_and_coloring():
@@ -106,7 +106,7 @@ def test_contract_shore():
 
 def test_contract_keeps_parallel_boundary():
     # contracting one endpoint of a double edge keeps both copies
-    g = new_multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
+    g = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
     h = g.contract([0, 3])
     assert h.n == 3
     assert h.multiplicity(0, 2) == 2

@@ -3,26 +3,31 @@
 `pm_pair_groups` runs one blossom search per group, and `separating_pairs`
 one bit-parallel breadth-first search per chunk of pairs. The oracles in
 conftest ask each pair on its own; the answers, and their order, must be
-the same.
+the same. On a graph with no perfect matching `pm_pair_groups` refuses.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from matchcov import Multigraph, covered, enumerate_connected_graphs, is_bicritical, is_brick, multigraph
 from matchcov.covered import _SWEEP_BITS, pm_pair_groups, separating_pairs
+from matchcov.errors import NotMatchingCoveredError
 from matchcov.multigraph import blossom_search
 from conftest import multigraphs, reference_pm_pair_groups, reference_separating_pairs
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def check_scans(g, groups=True):
+def check_scans(g):
     # The oracle runs on a copy, so neither reads a memo the other seeded.
     fresh = Multigraph(g.n, g.edges)
-    if groups:
+    if fresh.has_pm_mask(fresh.full_mask):
         assert pm_pair_groups(g) == reference_pm_pair_groups(fresh), g.edges
+    else:
+        with pytest.raises(NotMatchingCoveredError):
+            pm_pair_groups(g)
     assert list(separating_pairs(g)) == reference_separating_pairs(fresh), g.edges
 
 
@@ -56,9 +61,7 @@ def test_seeded_graphs_over_several_chunks():
             glued = [(u, v) for u, v in g.edges if (u < k) == (v < k) or 0 in (u, v)]
             g = Multigraph(n, glued + [(0, k)])
             assert g.component_mask(1, g.full_mask ^ 1) != g.full_mask ^ 1
-        # At odd orders every G - u - v is odd, one group by parity, and
-        # the pair oracle would search odd vertex sets to exhaustion.
-        check_scans(g, groups=n % 2 == 0)
+        check_scans(g)
 
 
 def prism(k):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from matchcov import (
+    Multigraph,
     SpliceNode,
     WheelLeaf,
     WheelSpec,
@@ -17,7 +18,6 @@ from matchcov import (
     is_matching_covered,
     is_wheel_like,
     make_wheel,
-    new_multigraph,
     removable_classes,
     search_G_certificate,
     simple_wheel,
@@ -204,7 +204,7 @@ def test_splice_conditions_rim_parallel_violation():
     # parallels away from the hub violate condition 2
     rim = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     spokes = [(i, 5) for i in range(5)]
-    g = new_multigraph(6, rim + [(0, 1)] + spokes)  # doubled rim edge
+    g = Multigraph(6, rim + [(0, 1)] + spokes)  # doubled rim edge
     hub_g = 5
     h, hub_h = make_wheel(WheelSpec(5, (3, 1, 1, 1, 1)))
     v = next(x for x in range(h.n) if x != hub_h and h.degree(x) == 5)
@@ -299,7 +299,7 @@ def test_certificate_search_reaches_heavy_spoke_splices():
     # wheel off one of the brick's own cuts.
     edges = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (0, 6)]
     edges += [(1, 6), (2, 6), (3, 6), (4, 6), (0, 7), (5, 7), (6, 7)]
-    g = new_multigraph(8, edges)
+    g = Multigraph(8, edges)
     assert is_brick(g) and is_wheel_like(g)
     assert canonical_form(g) not in g_family_closure(8)
     cert = search_G_certificate(g)
