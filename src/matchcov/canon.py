@@ -37,12 +37,20 @@ length of the top multiplicity + 1). That orders leaves as their bytes even
 with the escape: the byte 255 sorts above any smaller multiplicity, and the
 8 big-endian bytes after it sort numerically. Only the winner is encoded.
 
-The only search pruning is the twin test: if two cell members have
-identical multiplicity rows, their transposition is an automorphism and
-one branch is skipped; the search records the swap as a generator. That
-keeps complete and near-complete graphs linear instead of factorial
-without touching correctness. Row u against row w with its entries u and
-w swapped is one list comparison.
+The search prunes by twins: if two cell members have identical
+multiplicity rows, their transposition is an automorphism and one branch
+is skipped; the search records the swap as a generator. A cell whose
+members are all twins of its first one is split into singletons in member
+order in one step, with no refinement: individualizing a twin splits no
+other cell, so the one-by-one search would take the same single path. So
+a complete graph, a star or an edgeless graph takes one refinement round.
+Row u against row w with its entries u and w swapped is one list
+comparison.
+
+An enumerator passes the forms it keeps: the search stops at its first
+leaf that is one of them, which proves the graph a duplicate (McKay, J.
+Algorithms 1998; McKay and Piperno, J. Symb. Comput. 2014). A new graph
+hits none and is searched to the end, with the same result as without.
 
 `orbit_representatives` is the one orderly generator: given position
 permutations, it builds only the tuples that are the least of their
@@ -52,10 +60,12 @@ matrices of `wheels`, are built with it.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError
 from .multigraph import Multigraph, per_graph
@@ -152,14 +162,19 @@ def _twins(rows: list[list[int]], u: int, w: int) -> bool:
 
 
 def _search(
-    nbrs: list, edges: list, rows: list, keys: list, scale: int
-) -> tuple[tuple[int, ...], list[int], int, tuple]:
+    nbrs: list, edges: list, rows: list, keys: list, scale: int, known: Container[bytes] | None = None
+) -> tuple[tuple[int, ...], list[int], int, tuple] | None:
     """The labelling search over 1 to 255 vertices, given as `_start`
     gives them: (best leaf, its packed encoding, the encoding's low-field
     width lo, automorphism generators). A leaf is a color list, old
     position -> new. The generators are b^-1 composed with each leaf that
     ties the best leaf b, and the transposition (v w) of each twin swap
-    whose branch v was skipped for w's (see `automorphisms`)."""
+    whose branch v was skipped for w's (see `automorphisms`).
+
+    known, if given, holds `_packed` canonical forms, and the search
+    returns None at its first leaf in known. Only a leaf below the best so
+    far is looked up: a form is the least leaf of its graph's search, and
+    isomorphic graphs have the same leaves."""
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
     colors = [rank[k] for k in keys]
     cells: list[list[int]] = [[] for _ in rank]
@@ -170,23 +185,22 @@ def _search(
     best: list = [None, None, []]
     swaps: list[tuple[int, int]] = []
 
-    def rec(colors: list[int], cells: list | None) -> None:
+    def rec(colors: list[int], cells: list | None) -> bool:
+        """Search below one node; True once a leaf is found in known."""
         if cells is None:
             cand = sorted([
                 (a << hi | b << lo if (a := colors[u]) < (b := colors[v]) else b << hi | a << lo) | t
                 for u, v, t in edges
             ])
             if best[1] is None or cand < best[1]:
+                if known is not None and _packed(cand) in known:
+                    return True
                 best[:] = tuple(colors), cand, []
             elif cand == best[1]:
                 best[2].append(colors)
-            return
+            return False
         target = min((len(members), c) for c, members in enumerate(cells) if len(members) > 1)[1]
         members = cells[target]
-        # v gets a cell of its own, just before the rest of its old cell.
-        base = [c + (c > target) for c in colors]
-        for x in members:
-            base[x] += 1
         reps: list[int] = []
         for v in members:
             for w in reps:
@@ -195,12 +209,34 @@ def _search(
                     break
             else:
                 reps.append(v)
-                split = base[:]
-                split[v] = target
-                parts = [[v], [x for x in members if x != v]]
-                rec(*_equitable(nbrs, split, cells[:target] + parts + cells[target + 1 :], scale))
+        if len(reps) == 1:
+            # Mutual twins: individualizing one refines nothing else, and
+            # the rest stay the smallest cell, so the search would split
+            # them one by one in member order. Split them in one step.
+            k = len(members)
+            split = [c + (c > target) * (k - 1) for c in colors]
+            for i, v in enumerate(members):
+                split[v] = target + i
+            cells = cells[:target] + [[v] for v in members] + cells[target + 1 :]
+            return rec(split, cells if len(cells) < len(split) else None)
+        # v gets a cell of its own, just before the rest of its old cell.
+        base = [c + (c > target) for c in colors]
+        for x in members:
+            base[x] += 1
+        for v in reps:
+            split = base[:]
+            split[v] = target
+            parts = [[v], [x for x in members if x != v]]
+            if rec(*_equitable(nbrs, split, cells[:target] + parts + cells[target + 1 :], scale)):
+                return True
+        return False
 
-    rec(*_equitable(nbrs, colors, cells, scale))
+    stopped = rec(*_equitable(nbrs, colors, cells, scale))
+    # rec's closure holds rec: clear it, so the cycle collector never has
+    # to free this search's lists (or known).
+    del rec
+    if stopped:
+        return None
     perm, key, ties = best
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
     gens = {tuple([inverse[c] for c in leaf]) for leaf in ties}
@@ -209,6 +245,18 @@ def _search(
         p[v], p[w] = w, v
         gens.add(tuple(p))
     return perm, key, lo, tuple(gens)
+
+
+def _packed(key: list[int]) -> bytes:
+    """A leaf encoding whose entries fit in 32 bits, as every simple
+    graph's do, as 4 big-endian bytes per entry: one key per encoding, and
+    keys of one n sort like their byte forms (see `_form`). An array,
+    since struct.pack(fmt, *key) would leave an argument tuple per call in
+    the tuple free lists."""
+    entries = array("I", key)
+    if sys.byteorder == "little":
+        entries.byteswap()
+    return entries.tobytes()
 
 
 def _form(n: int, key: list[int], lo: int) -> bytes:
@@ -263,14 +311,24 @@ def automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
     ascending order; the full list is materialized.
 
     The group comes from the canonical labelling's search: each leaf that
-    ties the best leaf b gives b^-1 composed with that leaf, and each twin
-    swap gives its transposition; their closure under composition is the
-    group. Why that is all of it: an automorphism maps b to a leaf with the
-    same encoding. Walk that leaf's path down from the root. Where it
-    enters a branch the search skipped for a twin, the recorded swap fixes
-    every vertex individualized so far and moves the path into the kept
-    sibling. The walk ends at an explored leaf that ties b, so the
-    automorphism is a product of swaps and one tie.
+    ties the best leaf b gives b^-1 composed with that leaf, and each
+    recorded twin swap gives its transposition; their closure under
+    composition is the group. Why that is all of it: an automorphism maps
+    b to a leaf of the unpruned search tree with the same encoding. Walk
+    that leaf's path down from the root, carrying it into the explored
+    tree by twin swaps, each of which fixes every vertex individualized so
+    far and maps the subtree below one twin onto the subtree below the
+    other:
+    - where the path enters a branch skipped for a twin, the recorded swap
+      moves it into the kept sibling;
+    - where the search split a cell of mutual twins v_0, ..., v_k-1 in one
+      step, the unpruned tree individualizes the same cell one member at a
+      time, each time with no other cell refined, in some order. The
+      recorded swaps (v_i v_0) generate every permutation of the cell, so
+      a product of them puts that order into member order and moves the
+      path onto the explored one.
+    The walk ends at an explored leaf that ties b, so the automorphism is
+    a product of swaps and one tie.
 
     Like `canonical_labeling`, this covers at most 255 vertices
     (BoundExceededError).

@@ -19,6 +19,12 @@ down, and its generators (tie leaves and twin swaps) come off that search,
 plus the attach mask, and only a child that is kept becomes a
 `Multigraph`.
 
+Each child's search is given the level's kept forms and stops at its
+first leaf that is one of them (McKay 1998; McKay and Piperno 2014): that
+leaf proves the child isomorphic to a kept one, and a new child is
+searched to the end. The level is keyed by packed forms, which sort like
+byte forms, so representatives and order do not change.
+
 A degree floor is applied per parent, not per vertex of each attach set: a
 parent with a vertex that misses the floor even with the new edge gives no
 child, and the vertices that reach it only with the new edge form one mask
@@ -41,7 +47,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .canon import _form, _search, _start, automorphisms, orbit_representatives
+from .canon import _packed, _search, _start, automorphisms, orbit_representatives
 from .errors import BadSpecError, BoundExceededError
 from .multigraph import Multigraph
 
@@ -95,7 +101,9 @@ def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[tuple[Mult
 
     A child's search input is the parent's plus the attach mask: each
     attached vertex gains the new vertex as a neighbour and a 1 at the end
-    of its row. Only a child whose form is new becomes a `Multigraph`.
+    of its row. The search is given the level's packed forms and stops at
+    a leaf that is one of them; only a child it labels to the end is new,
+    and only that child becomes a `Multigraph`.
     """
     if n == 1:
         return ((Multigraph(1, []), ()),)
@@ -116,17 +124,19 @@ def _connected_level(n: int, min_degree: int, target_n: int) -> tuple[tuple[Mult
                 continue
             bit = [(attach_mask >> v) & 1 for v in range(new)]
             attach = [v for v in range(new) if bit[v]]
-            _, key, lo, child_gens = _search(
+            found = _search(
                 [around + [new] if b else around for around, b in zip(nbrs, bit)] + [attach],
                 edges + [(v, new, 1) for v in attach],
                 [row + [b] for row, b in zip(rows, bit)] + [bit + [0]],
                 [d + b for d, b in zip(pdeg, bit)] + [len(attach)],
                 2,
+                out,
             )
-            form = _form(n, key, lo)
-            if form not in out:
-                out[form] = (Multigraph(n, parent.edges + tuple((v, new) for v in attach)), child_gens)
-    return tuple(out[k] for k in sorted(out))
+            if found is None:  # a leaf is the form of a child already kept
+                continue
+            _, key, _, child_gens = found
+            out[_packed(key)] = (Multigraph(n, parent.edges + tuple((v, new) for v in attach)), child_gens)
+    return tuple(out[k] for k in sorted(out))  # packed leaves sort like their byte forms
 
 
 def enumerate_connected_graphs(n: int, min_degree: int = 0) -> Iterator[Multigraph]:

@@ -1,7 +1,9 @@
 """Canonical forms, automorphisms, orbits against permutation oracles."""
 
+import gc
 import random
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -14,9 +16,10 @@ from matchcov import (
     is_isomorphic,
     vertex_orbits,
 )
-from matchcov.canon import _rows, _twins
+from matchcov import canon
+from matchcov.canon import _packed, _rows, _search, _start, _twins
 from matchcov.errors import BoundExceededError
-from matchcov.zoo import complete_graph, cycle_graph, path_graph, star_graph
+from matchcov.zoo import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 from conftest import (
     naive_isomorphic,
     reference_automorphisms,
@@ -186,3 +189,88 @@ def test_canonical_form_keeps_multiplicities_above_255():
 def test_canonical_form_refuses_more_than_255_vertices():
     with pytest.raises(BoundExceededError):
         canonical_form(Multigraph(256, [(0, 1)]))
+
+
+def test_search_stops_at_a_known_leaf():
+    # A relabelled copy of a kept graph hits its form and returns nothing; a
+    # graph isomorphic to no kept one runs to the end as without known.
+    g = petersen_graph()
+    kept = _search(*_start(g))
+    known = {_packed(kept[1]): g}
+    copy = g.relabeled((3, 7, 1, 9, 0, 5, 8, 2, 6, 4))
+    assert _search(*_start(copy), known) is None
+    other = Multigraph(10, g.edges[:-1] + ((0, 2),))
+    assert not is_isomorphic(other, g)
+    assert _search(*_start(other), known) == _search(*_start(other))
+    assert _search(*_start(g), {}) == kept
+
+
+def test_search_leaves_no_reference_cycle():
+    # The recursive closure drops its reference to itself, so neither a
+    # full search nor one stopped at a known leaf leaves its lists to the
+    # cycle collector.
+    g = petersen_graph()
+    known = {_packed(_search(*_start(g))[1])}
+    gc.collect()
+    gc.disable()
+    try:
+        _search(*_start(g))
+        _search(*_start(g.relabeled((1, 0, 2, 3, 4, 5, 6, 7, 8, 9))), known)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _multiplied(g: Multigraph, cnt: int) -> Multigraph:
+    return Multigraph(g.n, [e for e in g.edges for _ in range(cnt)])
+
+
+def _twin_corpus():
+    """Graphs whose cells are mostly mutual twins, with the order of their
+    automorphism group: complete, complete bipartite, stars, edgeless
+    graphs, the same with every edge repeated, and stars whose spokes come
+    in two multiplicities."""
+    for n in range(1, 8):
+        yield complete_graph(n), factorial(n)
+        yield Multigraph(n, []), factorial(n)
+    for a in range(1, 5):
+        for b in range(a, 7 - a + 1):
+            yield complete_bipartite(a, b), factorial(a) * factorial(b) * (2 if a == b else 1)
+    for leaves in range(2, 7):
+        yield star_graph(leaves), factorial(leaves)
+    for thin in range(1, 4):
+        for heavy in range(1, 4):
+            edges = [(0, v) for v in range(1, thin + 1)] + [(0, v) for v in range(thin + 1, thin + heavy + 1)] * 2
+            yield Multigraph(thin + heavy + 1, edges), factorial(thin) * factorial(heavy)
+
+
+def test_twin_cells_match_reference_kernel():
+    # One-step twin splits give the old kernel's labelling and form, and
+    # the swaps recorded for them generate the whole group.
+    for g, order in _twin_corpus():
+        for h in (g, _multiplied(g, 2), _multiplied(g, 3)):
+            assert canonical_labeling(h) == reference_canonical_labeling(h), h.edges
+            auts = automorphisms(h)
+            assert len(auts) == order, h.edges
+            assert auts == reference_automorphisms(h), h.edges
+    for n in (12, 20):
+        for h in (complete_graph(n), Multigraph(n, []), star_graph(n - 1), complete_bipartite(n // 2, n // 2)):
+            assert canonical_labeling(h) == reference_canonical_labeling(h), h.edges
+            assert canonical_labeling(_multiplied(h, 2)) == reference_canonical_labeling(_multiplied(h, 2))
+
+
+def test_edgeless_graph_takes_one_refinement(monkeypatch):
+    # The 255 mutual twins are split in one step: one refinement round, not
+    # one per vertex; the labelling is the identity and the form is n alone,
+    # as the search that split them one by one gave.
+    calls = []
+    refine = canon._equitable
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_equitable", counted)
+    g = Multigraph(255, [])
+    assert canonical_labeling(g) == (tuple(range(255)), bytes([255]))
+    assert len(calls) == 1
